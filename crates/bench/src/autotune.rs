@@ -96,7 +96,6 @@ fn config(w: &Workload, quantum: usize, ladder_top: usize, tune: TuneMode) -> Se
         TableSpec::f32("sums", OpKind::Add, w.cardinality),
     ]);
     c.quantum = quantum;
-    c.shards = 4;
     // Headroom above the largest rung the controller can climb to, so
     // backpressure never throttles a probe.
     c.queue_capacity = ladder_top.max(4_096) * 4;

@@ -1,4 +1,4 @@
-//! Serving-layer throughput: micro-batch size × ingest shards × backend.
+//! Serving-layer throughput: micro-batch size × backend.
 //!
 //! Drives one Zipf update stream (an i32 count table plus an f32 min
 //! table, the serving workload's table pair) through an in-process
@@ -28,8 +28,6 @@ use invector_serve::{
 
 /// Epoch quanta swept (updates per micro-batch slice).
 const QUANTA: [usize; 4] = [1, 256, 4096, 16384];
-/// Ingest shard counts swept.
-const SHARDS: [usize; 3] = [1, 4, 16];
 /// Client submission batch: how many updates each `submit` call carries.
 const CHUNK: usize = 1024;
 /// Timed repetitions per cell; the fastest is reported, which filters
@@ -42,7 +40,6 @@ const SEED: u64 = 0x1b_f2_9d;
 
 struct Cell {
     backend: &'static str,
-    shards: usize,
     quantum: usize,
     seconds: f64,
     slices: u64,
@@ -68,17 +65,14 @@ fn main() {
 
     let mut cells = Vec::new();
     for &(label, backend) in &backends {
-        for &shards in &SHARDS {
-            for &quantum in &QUANTA {
-                let cell = run_cell(&input, backend, label, shards, quantum);
-                eprintln!(
-                    "{label:>8} shards={shards:<2} quantum={quantum:<5} \
-                     {:>8.2} ms  {:>7.2} Mup/s",
-                    cell.seconds * 1e3,
-                    updates as f64 / cell.seconds / 1e6,
-                );
-                cells.push(cell);
-            }
+        for &quantum in &QUANTA {
+            let cell = run_cell(&input, backend, label, quantum);
+            eprintln!(
+                "{label:>8} quantum={quantum:<5} {:>8.2} ms  {:>7.2} Mup/s",
+                cell.seconds * 1e3,
+                updates as f64 / cell.seconds / 1e6,
+            );
+            cells.push(cell);
         }
     }
 
@@ -174,7 +168,6 @@ fn connection_sweep(scale: f64) -> Vec<SweepPoint> {
     let config = || {
         let mut c = ServeConfig::new(vec![TableSpec::i32("deg", OpKind::Add, SWEEP_SLOTS)]);
         c.quantum = 4_096;
-        c.shards = 4;
         c.queue_capacity = 32_768;
         c.max_connections = 2_048;
         c
@@ -300,13 +293,12 @@ fn run_cell(
     input: &dist::Input,
     backend: BackendChoice,
     label: &'static str,
-    shards: usize,
     quantum: usize,
 ) -> Cell {
     let repeats = if quantum == 1 { 1 } else { REPEATS };
     let mut best: Option<Cell> = None;
     for _ in 0..repeats {
-        let cell = run_cell_once(input, backend, label, shards, quantum);
+        let cell = run_cell_once(input, backend, label, quantum);
         if best.as_ref().is_none_or(|b| cell.seconds < b.seconds) {
             best = Some(cell);
         }
@@ -319,7 +311,6 @@ fn run_cell_once(
     input: &dist::Input,
     backend: BackendChoice,
     label: &'static str,
-    shards: usize,
     quantum: usize,
 ) -> Cell {
     let tables = vec![
@@ -328,7 +319,6 @@ fn run_cell_once(
     ];
     let mut config = ServeConfig::new(tables);
     config.backend = backend;
-    config.shards = shards;
     config.quantum = quantum;
     // Enough queue headroom that backpressure retries measure the apply
     // path, not an artificially starved queue.
@@ -361,7 +351,7 @@ fn run_cell_once(
 
     let stats = core.stats_summary();
     let obs = invector_obs::json_snapshot(core.registry());
-    Cell { backend: label, shards, quantum, seconds, slices: stats.slices, retries, obs }
+    Cell { backend: label, quantum, seconds, slices: stats.slices, retries, obs }
 }
 
 fn print_json(
@@ -373,12 +363,12 @@ fn print_json(
     sweep: &[SweepPoint],
     tuning: &[TuneRow],
 ) {
-    // Speedup baseline: quantum 1 on the same backend at the same shard
-    // count — the unbatched degenerate case.
+    // Speedup baseline: quantum 1 on the same backend — the unbatched
+    // degenerate case.
     let base = |c: &Cell| {
         cells
             .iter()
-            .find(|b| b.backend == c.backend && b.shards == c.shards && b.quantum == 1)
+            .find(|b| b.backend == c.backend && b.quantum == 1)
             .map_or(f64::NAN, |b| b.seconds)
     };
     println!("{{");
@@ -392,7 +382,6 @@ fn print_json(
     for (i, c) in cells.iter().enumerate() {
         println!("    {{");
         println!("      \"backend\": \"{}\",", c.backend);
-        println!("      \"shards\": {},", c.shards);
         println!("      \"quantum\": {},", c.quantum);
         println!("      \"elapsed_ms\": {:.3},", c.seconds * 1e3);
         println!("      \"mupdates_per_sec\": {:.3},", updates as f64 / c.seconds / 1e6);

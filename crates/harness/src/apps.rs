@@ -583,7 +583,7 @@ impl Kernel for ServeApp {
         "serve"
     }
     fn summary(&self) -> &'static str {
-        "Update-stream serving: sharded ingest + epoch micro-batches (invector-serve)"
+        "Update-stream serving: per-table staged ingest + epoch micro-batches (invector-serve)"
     }
     fn variants(&self) -> &'static [Variant] {
         const VARIANTS: [Variant; 2] = [Variant::Serial, Variant::Invec];

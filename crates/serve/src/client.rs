@@ -217,7 +217,6 @@ const MAX_SUBMIT_ATTEMPTS: u32 = 8;
 pub struct TcpClient {
     reader: std::io::BufReader<TcpStream>,
     writer: std::io::BufWriter<TcpStream>,
-    shards: u16,
     quantum: u32,
     tables: Vec<TableSpec>,
     backoffs: u64,
@@ -235,16 +234,14 @@ impl TcpClient {
         let reader =
             std::io::BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
         let writer = std::io::BufWriter::new(stream);
-        let mut client =
-            TcpClient { reader, writer, shards: 0, quantum: 0, tables: Vec::new(), backoffs: 0 };
+        let mut client = TcpClient { reader, writer, quantum: 0, tables: Vec::new(), backoffs: 0 };
         match client.round_trip(&Request::Hello { version: PROTOCOL_VERSION })? {
-            Reply::Hello { version, shards, quantum, tables } => {
+            Reply::Hello { version, quantum, tables, .. } => {
                 if version != PROTOCOL_VERSION {
                     return Err(format!(
                         "server speaks protocol {version}, not {PROTOCOL_VERSION}"
                     ));
                 }
-                client.shards = shards;
                 client.quantum = quantum;
                 client.tables = tables;
                 Ok(client)
@@ -262,11 +259,6 @@ impl TcpClient {
     /// The server's epoch quantum, as announced in the handshake.
     pub fn quantum(&self) -> u32 {
         self.quantum
-    }
-
-    /// The server's ingest shard count, as announced in the handshake.
-    pub fn shards(&self) -> u16 {
-        self.shards
     }
 
     /// Backoff rounds this client has absorbed across all submits.
@@ -587,12 +579,11 @@ mod tests {
 
     #[test]
     fn tcp_client_absorbs_rejections_with_bounded_backoff() {
-        // Tiny single-shard queue: a batch larger than the queue must be
-        // rejected at least once, and the client must absorb the rejection
+        // Tiny staging buffer: a batch larger than it must be rejected at
+        // least once, and the client must absorb the rejection
         // internally (backing off and resubmitting the refused suffix)
         // rather than surfacing it.
         let mut config = ServeConfig::new(vec![TableSpec::i32("c", OpKind::Add, 16)]);
-        config.shards = 1;
         config.queue_capacity = 8;
         config.quantum = 4;
         config.epoch_interval = Duration::from_millis(1);
@@ -628,7 +619,6 @@ mod tests {
     #[test]
     fn local_client_retries_through_backpressure_without_loss() {
         let mut config = ServeConfig::new(vec![TableSpec::i32("c", OpKind::Add, 16)]);
-        config.shards = 1;
         config.queue_capacity = 8;
         config.quantum = 4;
         let core = ServerCore::new(config).expect("core");

@@ -25,14 +25,22 @@ use crate::protocol::{StatsSummary, Update};
 /// Storage is a dense ring keyed by offset from the watermark — slot `i`
 /// holds stream position `watermark + i`. Admission bounds how far ahead
 /// of the watermark a sequence number may land (`config.window`), so the
-/// ring stays small, and the all-in-order common case costs one push and
-/// one pop per update instead of a tree rebalance. This buffer sits on
-/// the per-update serving path of every table, where a map lookup per
-/// update dominated epoch time for cheap-op tables.
+/// ring stays small. The length of the gap-free run at the front of the
+/// ring is kept as a field, so [`contiguous_len`](Self::contiguous_len)
+/// is O(1) rather than a rescan of the ring on every cut.
+///
+/// An epoch hands the buffer each table's staged batch whole
+/// ([`insert_batch`](Self::insert_batch)). Client batches arrive
+/// seq-contiguous, so the common case — a batch continuing exactly where
+/// the ring ends — is appended in one extend; only real out-of-order
+/// arrivals take the per-update [`insert`](Self::insert) path.
 #[derive(Debug, Default)]
 pub struct ReorderBuffer {
     held: VecDeque<Option<(u32, u32)>>,
+    /// Occupied slots in `held`.
     len: usize,
+    /// Occupied slots at the front of `held`, up to the first gap.
+    run: usize,
     watermark: u64,
     duplicates: u64,
 }
@@ -82,14 +90,37 @@ impl ReorderBuffer {
             slot @ None => {
                 *slot = Some((u.idx, u.bits));
                 self.len += 1;
+                if off == self.run {
+                    self.extend_run();
+                }
                 true
             }
         }
     }
 
+    /// Buffers a batch in arrival order.
+    ///
+    /// The seq-contiguous prefix of `batch` that starts exactly where the
+    /// ring ends is appended in one extend (those positions cannot be
+    /// duplicates). The rest, if any, goes through
+    /// [`insert`](Self::insert) one update at a time.
+    pub fn insert_batch(&mut self, batch: &[Update]) {
+        let end = self.held.len();
+        let tail = self.watermark + end as u64;
+        let bulk = batch.iter().zip(tail..).take_while(|(u, seq)| u.seq == *seq).count();
+        self.held.extend(batch[..bulk].iter().map(|u| Some((u.idx, u.bits))));
+        self.len += bulk;
+        if self.run == end {
+            self.run += bulk;
+        }
+        for &u in &batch[bulk..] {
+            self.insert(u);
+        }
+    }
+
     /// Length of the contiguous run starting at the watermark.
     pub fn contiguous_len(&self) -> usize {
-        self.held.iter().take_while(|slot| slot.is_some()).count()
+        self.run
     }
 
     /// Removes exactly `n` updates from the contiguous run into `out`
@@ -101,15 +132,16 @@ impl ReorderBuffer {
     /// size `n` from [`contiguous_len`](Self::contiguous_len) under the
     /// same lock.
     pub fn pop_run(&mut self, n: usize, out: &mut Vec<Update>) {
+        assert!(n <= self.run, "pop_run of {n} past the contiguous run of {}", self.run);
+        let watermark = self.watermark;
         out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            let (idx, bits) =
-                self.held.pop_front().flatten().expect("pop_run past the contiguous run");
-            self.len -= 1;
-            out.push(Update { seq: self.watermark, idx, bits });
-            self.watermark += 1;
-        }
+        out.extend(self.held.drain(..n).zip(watermark..).map(|(slot, seq)| {
+            let (idx, bits) = slot.expect("the contiguous run has no gaps");
+            Update { seq, idx, bits }
+        }));
+        self.len -= n;
+        self.run -= n;
+        self.watermark += n as u64;
     }
 
     /// Fast-forwards the watermark without popping: positions below `to`
@@ -122,13 +154,22 @@ impl ReorderBuffer {
     /// Panics on a watermark regression — recovery only ever moves forward.
     pub fn advance_to(&mut self, to: u64) {
         assert!(to >= self.watermark, "watermark regression {} -> {to}", self.watermark);
-        let skip = (to - self.watermark) as usize;
-        for _ in 0..skip.min(self.held.len()) {
-            if self.held.pop_front().flatten().is_some() {
-                self.len -= 1;
-            }
-        }
+        let skip = ((to - self.watermark) as usize).min(self.held.len());
+        self.len -= self.held.drain(..skip).flatten().count();
         self.watermark = to;
+        if skip <= self.run {
+            self.run -= skip;
+        } else {
+            self.run = 0;
+            self.extend_run();
+        }
+    }
+
+    /// Grows `run` over the occupied slots that follow it. Each slot is
+    /// passed at most once while it stays in the ring, so the scan is
+    /// amortized O(1) per update.
+    fn extend_run(&mut self) {
+        self.run += self.held.range(self.run..).take_while(|slot| slot.is_some()).count();
     }
 }
 
@@ -424,6 +465,159 @@ mod tests {
         b.pop_run(1, &mut out);
         assert!(!b.insert(Update::i32(0, 0, 1)), "below watermark");
         assert_eq!(b.duplicates(), 2);
+    }
+
+    #[test]
+    fn batches_extend_the_run_and_wait_behind_gaps() {
+        let mut b = ReorderBuffer::new();
+        let batch = |from: u64, n: u64| (from..from + n).map(|s| Update::i32(s, 0, 1)).collect();
+        let first: Vec<Update> = batch(0, 5);
+        b.insert_batch(&first);
+        assert_eq!(b.contiguous_len(), 5);
+        // Continues the ring, then jumps: 5..8 join the run, 9 waits
+        // behind the gap at 8.
+        let mut gapped: Vec<Update> = batch(5, 3);
+        gapped.push(Update::i32(9, 0, 1));
+        b.insert_batch(&gapped);
+        assert_eq!((b.contiguous_len(), b.len()), (8, 9));
+        // Filling the gap joins the run with everything behind it; a
+        // repeated position is a duplicate.
+        b.insert_batch(&[Update::i32(8, 0, 1), Update::i32(9, 0, 2)]);
+        assert_eq!((b.contiguous_len(), b.len(), b.duplicates()), (10, 10, 1));
+        let mut out = Vec::new();
+        b.pop_run(10, &mut out);
+        assert_eq!(out.iter().map(|u| u.seq).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        assert!(b.is_empty());
+    }
+
+    /// Model-based check of the ring against a `BTreeMap` of held
+    /// positions: random mixes of in-order batches, gapped, duplicate
+    /// and below-watermark inserts, `pop_run` and `advance_to`, compared
+    /// after every step.
+    mod model {
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng, SmallRng};
+
+        use super::super::ReorderBuffer;
+        use crate::protocol::Update;
+
+        #[derive(Default)]
+        struct Model {
+            held: BTreeMap<u64, (u32, u32)>,
+            watermark: u64,
+            duplicates: u64,
+        }
+
+        impl Model {
+            fn insert(&mut self, u: Update) -> bool {
+                if u.seq < self.watermark || self.held.contains_key(&u.seq) {
+                    self.duplicates += 1;
+                    return false;
+                }
+                self.held.insert(u.seq, (u.idx, u.bits));
+                true
+            }
+
+            fn contiguous_len(&self) -> usize {
+                (self.watermark..).take_while(|s| self.held.contains_key(s)).count()
+            }
+
+            fn pop_run(&mut self, n: usize) -> Vec<(u64, u32, u32)> {
+                (0..n)
+                    .map(|_| {
+                        let seq = self.watermark;
+                        let (idx, bits) = self.held.remove(&seq).expect("contiguous");
+                        self.watermark += 1;
+                        (seq, idx, bits)
+                    })
+                    .collect()
+            }
+
+            fn advance_to(&mut self, to: u64) {
+                self.held = self.held.split_off(&to);
+                self.watermark = to;
+            }
+
+            /// One past the highest held position (the ring's tail).
+            fn end(&self) -> u64 {
+                self.held.keys().next_back().map_or(self.watermark, |s| s + 1)
+            }
+        }
+
+        fn update(rng: &mut SmallRng, seq: u64) -> Update {
+            Update { seq, idx: rng.gen_range(0u32..64), bits: rng.gen::<u32>() }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn ring_matches_a_btreemap_model(seed in any::<u64>(), steps in 1usize..200) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut ring = ReorderBuffer::new();
+                let mut model = Model::default();
+                let mut out = Vec::new();
+                for step in 0..steps {
+                    match rng.gen_range(0u32..8) {
+                        // In-order batch at the ring tail (the bulk path).
+                        0 | 1 => {
+                            let n = rng.gen_range(0u64..40);
+                            let end = model.end();
+                            let batch: Vec<Update> =
+                                (end..end + n).map(|s| update(&mut rng, s)).collect();
+                            ring.insert_batch(&batch);
+                            for &u in &batch {
+                                model.insert(u);
+                            }
+                        }
+                        // Shuffled batch around the watermark: gaps,
+                        // duplicates and stale positions mixed with a
+                        // contiguous prefix.
+                        2 | 3 => {
+                            let n = rng.gen_range(1usize..24);
+                            let base = model.watermark.saturating_sub(4);
+                            let batch: Vec<Update> = (0..n)
+                                .map(|_| {
+                                    let seq = base + rng.gen_range(0u64..48);
+                                    update(&mut rng, seq)
+                                })
+                                .collect();
+                            ring.insert_batch(&batch);
+                            for &u in &batch {
+                                model.insert(u);
+                            }
+                        }
+                        // Single insert, anywhere near the live range.
+                        4 => {
+                            let seq = model.watermark.saturating_sub(2) + rng.gen_range(0u64..32);
+                            let u = update(&mut rng, seq);
+                            prop_assert_eq!(ring.insert(u), model.insert(u), "step {}", step);
+                        }
+                        // Pop part (or all) of the contiguous run.
+                        5 | 6 => {
+                            let run = model.contiguous_len();
+                            let n = rng.gen_range(0..=run);
+                            ring.pop_run(n, &mut out);
+                            let got: Vec<(u64, u32, u32)> =
+                                out.iter().map(|u| (u.seq, u.idx, u.bits)).collect();
+                            prop_assert_eq!(got, model.pop_run(n), "step {}", step);
+                        }
+                        // External fast-forward, sometimes past the ring.
+                        _ => {
+                            let to = model.watermark + rng.gen_range(0u64..24);
+                            ring.advance_to(to);
+                            model.advance_to(to);
+                        }
+                    }
+                    prop_assert_eq!(ring.contiguous_len(), model.contiguous_len(), "step {}", step);
+                    prop_assert_eq!(ring.len(), model.held.len(), "step {}", step);
+                    prop_assert_eq!(ring.watermark(), model.watermark, "step {}", step);
+                    prop_assert_eq!(ring.duplicates(), model.duplicates, "step {}", step);
+                }
+            }
+        }
     }
 
     #[test]

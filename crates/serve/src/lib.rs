@@ -10,10 +10,10 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──► admission ──► shard queues ──► reorder buffer ──► epoch
-//! (TCP /      (bounded,     (per-partition   (contiguous seq    executor
-//!  in-proc)    reject +      Mutex<VecDeque>) order per table)   (quantum
-//!              retry-after)                                      slices →
+//! clients ──► admission ──► staging ───────► reorder buffer ──► epoch
+//! (TCP /      (bounded,     (one Vec per     (contiguous seq    executor
+//!  in-proc)    reject +      table, swapped   order per table)   (quantum
+//!              retry-after)  out per epoch)                      slices →
 //!                                                                exec engine)
 //! ```
 //!
@@ -21,15 +21,15 @@
 //!
 //! 1. **Replicated-log ordering.** Every update carries a producer-assigned
 //!    per-table sequence number; the server folds updates in contiguous
-//!    `seq` order no matter which connection delivered them or which shard
-//!    queued them. Sharding is purely an ingest concern.
+//!    `seq` order no matter which connection delivered them or how their
+//!    batches interleaved in staging.
 //! 2. **Exact-quantum batch cuts.** The epoch executor only ever applies
 //!    slices of exactly `quantum` updates; partial tails wait for an
 //!    explicit `Flush` or the shutdown drain. Batch boundaries therefore
 //!    depend only on stream content, so replays see identical batches and
 //!    the engine (deterministic mode) produces bitwise-identical tables —
 //!    the snapshot determinism contract.
-//! 3. **Reject, never block or drop.** Full shard queues and reorder
+//! 3. **Reject, never block or drop.** Full staging buffers and reorder
 //!    windows refuse admission with a retry-after hint; an admitted update
 //!    is never lost and a refused one is the client's to resubmit.
 //!

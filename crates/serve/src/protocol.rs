@@ -290,7 +290,7 @@ impl EdgeOp {
 /// Why an update batch was (partially) refused admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// A shard ingest queue is at capacity — back off and retry.
+    /// The table's staging buffer is at capacity — back off and retry.
     QueueFull,
     /// The update's `seq` is beyond the reorder window — earlier stream
     /// positions must drain first.
@@ -429,7 +429,8 @@ pub enum Reply {
     Hello {
         /// Server protocol version.
         version: u16,
-        /// Ingest shard count.
+        /// The server's `ServeConfig::shards`: inert since admission
+        /// stages per table, kept so the v2 wire format stays unchanged.
         shards: u16,
         /// Epoch batch quantum.
         quantum: u32,

@@ -1054,7 +1054,7 @@ fn process(conn: &mut Conn, shared: &Shared, _stopping: bool) -> Result<(), ()> 
 
 /// Serves one decoded request, queueing the reply. The update path hands
 /// the borrowed view straight to core admission — updates never exist as an
-/// intermediate `Vec` between the socket and the shard queues.
+/// intermediate `Vec` between the socket and the table's staging buffer.
 fn respond(
     greeted: &mut bool,
     closing: &mut bool,

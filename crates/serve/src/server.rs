@@ -1,7 +1,7 @@
 //! The service core and its TCP front end.
 //!
-//! [`ServerCore`] is the transport-independent heart: sharded bounded
-//! ingest queues, per-table reorder buffers, and the epoch executor that
+//! [`ServerCore`] is the transport-independent heart: per-table bounded
+//! staging buffers, per-table reorder buffers, and the epoch executor that
 //! drains micro-batches through the reduction engine. The in-process
 //! client and the TCP connection handlers call the same core entry points
 //! ([`submit`](ServerCore::submit), [`tick`](ServerCore::tick),
@@ -13,7 +13,6 @@
 //! threads, zero-copy frame decode) and a background epoch thread cutting
 //! batches on a timer (or as soon as a full quantum is queued).
 
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -38,16 +37,20 @@ use crate::wal::{ManifestEntry, WalOptions, WalRecord, WalState};
 pub struct ServeConfig {
     /// The resident tables, addressed by position.
     pub tables: Vec<TableSpec>,
-    /// Ingest shard count (per-partition queues; admission locks only the
-    /// shard an update routes to).
+    /// Inert: admission stages each table's batches in one buffer, so
+    /// nothing is sharded. Kept only because the protocol's `Hello` reply
+    /// still carries a shard count and the `perfbench` ingest ledger
+    /// replay reads it.
     pub shards: usize,
     /// Epoch batch quantum: micro-batches are exactly this many updates.
     /// A smaller final batch runs only on an explicit flush or the
     /// shutdown drain, which keeps batch cut positions — and therefore
     /// snapshots — independent of arrival timing.
     pub quantum: usize,
-    /// Per-shard ingest queue capacity; a full queue rejects with
-    /// retry-after instead of blocking or dropping.
+    /// Per-table staging capacity: updates admitted but not yet taken by
+    /// an epoch. A submit that would overflow it is rejected with
+    /// retry-after instead of blocking or dropping. Each table's staging
+    /// buffer and its spare are allocated at this capacity up front.
     pub queue_capacity: usize,
     /// Reorder window: an update whose `seq` is this far beyond the
     /// table's watermark is rejected (bounds the reorder buffer).
@@ -157,8 +160,8 @@ impl ServeConfig {
         for t in &self.tables {
             t.validate_stream().map_err(|e| format!("table '{}': {e}", t.name))?;
         }
-        if self.shards == 0 || self.quantum == 0 || self.queue_capacity == 0 || self.threads == 0 {
-            return Err("shards, quantum, queue_capacity, and threads must be >= 1".into());
+        if self.quantum == 0 || self.queue_capacity == 0 || self.threads == 0 {
+            return Err("quantum, queue_capacity, and threads must be >= 1".into());
         }
         if self.window == 0 {
             return Err("reorder window must be >= 1".into());
@@ -299,13 +302,6 @@ pub struct LogTailPage {
     pub records: Vec<Vec<u8>>,
 }
 
-/// An update staged in a shard queue (table id + update).
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    table: u16,
-    update: Update,
-}
-
 /// The transport-independent service: ingest, epoch execution, snapshots.
 #[derive(Debug)]
 pub struct ServerCore {
@@ -314,17 +310,21 @@ pub struct ServerCore {
     /// admission threshold reads it per batch, the tuning hook installs
     /// into it between epochs.
     policy: PolicyHandle,
-    /// Per-shard bounded ingest queues.
-    shards: Vec<Mutex<VecDeque<Staged>>>,
+    /// Per-table bounded staging buffers: admission appends a batch's
+    /// admitted prefix under one lock, an epoch swaps the whole buffer
+    /// out.
+    staging: Vec<Mutex<Vec<Update>>>,
     /// Per-table state (values + reorder buffer), locked independently.
     tables: Vec<Mutex<TableState>>,
     /// Published per-table watermarks (read by admission without taking
     /// table locks).
     watermarks: Vec<AtomicU64>,
-    /// Updates sitting in shard queues (not yet stolen by an epoch).
+    /// Updates sitting in staging buffers (not yet taken by an epoch).
     queued: AtomicUsize,
-    /// Serializes epoch execution.
-    tick_lock: Mutex<()>,
+    /// Serializes epoch execution. It guards each table's spare staging
+    /// buffer (empty, capacity kept), which an epoch swaps in for the
+    /// staged batch.
+    tick_lock: Mutex<Vec<Vec<Update>>>,
     /// Per-core metric registry the stats handles point into (also the
     /// scrape source for the `Metrics` verb).
     registry: Registry,
@@ -381,9 +381,13 @@ impl ServerCore {
         config.validate()?;
         let initial = config.initial_policy();
         let policy = PolicyHandle::new(initial);
-        let shards = (0..config.shards)
-            .map(|_| Mutex::new(VecDeque::with_capacity(config.queue_capacity.min(1024))))
-            .collect();
+        // Admission never stages more than `queue_capacity` updates per
+        // table, and a closed-loop client that outruns the epochs fills the
+        // buffer to exactly that. Sized to the bound once, a staging buffer
+        // never reallocates under its lock, and the swap keeps the capacity.
+        let staged_batch = || Vec::with_capacity(config.queue_capacity);
+        let staging = config.tables.iter().map(|_| Mutex::new(staged_batch())).collect();
+        let spares = config.tables.iter().map(|_| staged_batch()).collect();
         let mut tables: Vec<Mutex<TableState>> = config
             .tables
             .iter()
@@ -478,11 +482,11 @@ impl ServerCore {
         let core = Arc::new(ServerCore {
             config,
             policy,
-            shards,
+            staging,
             tables,
             watermarks,
             queued: AtomicUsize::new(0),
-            tick_lock: Mutex::new(()),
+            tick_lock: Mutex::new(spares),
             registry,
             stats,
             wal,
@@ -513,18 +517,11 @@ impl ServerCore {
         &self.config
     }
 
-    /// Which ingest shard an update for `table` routes to: contiguous
-    /// index ranges, so a shard is a partition of the key space.
-    fn shard_of(&self, table: u16, idx: u32) -> usize {
-        let len = self.config.tables[table as usize].len as u64;
-        ((u64::from(idx) * self.config.shards as u64) / len) as usize
-    }
-
-    /// Admits a batch of updates for `table` into the ingest queues.
+    /// Admits a batch of updates for `table` into its staging buffer.
     ///
     /// Admission is all-or-prefix: updates are considered in order and the
-    /// first refusal (full shard queue, reorder window, drain mode) stops
-    /// the batch, returning how many were admitted. Nothing is ever
+    /// first refusal (full staging buffer, reorder window, drain mode)
+    /// stops the batch, returning how many were admitted. Nothing is ever
     /// silently dropped — a refused update is the client's to retry.
     pub fn submit(&self, table: u16, updates: &[Update]) -> SubmitOutcome {
         self.submit_stream(table, updates.len(), updates.iter().copied())
@@ -533,22 +530,31 @@ impl ServerCore {
     /// Admits a borrowed wire-format batch — the reactor's zero-copy path.
     ///
     /// Each update is materialized from the frame bytes one record at a
-    /// time as the admission loop reaches it; the batch never exists as an
-    /// intermediate `Vec<Update>`. Semantics are identical to
+    /// time, straight into the staging buffer; the batch never exists as
+    /// an intermediate `Vec<Update>`. Semantics are identical to
     /// [`submit`](ServerCore::submit) by construction (both are the same
-    /// streaming loop).
+    /// admission path).
     pub fn submit_view(&self, table: u16, updates: &UpdatesView<'_>) -> SubmitOutcome {
         self.submit_stream(table, updates.len(), updates.iter())
     }
 
-    /// The shared all-or-prefix admission loop over any update stream.
+    /// The shared all-or-prefix admission path over any update stream.
+    ///
+    /// The batch is checked outside any lock (index range, and the
+    /// reorder window against the published watermark), then its admitted
+    /// prefix is appended to the table's staging buffer under one lock,
+    /// with one `queued` add. The drain flag is read under that same lock,
+    /// which the epoch also takes to swap the buffer out: once
+    /// [`begin_shutdown`](Self::begin_shutdown) has set the flag and
+    /// flushed, no batch can be admitted behind the final drain.
     fn submit_stream(
         &self,
         table: u16,
         total: usize,
-        updates: impl Iterator<Item = Update>,
+        updates: impl Iterator<Item = Update> + Clone,
     ) -> SubmitOutcome {
-        if table as usize >= self.tables.len() {
+        let t = table as usize;
+        if t >= self.tables.len() {
             return SubmitOutcome::Failed(format!(
                 "unknown table {table} ({} registered)",
                 self.tables.len()
@@ -557,85 +563,91 @@ impl ServerCore {
         if self.read_only.load(Ordering::Acquire) {
             return SubmitOutcome::Failed("read-only follower: submit to the leader".into());
         }
-        let spec = &self.config.tables[table as usize];
-        let mut accepted = 0u32;
-        for u in updates {
-            if self.draining.load(Ordering::Acquire) {
-                return self.reject(table, accepted, total, RejectReason::Draining);
-            }
-            if (u.idx as usize) >= spec.len {
-                self.stats.record_rejects((total - accepted as usize) as u64);
-                return SubmitOutcome::Failed(format!(
+        let spec = &self.config.tables[t];
+        let limit = self.watermarks[t].load(Ordering::Acquire).saturating_add(self.config.window);
+        // The first update a per-update check would stop at, if any.
+        let refused = updates
+            .clone()
+            .enumerate()
+            .find(|(_, u)| (u.idx as usize) >= spec.len || u.seq >= limit);
+        let valid = refused.map_or(total, |(i, _)| i);
+
+        let mut staged = self.staging[t].lock().expect("staging lock");
+        if self.draining.load(Ordering::Acquire) {
+            drop(staged);
+            return self.reject(0, total, RejectReason::Draining);
+        }
+        let room = self.config.queue_capacity.saturating_sub(staged.len());
+        let accepted = valid.min(room);
+        staged.extend(updates.take(accepted));
+        // Counted under the lock: the epoch subtracts what it takes under
+        // the same lock, so the count never dips below zero.
+        let queued = self.queued.fetch_add(accepted, Ordering::AcqRel) + accepted;
+        drop(staged);
+
+        if accepted < valid {
+            return self.reject(accepted, total, RejectReason::QueueFull);
+        }
+        match refused {
+            Some((_, u)) if (u.idx as usize) >= spec.len => {
+                self.stats.record_rejects((total - accepted) as u64);
+                SubmitOutcome::Failed(format!(
                     "index {} out of range for table '{}' ({} slots); {} admitted",
                     u.idx, spec.name, spec.len, accepted
-                ));
+                ))
             }
-            let watermark = self.watermarks[table as usize].load(Ordering::Acquire);
-            if u.seq >= watermark.saturating_add(self.config.window) {
-                return self.reject(table, accepted, total, RejectReason::WindowExceeded);
-            }
-            let shard = self.shard_of(table, u.idx);
-            {
-                let mut q = self.shards[shard].lock().expect("shard lock");
-                if q.len() >= self.config.queue_capacity {
-                    drop(q);
-                    return self.reject(table, accepted, total, RejectReason::QueueFull);
+            Some(_) => self.reject(accepted, total, RejectReason::WindowExceeded),
+            None => {
+                if queued >= self.policy.quantum() {
+                    self.notify_epoch_thread();
                 }
-                q.push_back(Staged { table, update: u });
+                SubmitOutcome::Accepted {
+                    accepted: accepted as u32,
+                    watermark: self.watermarks[t].load(Ordering::Acquire),
+                }
             }
-            accepted += 1;
-            self.queued.fetch_add(1, Ordering::AcqRel);
-        }
-        if self.queued.load(Ordering::Acquire) >= self.policy.quantum() {
-            self.notify_epoch_thread();
-        }
-        SubmitOutcome::Accepted {
-            accepted,
-            watermark: self.watermarks[table as usize].load(Ordering::Acquire),
         }
     }
 
-    fn reject(
-        &self,
-        _table: u16,
-        accepted: u32,
-        batch: usize,
-        reason: RejectReason,
-    ) -> SubmitOutcome {
-        self.stats.record_rejects((batch - accepted as usize) as u64);
-        // Any queued full quantum should get cut promptly so the retry
+    fn reject(&self, accepted: usize, batch: usize, reason: RejectReason) -> SubmitOutcome {
+        self.stats.record_rejects((batch - accepted) as u64);
+        // Any staged full quantum should get cut promptly so the retry
         // succeeds.
         self.notify_epoch_thread();
         SubmitOutcome::Rejected {
-            accepted,
+            accepted: accepted as u32,
             retry_after_ms: self.config.retry_after_ms.max(1),
             reason,
         }
     }
 
-    /// Runs one epoch: steals every shard queue, buffers the stolen
-    /// updates in their tables' reorder buffers, and applies full-quantum
-    /// batch slices (plus, with `drain`, each table's final partial
-    /// slice) through the reduction engine.
+    /// Runs one epoch: takes each table's staged batch, buffers it in the
+    /// table's reorder buffer, and applies full-quantum batch slices
+    /// (plus, with `drain`, each table's final partial slice) through the
+    /// reduction engine.
     ///
     /// Ticks are serialized; concurrent callers line up. Safe to call from
     /// any thread — tests and the in-process client drive it directly,
     /// the background epoch thread drives it in a live server.
     pub fn tick(&self, drain: bool) -> EpochReport {
-        let _epoch = self.tick_lock.lock().expect("tick lock");
+        let mut batches = self.tick_lock.lock().expect("tick lock");
         let start = Instant::now();
 
-        // Steal arrivals shard by shard; admission only ever appends, so
-        // holding each lock briefly is enough.
-        let mut stolen: Vec<Staged> = Vec::new();
-        for shard in &self.shards {
-            let mut q = shard.lock().expect("shard lock");
-            stolen.extend(q.drain(..));
+        // Take every table's staged batch in O(1) before cutting any: swap
+        // the empty spare in under the staging lock. The epoch is then one
+        // admission cut across tables; a table taken only when its turn
+        // came would also pick up arrivals made while earlier tables were
+        // cut, merging what would be separate epochs (and, with a WAL,
+        // stretching the epoch-counted checkpoint cadence).
+        for (staging, batch) in self.staging.iter().zip(batches.iter_mut()) {
+            let mut staged = staging.lock().expect("staging lock");
+            std::mem::swap(&mut *staged, batch);
+            self.queued.fetch_sub(batch.len(), Ordering::AcqRel);
+            drop(staged);
         }
-        self.queued.fetch_sub(stolen.len(), Ordering::AcqRel);
 
-        // Route to reorder buffers and cut batches, one table at a time.
-        // Each table cuts under its own watermark-keyed policy schedule.
+        // Buffer and cut batches, one table at a time. Each table cuts
+        // under its own watermark-keyed policy schedule.
         // With a WAL, the log is held across the whole cut (lock order:
         // tick → WAL → table) and every slice is appended *before* it is
         // applied — the write-ahead point. A WAL I/O failure is a
@@ -644,10 +656,12 @@ impl ServerCore {
         let mut wal = self.wal.as_ref().map(|w| w.lock().expect("wal lock"));
         let mut report = EpochReport::default();
         let mut depth = DepthHistogram::new();
-        for (t, table) in self.tables.iter().enumerate() {
+        for (t, (table, batch)) in self.tables.iter().zip(batches.iter_mut()).enumerate() {
             let mut state = table.lock().expect("table lock");
-            for s in stolen.iter().filter(|s| s.table as usize == t) {
-                state.absorb(s.update);
+            if !batch.is_empty() {
+                state.absorb_batch(batch);
+                // Cleared, capacity kept: this is the table's next spare.
+                batch.clear();
             }
             let before = state.watermark();
             let slices = match wal.as_deref_mut() {
@@ -1140,7 +1154,9 @@ impl ServerCore {
 
     /// Begins shutdown: admission switches to reject-with-`Draining`, then
     /// every contiguous pending update is applied. Returns the final
-    /// per-table watermarks.
+    /// per-table watermarks. Admission reads the flag under the staging
+    /// lock the final flush takes, so every update acknowledged before
+    /// the flag flipped is in that flush, and none is acknowledged after.
     pub fn begin_shutdown(&self) -> Vec<u64> {
         self.draining.store(true, Ordering::Release);
         self.flush();
@@ -1262,7 +1278,6 @@ mod tests {
     fn config() -> ServeConfig {
         ServeConfig {
             quantum: 8,
-            shards: 2,
             queue_capacity: 64,
             ..ServeConfig::new(vec![
                 TableSpec::i32("counts", OpKind::Add, 32),
@@ -1319,10 +1334,9 @@ mod tests {
     }
 
     #[test]
-    fn full_shard_queue_rejects_the_suffix_with_retry_after() {
+    fn full_staging_buffer_rejects_the_suffix_with_retry_after() {
         let mut c = config();
         c.queue_capacity = 4;
-        c.shards = 1;
         let core = ServerCore::new(c).unwrap();
         let updates: Vec<Update> = (0..10).map(|i| Update::i32(i, 0, 1)).collect();
         match core.submit(0, &updates) {
@@ -1351,6 +1365,62 @@ mod tests {
             10,
             "rejected updates were retried, not lost"
         );
+    }
+
+    #[test]
+    fn staging_capacity_is_per_table() {
+        let mut c = config();
+        c.queue_capacity = 4;
+        let core = ServerCore::new(c).unwrap();
+        let counts: Vec<Update> = (0..4).map(|i| Update::i32(i, 0, 1)).collect();
+        let mins: Vec<Update> = (0..6).map(|i| Update::f32(i, 0, 1.0)).collect();
+        assert!(matches!(core.submit(0, &counts), SubmitOutcome::Accepted { accepted: 4, .. }));
+        // A full `counts` buffer does not throttle `mins`, which has its own.
+        match core.submit(1, &mins) {
+            SubmitOutcome::Rejected { accepted: 4, reason: RejectReason::QueueFull, .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shutdown_never_acks_an_update_it_does_not_apply() {
+        // A submitter races `begin_shutdown`. Every update acknowledged
+        // before the refusal must be in the final drain: Σ accepted equals
+        // the final watermark, round after round.
+        for round in 0..1000u64 {
+            let core = ServerCore::new(config()).unwrap();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let submitter = {
+                let core = Arc::clone(&core);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut next = 0u64;
+                    loop {
+                        let batch: Vec<Update> =
+                            (next..next + 3).map(|s| Update::i32(s, (s % 32) as u32, 1)).collect();
+                        match core.submit(0, &batch) {
+                            SubmitOutcome::Accepted { accepted, .. } => next += u64::from(accepted),
+                            SubmitOutcome::Rejected { accepted, reason, .. } => {
+                                next += u64::from(accepted);
+                                if reason == RejectReason::Draining {
+                                    return next;
+                                }
+                                core.tick(false);
+                            }
+                            SubmitOutcome::Failed(m) => panic!("round {round}: {m}"),
+                        }
+                    }
+                })
+            };
+            start.wait();
+            if round % 2 == 1 {
+                std::thread::yield_now();
+            }
+            let watermarks = core.begin_shutdown();
+            let accepted = submitter.join().expect("submitter thread");
+            assert_eq!(watermarks[0], accepted, "round {round}: acked updates lost in shutdown");
+        }
     }
 
     #[test]

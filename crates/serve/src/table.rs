@@ -325,6 +325,18 @@ impl TableState {
         self.pending.insert(update)
     }
 
+    /// Buffers a whole staged batch for ordered application (see
+    /// [`ReorderBuffer::insert_batch`]).
+    pub fn absorb_batch(&mut self, updates: &[Update]) {
+        debug_assert!(
+            updates.iter().all(|u| (u.idx as usize) < self.spec.len),
+            "index out of bounds for table '{}' of {} slots",
+            self.spec.name,
+            self.spec.len
+        );
+        self.pending.insert_batch(updates)
+    }
+
     /// Schedules `policy` for every slice starting at watermark `from` or
     /// beyond — the tuning install point (and the trace replay loader).
     ///

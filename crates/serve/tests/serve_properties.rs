@@ -2,20 +2,25 @@
 //!
 //! 1. **Deterministic snapshots.** One logical update stream produces
 //!    bitwise-identical table snapshots at a fixed (quantum, threads)
-//!    configuration, no matter how many ingest shards the server runs,
-//!    how the stream is split across clients, how client submissions
-//!    interleave, or when epochs fire.
-//! 2. **Backpressure.** A saturated ingest queue rejects with a
+//!    configuration, no matter how the stream is split across clients,
+//!    how client submissions interleave, when epochs fire, or how much
+//!    staging capacity the server has (nor what the inert `shards` knob
+//!    says).
+//! 2. **Backpressure.** A saturated staging buffer rejects with a
 //!    retry-after hint — it never blocks the caller and never drops an
-//!    admitted update.
+//!    admitted update. Both admission entry points (owned and wire-view
+//!    batches) refuse at the same position for the same reason.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, SmallRng};
 
 use invector_core::exec::ExecVariant;
+use invector_serve::protocol::encode_updates;
 use invector_serve::{
     LocalClient, OpKind, PolicyTrace, RejectReason, ServeClient, ServeConfig, ServerCore,
-    SubmitOutcome, TableSpec, TuneConfig, TuneMode, Update,
+    SubmitOutcome, TableSpec, TuneConfig, TuneMode, Update, UpdatesView,
 };
 
 const TABLE_LEN: usize = 64;
@@ -47,9 +52,10 @@ fn generate_streams(rng: &mut SmallRng, len: usize) -> Vec<Vec<Update>> {
 /// Replays `streams` against a fresh server and returns the final
 /// snapshot bits per table.
 ///
-/// `shards` and the chunking/interleaving/tick schedule (driven by `rng`)
-/// are the degrees of freedom that must NOT affect the result; `quantum`
-/// is part of the configuration that legitimately may.
+/// `shards`, the staging capacity and the chunking/interleaving/tick
+/// schedule (all driven by `rng`) are the degrees of freedom that must NOT
+/// affect the result; `quantum` is part of the configuration that
+/// legitimately may.
 fn replay(
     streams: &[Vec<Update>],
     shards: usize,
@@ -71,6 +77,7 @@ fn replay_with_tune(
     let mut config = ServeConfig::new(tables());
     config.shards = shards;
     config.quantum = quantum;
+    config.queue_capacity = rng.gen_range(1usize..=256);
     config.tune = tune;
     let core = ServerCore::new(config).expect("core");
     let mut client = LocalClient::new(core.clone());
@@ -107,8 +114,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline contract: same stream, same (quantum, threads) →
-    /// bitwise-identical snapshots under every shard count, client split,
-    /// interleaving, and epoch timing.
+    /// bitwise-identical snapshots under every client split, interleaving,
+    /// epoch timing and staging capacity (and any inert shard count).
     #[test]
     fn snapshots_are_bitwise_identical_across_interleavings(
         seed in any::<u64>(),
@@ -235,10 +242,160 @@ proptest! {
     }
 }
 
+/// Where a generated admission batch is refused, if anywhere.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    None,
+    /// The update at this position indexes past the table.
+    Index(usize),
+    /// The update at this position runs past the reorder window.
+    Window(usize),
+    /// The staging buffer fills exactly at this position.
+    Capacity(usize),
+}
+
+/// Twin cores under one configuration: one admits owned batches, the
+/// other the same batches in wire form.
+struct Twins {
+    owned: Arc<ServerCore>,
+    viewed: Arc<ServerCore>,
+    capacity: usize,
+    window: u64,
+    /// Updates admitted since the last tick (the staging occupancy).
+    staged: usize,
+    /// Next stream position to send.
+    next: u64,
+}
+
+impl Twins {
+    fn tick(&mut self) {
+        self.owned.tick(false);
+        self.viewed.tick(false);
+        self.staged = 0;
+    }
+
+    /// Submits `batch` through both entry points, checks that both get
+    /// the outcome the per-update admission rule predicts, and returns
+    /// how many updates were admitted.
+    fn submit(&mut self, batch: &[Update]) -> usize {
+        let watermark = self.owned.watermarks()[0];
+        assert_eq!(watermark, self.viewed.watermarks()[0]);
+        let mut bytes = Vec::new();
+        encode_updates(&mut bytes, batch);
+        let a = self.owned.submit(0, batch);
+        let b = self.viewed.submit_view(0, &UpdatesView::over(&bytes).expect("whole records"));
+        assert_eq!(a, b, "owned and wire-view admission diverged");
+
+        // The rule, one update at a time: the first out-of-range index
+        // fails the batch, the first update past the window or past the
+        // staging capacity rejects it, everything before is admitted.
+        let refusal = batch.iter().enumerate().find_map(|(i, u)| {
+            if u.idx as usize >= TABLE_LEN {
+                Some((i, None))
+            } else if u.seq >= watermark + self.window {
+                Some((i, Some(RejectReason::WindowExceeded)))
+            } else if self.staged + i >= self.capacity {
+                Some((i, Some(RejectReason::QueueFull)))
+            } else {
+                None
+            }
+        });
+        let accepted = match (&a, refusal) {
+            (SubmitOutcome::Accepted { accepted, .. }, None) => *accepted as usize,
+            (SubmitOutcome::Rejected { accepted, reason, retry_after_ms }, Some((i, Some(r)))) => {
+                assert!(*retry_after_ms >= 1, "retry hint must be actionable");
+                assert_eq!((*accepted as usize, *reason), (i, r));
+                i
+            }
+            (SubmitOutcome::Failed(m), Some((i, None))) => {
+                assert!(m.contains(&format!("; {i} admitted")), "{m}");
+                i
+            }
+            (got, want) => panic!("admission gave {got:?}, the per-update rule {want:?}"),
+        };
+        self.staged += accepted;
+        self.next += accepted as u64;
+        accepted
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `submit(&[Update])` and `submit_view` (the reactor's zero-copy
+    /// path) are one admission path: on twin cores, every batch — each
+    /// carrying an out-of-range index, a window overrun or a capacity
+    /// boundary at a random position — gets the same outcome, the one the
+    /// per-update rule predicts, and the final snapshots are identical.
+    #[test]
+    fn owned_and_wire_view_admission_agree(seed in any::<u64>(), rounds in 1usize..40) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut config = ServeConfig::new(tables());
+        config.quantum = 1 << rng.gen_range(2u32..6);
+        config.queue_capacity = rng.gen_range(1usize..=96);
+        config.window = rng.gen_range(8u64..=128);
+        let mut twins = Twins {
+            owned: ServerCore::new(config.clone()).expect("core"),
+            viewed: ServerCore::new(config.clone()).expect("core"),
+            capacity: config.queue_capacity,
+            window: config.window,
+            staged: 0,
+            next: 0,
+        };
+        let update = |rng: &mut SmallRng, seq: u64| {
+            Update::i32(seq, rng.gen_range(0u32..TABLE_LEN as u32), 1)
+        };
+        for _ in 0..rounds {
+            let n = rng.gen_range(1usize..48);
+            let fault = match rng.gen_range(0u32..4) {
+                0 => Fault::None,
+                1 => Fault::Index(rng.gen_range(0..n)),
+                2 => Fault::Window(rng.gen_range(0..n)),
+                _ => Fault::Capacity(rng.gen_range(0..n)),
+            };
+            if let Fault::Capacity(p) = fault {
+                // Stage exactly `capacity - p` updates first, so the
+                // buffer fills at position `p` of the batch.
+                if twins.staged + p > twins.capacity {
+                    twins.tick();
+                }
+                let from = twins.next;
+                let fill = twins.capacity.saturating_sub(p) - twins.staged;
+                let filler: Vec<Update> =
+                    (from..from + fill as u64).map(|s| update(&mut rng, s)).collect();
+                twins.submit(&filler);
+            }
+            let from = twins.next;
+            let mut batch: Vec<Update> =
+                (from..from + n as u64).map(|s| update(&mut rng, s)).collect();
+            match fault {
+                Fault::Index(p) => batch[p].idx = TABLE_LEN as u32 + rng.gen_range(0u32..8),
+                Fault::Window(p) => {
+                    let watermark = twins.owned.watermarks()[0];
+                    batch[p].seq = watermark + twins.window + rng.gen_range(0u64..4);
+                }
+                Fault::Capacity(_) | Fault::None => {}
+            }
+            twins.submit(&batch);
+            if rng.gen_bool(0.3) {
+                twins.tick();
+            }
+        }
+        twins.owned.flush();
+        twins.viewed.flush();
+        for t in 0..tables().len() as u16 {
+            let a = twins.owned.snapshot(t).expect("snapshot");
+            let b = twins.viewed.snapshot(t).expect("snapshot");
+            prop_assert_eq!(a.watermark, b.watermark);
+            prop_assert_eq!(a.bits(), b.bits(), "table {} diverged", t);
+        }
+        prop_assert_eq!(twins.owned.snapshot(0).expect("snapshot").watermark, twins.next);
+    }
+}
+
 #[test]
 fn saturated_queue_rejects_with_retry_after_instead_of_blocking() {
     let mut config = ServeConfig::new(vec![TableSpec::i32("c", OpKind::Add, 16)]);
-    config.shards = 1;
     config.queue_capacity = 8;
     config.quantum = 4;
     let core = ServerCore::new(config).expect("core");

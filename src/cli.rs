@@ -32,8 +32,8 @@ pub struct NetOpts {
 /// one struct, parsed once, so the commands cannot drift apart on
 /// defaults or validation.
 ///
-/// The quantum/shard fields only matter to the serving commands; batch
-/// runs carry them inert. `tune` switches the serving epoch loop from the
+/// The quantum field only matters to the serving commands; batch runs
+/// carry it inert. `tune` switches the serving epoch loop from the
 /// static policy to the online controller
 /// ([`TuneMode::Auto`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,8 +42,6 @@ pub struct ExecOpts {
     pub threads: usize,
     /// Backend request.
     pub backend: BackendChoice,
-    /// Ingest shard count (serving commands).
-    pub shards: usize,
     /// Epoch batch quantum (serving commands).
     pub quantum: usize,
     /// Self-tune the execution policy between epochs (serving commands).
@@ -57,15 +55,11 @@ impl ExecOpts {
             return Err("--threads must be at least 1".into());
         }
         let backend = parse_backend(get(opts, "backend").unwrap_or("auto"))?;
-        let shards = lookup(opts, "shards", 4)?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
         let quantum = lookup(opts, "quantum", 4096)?;
         if quantum == 0 {
             return Err("--quantum must be at least 1".into());
         }
-        Ok(ExecOpts { threads, backend, shards, quantum, tune: get(opts, "tune").is_some() })
+        Ok(ExecOpts { threads, backend, quantum, tune: get(opts, "tune").is_some() })
     }
 
     /// The engine policy these options denote, behind the process's
@@ -130,7 +124,7 @@ pub enum Command {
         addr: String,
         /// Stream sizing (rows = updates per table, cardinality = slots).
         spec: RunSpec,
-        /// Shared execution knobs (threads/backend/shards/quantum/tune).
+        /// Shared execution knobs (threads/backend/quantum/tune).
         exec: ExecOpts,
         /// Reactor front-end knobs.
         net: NetOpts,
@@ -157,7 +151,7 @@ pub enum Command {
     BenchServe {
         /// Stream sizing.
         spec: RunSpec,
-        /// Shared execution knobs (threads/backend/shards/tune).
+        /// Shared execution knobs (threads/backend/quantum/tune).
         exec: ExecOpts,
         /// Reactor front-end knobs (carried into the serve config).
         net: NetOpts,
@@ -211,7 +205,6 @@ OPTIONS:
 
 SERVING OPTIONS (serve / bench-serve / metrics):
   --addr <host:port>   listen / scrape address          [127.0.0.1:7411]
-  --shards <n>         ingest shard count                        [4]
   --quantum <n>        epoch batch quantum                       [4096]
   --io-threads <n>     reactor I/O event-loop threads            [2]
   --max-conns <n>      concurrent connection cap                 [4096]
@@ -310,7 +303,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         opts.push((key.to_string(), value.clone()));
         i += 2;
     }
-    const KNOWN: [&str; 29] = [
+    const KNOWN: [&str; 28] = [
         "app",
         "dataset",
         "variant",
@@ -326,7 +319,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "backend",
         "repeat",
         "addr",
-        "shards",
         "quantum",
         "io-threads",
         "max-conns",
@@ -817,7 +809,6 @@ impl Durability {
 
 fn serve_config(spec: &RunSpec, exec: ExecOpts, net: NetOpts) -> ServeConfig {
     let mut config = ServeConfig::new(serve_tables(spec.cardinality.max(1)));
-    config.shards = exec.shards;
     config.quantum = exec.quantum;
     config.threads = exec.threads;
     config.backend = exec.backend;
@@ -856,8 +847,7 @@ fn run_serve(
     }
     println!("  tables: counts (i32 add), mins (f32 min) x {} slots", spec.cardinality.max(1));
     println!(
-        "  shards {}, quantum {}, threads {}, tuning {}",
-        exec.shards,
+        "  quantum {}, threads {}, tuning {}",
         exec.quantum,
         exec.threads,
         if exec.tune { "on" } else { "off" }
@@ -882,9 +872,8 @@ fn serve_smoke(spec: &RunSpec, exec: ExecOpts, net: NetOpts, clients: usize) -> 
     let server = Server::bind(config, "127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
     let addr = server.local_addr();
     println!(
-        "serve smoke on {addr}: shards {}, quantum {}, threads {}, tuning {}, \
+        "serve smoke on {addr}: quantum {}, threads {}, tuning {}, \
          reactor {} x {} io threads, {clients} clients, backend {}",
-        exec.shards,
         exec.quantum,
         exec.threads,
         if exec.tune { "on" } else { "off" },
@@ -1263,10 +1252,9 @@ fn serve_smoke_follow(
 fn run_bench_serve(spec: &RunSpec, exec: ExecOpts, net: NetOpts) -> Result<(), String> {
     let (counts, _) = serve_streams(spec);
     println!(
-        "bench-serve: {} updates, {} slots, shards {}, threads {}, backend {}",
+        "bench-serve: {} updates, {} slots, threads {}, backend {}",
         counts.len(),
         spec.cardinality.max(1),
-        exec.shards,
         exec.threads,
         exec.backend.resolve().name()
     );
@@ -1367,10 +1355,9 @@ mod tests {
 
     #[test]
     fn serve_command_shadows_the_app_shorthand_and_takes_serving_options() {
-        match parse(&args("serve --shards 8 --quantum 512 --smoke")).unwrap() {
+        match parse(&args("serve --quantum 512 --smoke")).unwrap() {
             Command::Serve { addr, exec, smoke, .. } => {
                 assert_eq!(addr, "127.0.0.1:7411");
-                assert_eq!(exec.shards, 8);
                 assert_eq!(exec.quantum, 512);
                 assert!(smoke);
                 assert!(!exec.tune);
@@ -1383,7 +1370,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&args("serve --quantum 0")).is_err());
-        assert!(parse(&args("serve --shards 0")).is_err());
     }
 
     #[test]
@@ -1424,7 +1410,6 @@ mod tests {
             Command::BenchServe { spec, exec, .. } => {
                 assert_eq!(spec.rows, RunSpec::tiny().rows);
                 assert_eq!(exec.threads, 1);
-                assert_eq!(exec.shards, 4);
                 assert_eq!(exec.quantum, 4096);
                 assert!(!exec.tune);
             }
@@ -1444,13 +1429,7 @@ mod tests {
         }
         let config = serve_config(
             &RunSpec::tiny(),
-            ExecOpts {
-                threads: 1,
-                backend: BackendChoice::Auto,
-                shards: 2,
-                quantum: 64,
-                tune: true,
-            },
+            ExecOpts { threads: 1, backend: BackendChoice::Auto, quantum: 64, tune: true },
             NetOpts { io_threads: 1, max_conns: 8, reactor: ReactorKind::Auto },
         );
         assert!(matches!(config.tune, TuneMode::Auto(_)), "--tune selects the controller");
@@ -1460,13 +1439,7 @@ mod tests {
     fn serve_smoke_round_trips_on_loopback() {
         let spec = RunSpec { rows: 1200, cardinality: 32, ..RunSpec::tiny() };
         let net = NetOpts { io_threads: 2, max_conns: 64, reactor: ReactorKind::Auto };
-        let exec = ExecOpts {
-            threads: 1,
-            backend: BackendChoice::Auto,
-            shards: 3,
-            quantum: 128,
-            tune: false,
-        };
+        let exec = ExecOpts { threads: 1, backend: BackendChoice::Auto, quantum: 128, tune: false };
         serve_smoke(&spec, exec, net, 4).expect("smoke must pass");
     }
 
@@ -1474,13 +1447,7 @@ mod tests {
     fn serve_smoke_stays_bitwise_correct_with_tuning_on() {
         let spec = RunSpec { rows: 1500, cardinality: 32, ..RunSpec::tiny() };
         let net = NetOpts { io_threads: 2, max_conns: 64, reactor: ReactorKind::Auto };
-        let exec = ExecOpts {
-            threads: 1,
-            backend: BackendChoice::Auto,
-            shards: 2,
-            quantum: 64,
-            tune: true,
-        };
+        let exec = ExecOpts { threads: 1, backend: BackendChoice::Auto, quantum: 64, tune: true };
         serve_smoke(&spec, exec, net, 2).expect("tuned smoke must still match the serial fold");
     }
 
@@ -1630,13 +1597,8 @@ mod tests {
 
         invector_obs::set_enabled(true);
         let spec = RunSpec { rows: 400, cardinality: 16, ..RunSpec::tiny() };
-        let exec = ExecOpts {
-            threads: 2,
-            backend: BackendChoice::Auto,
-            shards: 4,
-            quantum: 4096,
-            tune: false,
-        };
+        let exec =
+            ExecOpts { threads: 2, backend: BackendChoice::Auto, quantum: 4096, tune: false };
         run_app("agg", &[Variant::Invec], &spec, exec, 1, false).expect("agg run");
         obs_report(path).expect("obs report");
 
