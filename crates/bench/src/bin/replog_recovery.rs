@@ -8,8 +8,10 @@
 //! 2. How fast is raw log replay? The whole stream is logged with
 //!    checkpoints disabled, the core is dropped, and a fresh
 //!    `ServerCore::new` over the directory is timed.
-//! 3. How much do checkpoints help? Same, but with a short checkpoint
-//!    cadence so recovery loads a snapshot and replays only the tail.
+//! 3. How much do checkpoints help? Same, but with a checkpoint published
+//!    once the log holds most of the stream, so recovery loads a snapshot
+//!    and replays only the tail. The run asserts that the checkpoint was
+//!    published before recovery is timed.
 //! 4. How fast does a follower catch up? A durable leader ingests the
 //!    stream, then a cold follower bootstraps over loopback TCP and tails
 //!    until its watermarks match the leader's.
@@ -26,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use invector_agg::dist::{self, Distribution};
 use invector_bench::arg_scale;
+use invector_serve::protocol::UPDATE_WIRE_LEN;
 use invector_serve::{
     Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server, ServerCore, SyncPolicy,
     TableSpec, Update, WalOptions,
@@ -35,8 +38,15 @@ use invector_serve::{
 const QUANTUM: usize = 4_096;
 /// Client submission chunk.
 const CHUNK: usize = 1_024;
-/// Checkpoint cadence (non-empty epochs) for the checkpointed-recovery row.
+/// Checkpoint cadence (non-empty epochs) of the follower row's leader.
 const CHECKPOINT_EPOCHS: u64 = 16;
+/// Share of the stream's logged update bytes after which the
+/// checkpointed-recovery row publishes a checkpoint. The log crosses it
+/// once: at full scale mid-stream, so recovery replays the remaining ~40%
+/// as its tail; when the whole stream lands in one epoch (small scales),
+/// at that epoch, leaving an empty tail. An epoch cadence cannot promise
+/// either, since the epoch count follows the scale.
+const CHECKPOINT_SHARE: f64 = 0.6;
 /// Same stream seed the harness serving workload uses.
 const SEED: u64 = 0x1b_f2_9d;
 
@@ -71,7 +81,7 @@ fn main() {
         [("os", SyncPolicy::Os), ("epoch", SyncPolicy::Epoch), ("always", SyncPolicy::Always)]
     {
         let dir = scratch("ingest", label);
-        let wal = wal_options(&dir, sync, 0);
+        let wal = wal_options(&dir, sync, 0, 0);
         let (row, checksums) = ingest_cell(&streams, cardinality, Some(wal), label);
         assert_eq!(checksums, reference, "durable ingest diverged ({label})");
         table.push(row);
@@ -81,11 +91,12 @@ fn main() {
     // 2. Raw log replay: full log, no checkpoints.
     table.push(recovery_cell(&streams, cardinality, &reference, 0, "recover_replay"));
     // 3. Checkpoint + tail replay.
+    let checkpoint_bytes = (updates as f64 * UPDATE_WIRE_LEN as f64 * CHECKPOINT_SHARE) as u64;
     table.push(recovery_cell(
         &streams,
         cardinality,
         &reference,
-        CHECKPOINT_EPOCHS,
+        checkpoint_bytes,
         "recover_checkpoint",
     ));
     // 4. Cold follower catchup over loopback.
@@ -138,11 +149,19 @@ fn scratch(phase: &str, tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn wal_options(dir: &std::path::Path, sync: SyncPolicy, checkpoint_epochs: u64) -> WalOptions {
+/// Log options with a checkpoint every `checkpoint_epochs` non-empty
+/// epochs or `checkpoint_bytes` of log, whichever first (0 disables a
+/// trigger).
+fn wal_options(
+    dir: &std::path::Path,
+    sync: SyncPolicy,
+    checkpoint_epochs: u64,
+    checkpoint_bytes: u64,
+) -> WalOptions {
     let mut wal = WalOptions::new(dir);
     wal.sync = sync;
     wal.checkpoint_epochs = checkpoint_epochs;
-    wal.checkpoint_bytes = 0;
+    wal.checkpoint_bytes = checkpoint_bytes;
     wal
 }
 
@@ -193,25 +212,35 @@ fn ingest_cell(
 }
 
 /// Log the whole stream durably, drop the core, and time a fresh
-/// `ServerCore::new` over the directory — recovery is construction.
+/// `ServerCore::new` over the directory — recovery is construction. With
+/// `checkpoint_bytes` set, the logging core must have published a
+/// checkpoint (recovery then loads it and replays the tail); without, it
+/// must have published none (recovery replays the whole log).
 fn recovery_cell(
     streams: &Streams,
     cardinality: usize,
     reference: &Checksums,
-    checkpoint_epochs: u64,
+    checkpoint_bytes: u64,
     mode: &'static str,
 ) -> Row {
     let dir = scratch("recover", mode);
-    let build = || config(cardinality, Some(wal_options(&dir, SyncPolicy::Os, checkpoint_epochs)));
+    let build =
+        || config(cardinality, Some(wal_options(&dir, SyncPolicy::Os, 0, checkpoint_bytes)));
     {
         let core = ServerCore::new(build()).expect("config is valid");
-        let mut client = LocalClient::new(core);
+        let mut client = LocalClient::new(std::sync::Arc::clone(&core));
         for (table, stream) in [(0u16, &streams.counts), (1u16, &streams.mins)] {
             for chunk in stream.chunks(CHUNK) {
                 client.submit_all(table, chunk).expect("logged submit");
             }
         }
         client.flush().expect("logged flush");
+        let checkpoints = core.pin_state().checkpoint;
+        assert_eq!(
+            checkpoints > 0,
+            checkpoint_bytes > 0,
+            "{mode}: the logging core published {checkpoints} checkpoints"
+        );
     }
     let start = Instant::now();
     let core = ServerCore::new(build()).expect("recovery succeeds");
@@ -227,7 +256,7 @@ fn recovery_cell(
 /// watermark parity: bootstrap snapshot transfer plus log tail.
 fn follower_cell(streams: &Streams, cardinality: usize, reference: &Checksums) -> Row {
     let dir = scratch("follow", "leader");
-    let wal = wal_options(&dir, SyncPolicy::Os, CHECKPOINT_EPOCHS);
+    let wal = wal_options(&dir, SyncPolicy::Os, CHECKPOINT_EPOCHS, 0);
     let server =
         Server::bind(config(cardinality, Some(wal)), "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();

@@ -1,8 +1,8 @@
 //! A persistent, lazily-initialized worker pool.
 //!
-//! The seed's `parallel_invec_accumulate` spawned fresh OS threads on every
-//! call — acceptable for a one-off benchmark, fatal on a hot path that runs
-//! an edge phase per iteration. This pool is created once (on the first
+//! Spawning fresh OS threads on every call is acceptable for a one-off
+//! benchmark and fatal on a hot path that runs an edge phase per
+//! iteration. This pool is created once (on the first
 //! batch that actually needs parallelism), parks its workers on a condition
 //! variable between batches, and is shared by every engine entry point in
 //! the process. [`pool_initializations`] exposes the creation count so tests

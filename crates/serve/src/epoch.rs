@@ -6,8 +6,13 @@
 //! connection in any interleaving, but an update is only folded into the
 //! table once every earlier stream position has been. The reorder buffer
 //! is the holding pen between arrival order and application order.
+//!
+//! Updates travel in column form — a key column and a value-bits column —
+//! from admission to the SIMD driver: staging keeps each table's admitted
+//! updates as columns plus their seq-contiguous runs ([`Staging`]), the
+//! reorder buffer holds the same two columns, and a cut hands the kernel a
+//! borrowed [`RunView`] of them.
 
-use std::collections::VecDeque;
 use std::time::Duration;
 
 use invector_core::stats::DepthHistogram;
@@ -16,30 +21,154 @@ use invector_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{StatsSummary, Update};
 
+/// A borrowed seq-contiguous run of updates in column form: `keys[i]` and
+/// `bits[i]` are stream position `first + i`.
+#[derive(Debug, Clone, Copy)]
+pub struct RunView<'a> {
+    /// Stream position of the run's first update.
+    pub first: u64,
+    /// Target slots.
+    pub keys: &'a [i32],
+    /// Value bit patterns, parallel to `keys`.
+    pub bits: &'a [u32],
+}
+
+impl<'a> RunView<'a> {
+    /// Updates in the run.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` for an empty run.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The run as `Update` records, in stream order.
+    pub fn updates(&self) -> impl Iterator<Item = Update> + 'a {
+        let columns = self.keys.iter().zip(self.bits);
+        (self.first..).zip(columns).map(|(seq, (&key, &bits))| Update {
+            seq,
+            idx: key as u32,
+            bits,
+        })
+    }
+}
+
+/// One table's admitted, not yet cut updates: a key column, a value-bits
+/// column and the `(first_seq, len)` runs they form, in admission order.
+///
+/// A client batch arrives seq-contiguous, so it is one run, and a batch
+/// that continues the previous one extends that run; only out-of-order
+/// or repeated positions start new ones.
+#[derive(Debug)]
+pub(crate) struct Staging {
+    keys: Vec<i32>,
+    bits: Vec<u32>,
+    /// `(first_seq, len)` per run; the lengths sum to `keys.len()`.
+    runs: Vec<(u64, usize)>,
+}
+
+impl Staging {
+    /// An empty buffer with room for `capacity` updates.
+    pub(crate) fn with_capacity(capacity: usize) -> Staging {
+        Staging {
+            keys: Vec::with_capacity(capacity),
+            bits: Vec::with_capacity(capacity),
+            runs: Vec::new(),
+        }
+    }
+
+    /// Updates staged.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Appends the first `count` of `updates`, of which the first
+    /// `contiguous` are known to be seq-contiguous (admission measures
+    /// that in its validation pass): they join the runs as one, the rest
+    /// one position at a time.
+    pub(crate) fn push(
+        &mut self,
+        updates: impl Iterator<Item = Update> + Clone,
+        count: usize,
+        contiguous: usize,
+    ) {
+        let batch = updates.take(count);
+        self.keys.extend(batch.clone().map(|u| u.idx as i32));
+        self.bits.extend(batch.clone().map(|u| u.bits));
+        if let Some(first) = batch.clone().next() {
+            self.note_run(first.seq, contiguous);
+        }
+        // Skipping the prefix walks it again, so only when a rest exists.
+        if contiguous < count {
+            for u in batch.skip(contiguous) {
+                self.note_run(u.seq, 1);
+            }
+        }
+    }
+
+    /// Records `len` positions from `first` on, merging with the last run
+    /// when they continue it.
+    fn note_run(&mut self, first: u64, len: usize) {
+        match self.runs.last_mut() {
+            Some((from, n)) if from.wrapping_add(*n as u64) == first => *n += len,
+            _ => self.runs.push((first, len)),
+        }
+    }
+
+    /// The staged runs, in admission order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = RunView<'_>> {
+        let mut at = 0;
+        self.runs.iter().map(move |&(first, len)| {
+            let run =
+                RunView { first, keys: &self.keys[at..at + len], bits: &self.bits[at..at + len] };
+            at += len;
+            run
+        })
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.bits.clear();
+        self.runs.clear();
+    }
+}
+
 /// Buffers out-of-order arrivals and releases the contiguous prefix.
 ///
 /// `watermark` is the next stream position to apply; everything below it
 /// has already been folded into the table. Insertions below the watermark
 /// or at an occupied position are duplicates and are dropped (counted).
 ///
-/// Storage is a dense ring keyed by offset from the watermark — slot `i`
-/// holds stream position `watermark + i`. Admission bounds how far ahead
-/// of the watermark a sequence number may land (`config.window`), so the
-/// ring stays small. The length of the gap-free run at the front of the
-/// ring is kept as a field, so [`contiguous_len`](Self::contiguous_len)
-/// is O(1) rather than a rescan of the ring on every cut.
+/// Storage is two parallel columns (keys and value bits) plus an occupancy
+/// column, addressed from a head offset: column index `head + i` holds
+/// stream position `watermark + i`. Admission bounds how far ahead of the
+/// watermark a sequence number may land (`config.window`), so the columns
+/// stay small. The length of the gap-free run at the head is kept as a
+/// field, so [`contiguous_len`](Self::contiguous_len) is O(1) rather than
+/// a rescan on every cut.
 ///
-/// An epoch hands the buffer each table's staged batch whole
-/// ([`insert_batch`](Self::insert_batch)). Client batches arrive
-/// seq-contiguous, so the common case — a batch continuing exactly where
-/// the ring ends — is appended in one extend; only real out-of-order
-/// arrivals take the per-update [`insert`](Self::insert) path.
+/// A staged run that lands at or beyond the tail (`insert_run`) is
+/// appended with one `extend_from_slice` per column; positions behind the
+/// tail (duplicates, stale positions, gap fills) take the per-update
+/// [`insert`](Self::insert) path. A cut consumes the front of the run in
+/// place (`take_run`) and hands the kernel a borrowed view; the consumed
+/// prefix is reclaimed by moving the live tail to the front once it is no
+/// longer than the prefix, which is amortized O(1) per update.
 #[derive(Debug, Default)]
 pub struct ReorderBuffer {
-    held: VecDeque<Option<(u32, u32)>>,
-    /// Occupied slots in `held`.
+    keys: Vec<i32>,
+    bits: Vec<u32>,
+    /// Whether each column slot holds an update; gaps read `false`.
+    occupied: Vec<bool>,
+    /// Column index of the watermark position; slots before it are
+    /// consumed and wait for compaction.
+    head: usize,
+    /// Occupied slots at or after `head`.
     len: usize,
-    /// Occupied slots at the front of `held`, up to the first gap.
+    /// Occupied slots from `head` up to the first gap.
     run: usize,
     watermark: u64,
     duplicates: u64,
@@ -71,6 +200,11 @@ impl ReorderBuffer {
         self.duplicates
     }
 
+    /// Stream positions the columns span past the watermark (held or gap).
+    fn span(&self) -> usize {
+        self.keys.len() - self.head
+    }
+
     /// Buffers one update; returns `false` for duplicates (position
     /// already applied or already held).
     pub fn insert(&mut self, u: Update) -> bool {
@@ -78,43 +212,56 @@ impl ReorderBuffer {
             self.duplicates += 1;
             return false;
         }
+        self.compact();
         let off = (u.seq - self.watermark) as usize;
-        if off >= self.held.len() {
-            self.held.resize(off + 1, None);
+        let at = self.head + off;
+        if at >= self.keys.len() {
+            self.pad_to(at + 1);
         }
-        match &mut self.held[off] {
-            Some(_) => {
-                self.duplicates += 1;
-                false
-            }
-            slot @ None => {
-                *slot = Some((u.idx, u.bits));
-                self.len += 1;
-                if off == self.run {
-                    self.extend_run();
-                }
-                true
-            }
+        if self.occupied[at] {
+            self.duplicates += 1;
+            return false;
         }
+        self.keys[at] = u.idx as i32;
+        self.bits[at] = u.bits;
+        self.occupied[at] = true;
+        self.len += 1;
+        if off == self.run {
+            self.extend_run();
+        }
+        true
     }
 
-    /// Buffers a batch in arrival order.
+    /// Buffers a seq-contiguous run.
     ///
-    /// The seq-contiguous prefix of `batch` that starts exactly where the
-    /// ring ends is appended in one extend (those positions cannot be
-    /// duplicates). The rest, if any, goes through
+    /// The part of the run at or beyond the tail (one past the highest
+    /// position the columns span) is appended in one extend per column,
+    /// after a gap if it starts beyond the tail; those positions cannot be
+    /// duplicates. The part behind the tail goes through
     /// [`insert`](Self::insert) one update at a time.
-    pub fn insert_batch(&mut self, batch: &[Update]) {
-        let end = self.held.len();
-        let tail = self.watermark + end as u64;
-        let bulk = batch.iter().zip(tail..).take_while(|(u, seq)| u.seq == *seq).count();
-        self.held.extend(batch[..bulk].iter().map(|u| Some((u.idx, u.bits))));
-        self.len += bulk;
-        if self.run == end {
-            self.run += bulk;
-        }
-        for &u in &batch[bulk..] {
+    pub(crate) fn insert_run(&mut self, run: RunView<'_>) {
+        debug_assert_eq!(run.keys.len(), run.bits.len());
+        self.compact();
+        let span = self.span();
+        let tail = self.watermark + span as u64;
+        let behind = tail.saturating_sub(run.first).min(run.len() as u64) as usize;
+        for u in run.updates().take(behind) {
             self.insert(u);
+        }
+        let (keys, bits) = (&run.keys[behind..], &run.bits[behind..]);
+        if keys.is_empty() {
+            return;
+        }
+        let gap = (run.first + behind as u64 - tail) as usize;
+        if gap > 0 {
+            self.pad_to(self.keys.len() + gap);
+        }
+        self.keys.extend_from_slice(keys);
+        self.bits.extend_from_slice(bits);
+        self.occupied.resize(self.keys.len(), true);
+        self.len += keys.len();
+        if gap == 0 && self.run == span {
+            self.run += keys.len();
         }
     }
 
@@ -123,25 +270,36 @@ impl ReorderBuffer {
         self.run
     }
 
-    /// Removes exactly `n` updates from the contiguous run into `out`
-    /// (cleared first), advancing the watermark.
+    /// Consumes the first `n` updates of the contiguous run, advancing the
+    /// watermark, and returns them as a borrowed column view — the slice
+    /// an epoch cut hands the kernel without copying.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `n` contiguous updates are available — callers
     /// size `n` from [`contiguous_len`](Self::contiguous_len) under the
     /// same lock.
-    pub fn pop_run(&mut self, n: usize, out: &mut Vec<Update>) {
-        assert!(n <= self.run, "pop_run of {n} past the contiguous run of {}", self.run);
-        let watermark = self.watermark;
-        out.clear();
-        out.extend(self.held.drain(..n).zip(watermark..).map(|(slot, seq)| {
-            let (idx, bits) = slot.expect("the contiguous run has no gaps");
-            Update { seq, idx, bits }
-        }));
+    pub(crate) fn take_run(&mut self, n: usize) -> RunView<'_> {
+        assert!(n <= self.run, "take_run of {n} past the contiguous run of {}", self.run);
+        let (from, first) = (self.head, self.watermark);
+        self.head += n;
         self.len -= n;
         self.run -= n;
         self.watermark += n as u64;
+        RunView { first, keys: &self.keys[from..from + n], bits: &self.bits[from..from + n] }
+    }
+
+    /// Removes exactly `n` updates from the contiguous run into `out`
+    /// (cleared first), advancing the watermark — the epoch cut's column
+    /// view, as `Update` records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` contiguous updates are available.
+    pub fn pop_run(&mut self, n: usize, out: &mut Vec<Update>) {
+        let run = self.take_run(n);
+        out.clear();
+        out.extend(run.updates());
     }
 
     /// Fast-forwards the watermark without popping: positions below `to`
@@ -154,8 +312,10 @@ impl ReorderBuffer {
     /// Panics on a watermark regression — recovery only ever moves forward.
     pub fn advance_to(&mut self, to: u64) {
         assert!(to >= self.watermark, "watermark regression {} -> {to}", self.watermark);
-        let skip = ((to - self.watermark) as usize).min(self.held.len());
-        self.len -= self.held.drain(..skip).flatten().count();
+        let skip = (to - self.watermark).min(self.span() as u64) as usize;
+        let skipped = &self.occupied[self.head..self.head + skip];
+        self.len -= skipped.iter().filter(|&&held| held).count();
+        self.head += skip;
         self.watermark = to;
         if skip <= self.run {
             self.run -= skip;
@@ -166,10 +326,35 @@ impl ReorderBuffer {
     }
 
     /// Grows `run` over the occupied slots that follow it. Each slot is
-    /// passed at most once while it stays in the ring, so the scan is
+    /// passed at most once while it stays in the buffer, so the scan is
     /// amortized O(1) per update.
     fn extend_run(&mut self) {
-        self.run += self.held.range(self.run..).take_while(|slot| slot.is_some()).count();
+        let from = self.head + self.run;
+        self.run += self.occupied[from..].iter().take_while(|&&held| held).count();
+    }
+
+    /// Extends the columns to `len` slots with gaps.
+    fn pad_to(&mut self, len: usize) {
+        self.keys.resize(len, 0);
+        self.bits.resize(len, 0);
+        self.occupied.resize(len, false);
+    }
+
+    /// Moves the live slots to the front once the consumed prefix is at
+    /// least as long as they are, so each move is paid for by the updates
+    /// consumed since the last one.
+    fn compact(&mut self) {
+        let span = self.span();
+        if self.head == 0 || self.head < span {
+            return;
+        }
+        self.keys.copy_within(self.head.., 0);
+        self.bits.copy_within(self.head.., 0);
+        self.occupied.copy_within(self.head.., 0);
+        self.keys.truncate(span);
+        self.bits.truncate(span);
+        self.occupied.truncate(span);
+        self.head = 0;
     }
 }
 
@@ -467,40 +652,65 @@ mod tests {
         assert_eq!(b.duplicates(), 2);
     }
 
+    /// A run over `seqs` with key `seq % 64` and value bits `seq`.
+    fn columns(seqs: std::ops::Range<u64>) -> (Vec<i32>, Vec<u32>) {
+        seqs.map(|s| ((s % 64) as i32, s as u32)).unzip()
+    }
+
     #[test]
     fn batches_extend_the_run_and_wait_behind_gaps() {
         let mut b = ReorderBuffer::new();
-        let batch = |from: u64, n: u64| (from..from + n).map(|s| Update::i32(s, 0, 1)).collect();
-        let first: Vec<Update> = batch(0, 5);
-        b.insert_batch(&first);
+        let (keys, bits) = columns(0..5);
+        b.insert_run(RunView { first: 0, keys: &keys, bits: &bits });
         assert_eq!(b.contiguous_len(), 5);
-        // Continues the ring, then jumps: 5..8 join the run, 9 waits
-        // behind the gap at 8.
-        let mut gapped: Vec<Update> = batch(5, 3);
-        gapped.push(Update::i32(9, 0, 1));
-        b.insert_batch(&gapped);
-        assert_eq!((b.contiguous_len(), b.len()), (8, 9));
-        // Filling the gap joins the run with everything behind it; a
-        // repeated position is a duplicate.
-        b.insert_batch(&[Update::i32(8, 0, 1), Update::i32(9, 0, 2)]);
-        assert_eq!((b.contiguous_len(), b.len(), b.duplicates()), (10, 10, 1));
+        // A run starting beyond the tail waits behind the gap at 5..8.
+        let (keys, bits) = columns(8..10);
+        b.insert_run(RunView { first: 8, keys: &keys, bits: &bits });
+        assert_eq!((b.contiguous_len(), b.len()), (5, 7));
+        // A run from behind the tail: 3 and 4 are duplicates, 5..8 fill
+        // the gap and join the run with everything behind it.
+        let (keys, bits) = columns(3..8);
+        b.insert_run(RunView { first: 3, keys: &keys, bits: &bits });
+        assert_eq!((b.contiguous_len(), b.len(), b.duplicates()), (10, 10, 2));
+        let run = b.take_run(4);
+        assert_eq!((run.first, run.keys, run.bits), (0, &[0, 1, 2, 3][..], &[0, 1, 2, 3][..]));
         let mut out = Vec::new();
-        b.pop_run(10, &mut out);
-        assert_eq!(out.iter().map(|u| u.seq).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        b.pop_run(6, &mut out);
+        assert_eq!(out.iter().map(|u| u.seq).collect::<Vec<_>>(), (4..10).collect::<Vec<_>>());
+        assert_eq!(out.iter().map(|u| u.bits).collect::<Vec<_>>(), (4..10).collect::<Vec<_>>());
         assert!(b.is_empty());
     }
 
-    /// Model-based check of the ring against a `BTreeMap` of held
-    /// positions: random mixes of in-order batches, gapped, duplicate
-    /// and below-watermark inserts, `pop_run` and `advance_to`, compared
-    /// after every step.
+    #[test]
+    fn staging_merges_continuing_batches_into_one_run() {
+        let batch = |seqs: &[u64]| -> Vec<Update> {
+            seqs.iter().map(|&s| Update::i32(s, (s % 64) as u32, 1)).collect()
+        };
+        let mut staging = Staging::with_capacity(16);
+        staging.push(batch(&[0, 1, 2]).into_iter(), 3, 3);
+        staging.push(batch(&[3, 4]).into_iter(), 2, 2);
+        // Contiguous, then a jump and a repeat: each break starts a run.
+        staging.push(batch(&[5, 6, 9, 9, 10, 11]).into_iter(), 5, 2);
+        let runs: Vec<(u64, usize)> = staging.runs().map(|r| (r.first, r.len())).collect();
+        assert_eq!(runs, vec![(0, 7), (9, 1), (9, 2)]);
+        assert_eq!(staging.len(), 10);
+        staging.clear();
+        assert_eq!((staging.len(), staging.runs().count()), (0, 0));
+    }
+
+    /// Model-based check of the reorder buffer against a `BTreeMap` of
+    /// held positions: random mixes of staged runs at, behind and beyond
+    /// the tail, shuffled batches split into runs by [`Staging`], single
+    /// inserts, column-view and `Update` pops, and `advance_to`, compared
+    /// after every step. Pops and fast-forwards move the head offset, so
+    /// later inserts compact the columns across it.
     mod model {
         use std::collections::BTreeMap;
 
         use proptest::prelude::*;
         use rand::{Rng, SeedableRng, SmallRng};
 
-        use super::super::ReorderBuffer;
+        use super::super::{ReorderBuffer, RunView, Staging};
         use crate::protocol::Update;
 
         #[derive(Default)]
@@ -540,7 +750,7 @@ mod tests {
                 self.watermark = to;
             }
 
-            /// One past the highest held position (the ring's tail).
+            /// One past the highest held position (the buffer's tail).
             fn end(&self) -> u64 {
                 self.held.keys().next_back().map_or(self.watermark, |s| s + 1)
             }
@@ -548,6 +758,27 @@ mod tests {
 
         fn update(rng: &mut SmallRng, seq: u64) -> Update {
             Update { seq, idx: rng.gen_range(0u32..64), bits: rng.gen::<u32>() }
+        }
+
+        /// A seq-contiguous run of `n` random updates from `first`.
+        fn run(rng: &mut SmallRng, first: u64, n: u64) -> Vec<Update> {
+            (first..first + n).map(|s| update(rng, s)).collect()
+        }
+
+        /// Feeds `batch` (seq-contiguous) to the buffer as one staged run,
+        /// and to the model one update at a time.
+        fn insert_run(ring: &mut ReorderBuffer, model: &mut Model, batch: &[Update]) {
+            let keys: Vec<i32> = batch.iter().map(|u| u.idx as i32).collect();
+            let bits: Vec<u32> = batch.iter().map(|u| u.bits).collect();
+            let first = batch.first().map_or(model.watermark, |u| u.seq);
+            ring.insert_run(RunView { first, keys: &keys, bits: &bits });
+            for &u in batch {
+                model.insert(u);
+            }
+        }
+
+        fn columns(run: RunView<'_>) -> Vec<(u64, u32, u32)> {
+            run.updates().map(|u| (u.seq, u.idx, u.bits)).collect()
         }
 
         proptest! {
@@ -560,22 +791,32 @@ mod tests {
                 let mut model = Model::default();
                 let mut out = Vec::new();
                 for step in 0..steps {
-                    match rng.gen_range(0u32..8) {
-                        // In-order batch at the ring tail (the bulk path).
+                    match rng.gen_range(0u32..11) {
+                        // A staged run at the tail (the bulk path).
                         0 | 1 => {
                             let n = rng.gen_range(0u64..40);
-                            let end = model.end();
-                            let batch: Vec<Update> =
-                                (end..end + n).map(|s| update(&mut rng, s)).collect();
-                            ring.insert_batch(&batch);
-                            for &u in &batch {
-                                model.insert(u);
-                            }
+                            let batch = run(&mut rng, model.end(), n);
+                            insert_run(&mut ring, &mut model, &batch);
                         }
-                        // Shuffled batch around the watermark: gaps,
-                        // duplicates and stale positions mixed with a
-                        // contiguous prefix.
-                        2 | 3 => {
+                        // A run that starts behind the tail (duplicates,
+                        // stale positions, gap fills), possibly reaching
+                        // past it.
+                        2 => {
+                            let back = rng.gen_range(1u64..12);
+                            let n = rng.gen_range(1u64..24);
+                            let batch = run(&mut rng, model.end().saturating_sub(back), n);
+                            insert_run(&mut ring, &mut model, &batch);
+                        }
+                        // A run that starts beyond the tail, leaving a gap.
+                        3 => {
+                            let first = model.end() + rng.gen_range(1u64..8);
+                            let n = rng.gen_range(1u64..24);
+                            let batch = run(&mut rng, first, n);
+                            insert_run(&mut ring, &mut model, &batch);
+                        }
+                        // A shuffled batch around the watermark, split into
+                        // runs by staging as admission splits it.
+                        4 => {
                             let n = rng.gen_range(1usize..24);
                             let base = model.watermark.saturating_sub(4);
                             let batch: Vec<Update> = (0..n)
@@ -584,21 +825,34 @@ mod tests {
                                     update(&mut rng, seq)
                                 })
                                 .collect();
-                            ring.insert_batch(&batch);
+                            let contiguous = 1 + batch
+                                .windows(2)
+                                .take_while(|w| w[1].seq == w[0].seq + 1)
+                                .count();
+                            let mut staging = Staging::with_capacity(n);
+                            staging.push(batch.iter().copied(), n, contiguous);
+                            for r in staging.runs() {
+                                ring.insert_run(r);
+                            }
                             for &u in &batch {
                                 model.insert(u);
                             }
                         }
                         // Single insert, anywhere near the live range.
-                        4 => {
+                        5 => {
                             let seq = model.watermark.saturating_sub(2) + rng.gen_range(0u64..32);
                             let u = update(&mut rng, seq);
                             prop_assert_eq!(ring.insert(u), model.insert(u), "step {}", step);
                         }
-                        // Pop part (or all) of the contiguous run.
-                        5 | 6 => {
-                            let run = model.contiguous_len();
-                            let n = rng.gen_range(0..=run);
+                        // Column-view pop of part (or all) of the run.
+                        6 | 7 => {
+                            let n = rng.gen_range(0..=model.contiguous_len());
+                            let got = columns(ring.take_run(n));
+                            prop_assert_eq!(got, model.pop_run(n), "step {}", step);
+                        }
+                        // The same pop as `Update` records.
+                        8 => {
+                            let n = rng.gen_range(0..=model.contiguous_len());
                             ring.pop_run(n, &mut out);
                             let got: Vec<(u64, u32, u32)> =
                                 out.iter().map(|u| (u.seq, u.idx, u.bits)).collect();
@@ -616,6 +870,9 @@ mod tests {
                     prop_assert_eq!(ring.watermark(), model.watermark, "step {}", step);
                     prop_assert_eq!(ring.duplicates(), model.duplicates, "step {}", step);
                 }
+                // Drain: whatever the run holds must match the model too.
+                let n = model.contiguous_len();
+                prop_assert_eq!(columns(ring.take_run(n)), model.pop_run(n));
             }
         }
     }

@@ -11,9 +11,11 @@
 //!
 //! ```text
 //! clients ──► admission ──► staging ───────► reorder buffer ──► epoch
-//! (TCP /      (bounded,     (one Vec per     (contiguous seq    executor
-//!  in-proc)    reject +      table, swapped   order per table)   (quantum
-//!              retry-after)  out per epoch)                      slices →
+//! (TCP /      (bounded,     (key/value       (key/value         executor
+//!  in-proc)    reject +      columns per      columns in seq     (quantum
+//!              retry-after)  table, swapped   order per table)   slices, as
+//!                            out per epoch)                      borrowed
+//!                                                                columns →
 //!                                                                exec engine)
 //! ```
 //!

@@ -26,7 +26,7 @@ use invector_obs::Registry;
 
 use invector_streamkit::{StreamKind, ValueRepr};
 
-use crate::epoch::{EpochReport, ServeStats};
+use crate::epoch::{EpochReport, ServeStats, Staging};
 use crate::protocol::{EdgeOp, RejectReason, StatsSummary, Update, UpdatesView};
 use crate::reactor::{self, ReactorKind};
 use crate::table::{TableData, TableSpec, TableState, ValueKind};
@@ -156,6 +156,10 @@ impl ServeConfig {
         }
         if let Some(t) = self.tables.iter().find(|t| t.len == 0) {
             return Err(format!("table '{}' has zero slots", t.name));
+        }
+        // Keys travel to the kernel as `i32` columns.
+        if let Some(t) = self.tables.iter().find(|t| t.len > i32::MAX as usize) {
+            return Err(format!("table '{}' has more slots than i32 keys address", t.name));
         }
         for t in &self.tables {
             t.validate_stream().map_err(|e| format!("table '{}': {e}", t.name))?;
@@ -310,10 +314,10 @@ pub struct ServerCore {
     /// admission threshold reads it per batch, the tuning hook installs
     /// into it between epochs.
     policy: PolicyHandle,
-    /// Per-table bounded staging buffers: admission appends a batch's
-    /// admitted prefix under one lock, an epoch swaps the whole buffer
-    /// out.
-    staging: Vec<Mutex<Vec<Update>>>,
+    /// Per-table bounded staging buffers (key/value columns plus their
+    /// seq-contiguous runs): admission appends a batch's admitted prefix
+    /// under one lock, an epoch swaps the whole buffer out.
+    staging: Vec<Mutex<Staging>>,
     /// Per-table state (values + reorder buffer), locked independently.
     tables: Vec<Mutex<TableState>>,
     /// Published per-table watermarks (read by admission without taking
@@ -324,7 +328,7 @@ pub struct ServerCore {
     /// Serializes epoch execution. It guards each table's spare staging
     /// buffer (empty, capacity kept), which an epoch swaps in for the
     /// staged batch.
-    tick_lock: Mutex<Vec<Vec<Update>>>,
+    tick_lock: Mutex<Vec<Staging>>,
     /// Per-core metric registry the stats handles point into (also the
     /// scrape source for the `Metrics` verb).
     registry: Registry,
@@ -385,7 +389,7 @@ impl ServerCore {
         // table, and a closed-loop client that outruns the epochs fills the
         // buffer to exactly that. Sized to the bound once, a staging buffer
         // never reallocates under its lock, and the swap keeps the capacity.
-        let staged_batch = || Vec::with_capacity(config.queue_capacity);
+        let staged_batch = || Staging::with_capacity(config.queue_capacity);
         let staging = config.tables.iter().map(|_| Mutex::new(staged_batch())).collect();
         let spares = config.tables.iter().map(|_| staged_batch()).collect();
         let mut tables: Vec<Mutex<TableState>> = config
@@ -541,12 +545,14 @@ impl ServerCore {
     /// The shared all-or-prefix admission path over any update stream.
     ///
     /// The batch is checked outside any lock (index range, and the
-    /// reorder window against the published watermark), then its admitted
-    /// prefix is appended to the table's staging buffer under one lock,
-    /// with one `queued` add. The drain flag is read under that same lock,
-    /// which the epoch also takes to swap the buffer out: once
-    /// [`begin_shutdown`](Self::begin_shutdown) has set the flag and
-    /// flushed, no batch can be admitted behind the final drain.
+    /// reorder window against the published watermark); the same pass
+    /// measures its seq-contiguous prefix, which staging records as one
+    /// run. The admitted prefix is then appended to the table's staging
+    /// columns under one lock, with one `queued` add. The drain flag is
+    /// read under that same lock, which the epoch also takes to swap the
+    /// buffer out: once [`begin_shutdown`](Self::begin_shutdown) has set
+    /// the flag and flushed, no batch can be admitted behind the final
+    /// drain.
     fn submit_stream(
         &self,
         table: u16,
@@ -565,11 +571,20 @@ impl ServerCore {
         }
         let spec = &self.config.tables[t];
         let limit = self.watermarks[t].load(Ordering::Acquire).saturating_add(self.config.window);
-        // The first update a per-update check would stop at, if any.
-        let refused = updates
-            .clone()
-            .enumerate()
-            .find(|(_, u)| (u.idx as usize) >= spec.len || u.seq >= limit);
+        // The first update a per-update check would stop at, if any, and
+        // how many updates from the front continue the first one's seq.
+        let first_seq = updates.clone().next().map_or(0, |u| u.seq);
+        let mut refused = None;
+        let mut contiguous = 0;
+        for (i, u) in updates.clone().enumerate() {
+            if (u.idx as usize) >= spec.len || u.seq >= limit {
+                refused = Some((i, u));
+                break;
+            }
+            if contiguous == i && u.seq == first_seq.wrapping_add(i as u64) {
+                contiguous = i + 1;
+            }
+        }
         let valid = refused.map_or(total, |(i, _)| i);
 
         let mut staged = self.staging[t].lock().expect("staging lock");
@@ -579,7 +594,7 @@ impl ServerCore {
         }
         let room = self.config.queue_capacity.saturating_sub(staged.len());
         let accepted = valid.min(room);
-        staged.extend(updates.take(accepted));
+        staged.push(updates, accepted, contiguous.min(accepted));
         // Counted under the lock: the epoch subtracts what it takes under
         // the same lock, so the count never dips below zero.
         let queued = self.queued.fetch_add(accepted, Ordering::AcqRel) + accepted;
@@ -621,8 +636,8 @@ impl ServerCore {
         }
     }
 
-    /// Runs one epoch: takes each table's staged batch, buffers it in the
-    /// table's reorder buffer, and applies full-quantum batch slices
+    /// Runs one epoch: takes each table's staged batch, buffers its runs in
+    /// the table's reorder buffer, and applies full-quantum batch slices
     /// (plus, with `drain`, each table's final partial slice) through the
     /// reduction engine.
     ///
@@ -658,16 +673,17 @@ impl ServerCore {
         let mut depth = DepthHistogram::new();
         for (t, (table, batch)) in self.tables.iter().zip(batches.iter_mut()).enumerate() {
             let mut state = table.lock().expect("table lock");
-            if !batch.is_empty() {
-                state.absorb_batch(batch);
-                // Cleared, capacity kept: this is the table's next spare.
-                batch.clear();
+            for run in batch.runs() {
+                state.absorb_run(run);
             }
+            // Cleared, capacity kept: this is the table's next spare.
+            batch.clear();
             let before = state.watermark();
             let slices = match wal.as_deref_mut() {
                 None => state.cut_scheduled(drain),
-                Some(wal) => state.cut_scheduled_logged(drain, &mut |chunk| {
-                    let record = WalRecord::Batch { table: t as u16, updates: chunk.to_vec() };
+                Some(wal) => state.cut_scheduled_logged(drain, &mut |run| {
+                    let record =
+                        WalRecord::Batch { table: t as u16, updates: run.updates().collect() };
                     let bytes = wal.append(&record).expect("WAL append failed");
                     self.stats.record_wal_append(bytes);
                 }),
@@ -1295,6 +1311,10 @@ mod tests {
         let mut c = config();
         c.tables[0].len = 0;
         assert!(ServerCore::new(c).is_err());
+        // Validation runs before any table is allocated.
+        let mut c = config();
+        c.tables[0].len = i32::MAX as usize + 1;
+        assert!(ServerCore::new(c).is_err());
     }
 
     #[test]
@@ -1486,6 +1506,116 @@ mod tests {
         }
         assert!(text.contains("invector_serve_epochs_total 1"), "{text}");
         assert!(text.contains("invector_serve_applied_total 16"), "{text}");
+    }
+
+    /// The staging and reorder columns carry value bits as `u32` and the
+    /// kernel reads them in place as `f32` / `i32`. Bit patterns at the
+    /// edges of both types — NaN payloads (quiet, signalling, negative),
+    /// signed zeros, subnormals, infinities, the integer extremes — must
+    /// come out of a flush exactly as a serial fold of the same stream
+    /// produces them. Each edge value gets a slot of its own, then the
+    /// values that fold to one answer in any order (no NaN, no opposite
+    /// infinities under add, no ±0 ties under min/max) meet again on a
+    /// shared slot, so the comparison isolates the view from
+    /// reassociation.
+    ///
+    /// The native f32 min/max drivers commit with `vminps`/`vmaxps`, which
+    /// return a NaN operand where `f32::min`/`f32::max` (the serial fold
+    /// and the portable model) return the other one. That divergence is
+    /// the kernel's, not the view's, so f32 min/max streams carrying NaN
+    /// run on the portable backend and the rest on the host's.
+    #[test]
+    fn edge_bit_patterns_fold_like_a_serial_loop() {
+        use invector_core::ops::{Max, Min, ReduceOp, Sum};
+        use invector_core::serial_accumulate;
+
+        let f32_edges: Vec<f32> = [
+            0x7fc0_1234u32, // quiet NaN with a payload
+            0x7f80_0001,    // signalling NaN
+            0xffc0_0007,    // negative quiet NaN
+            0x8000_0000,    // -0.0
+            0x0000_0000,    // +0.0
+            0x0000_0001,    // smallest subnormal
+            0x007f_ffff,    // largest subnormal
+            0x8000_0003,    // negative subnormal
+            0x7f80_0000,    // +inf
+            0xff80_0000,    // -inf
+            0x7f7f_ffff,    // f32::MAX
+            0x0080_0000,    // f32::MIN_POSITIVE
+        ]
+        .into_iter()
+        .map(f32::from_bits)
+        .collect();
+        let i32_edges = [i32::MIN, i32::MAX, -1, 0, 1, i32::MIN + 1, i32::MAX - 1];
+
+        /// One update per edge value on its own slot, then the `shared`
+        /// ones three times over on the slot behind them: conflicts inside
+        /// the vector.
+        fn stream<T: Copy>(edges: &[T], shared: impl Fn(&T) -> bool) -> Vec<(u32, T)> {
+            let mut out: Vec<(u32, T)> =
+                edges.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
+            let slot = edges.len() as u32;
+            for _ in 0..3 {
+                out.extend(edges.iter().filter(|v| shared(v)).map(|&v| (slot, v)));
+            }
+            out
+        }
+
+        fn check<T, Op>(
+            spec: TableSpec,
+            backend: BackendChoice,
+            stream: &[(u32, T)],
+            to_bits: fn(T) -> u32,
+        ) where
+            T: invector_simd::SimdElement,
+            Op: ReduceOp<T>,
+        {
+            let len = spec.len;
+            let core = ServerCore::new(ServeConfig {
+                quantum: 4,
+                backend,
+                ..ServeConfig::new(vec![spec.clone()])
+            })
+            .unwrap();
+            let updates: Vec<Update> = stream
+                .iter()
+                .enumerate()
+                .map(|(seq, &(idx, v))| Update { seq: seq as u64, idx, bits: to_bits(v) })
+                .collect();
+            assert!(matches!(core.submit(0, &updates), SubmitOutcome::Accepted { .. }));
+            core.flush();
+            let mut want = vec![Op::identity(); len];
+            let idx: Vec<i32> = stream.iter().map(|&(i, _)| i as i32).collect();
+            let vals: Vec<T> = stream.iter().map(|&(_, v)| v).collect();
+            serial_accumulate::<T, Op>(&mut want, &idx, &vals);
+            let want: Vec<u32> = want.into_iter().map(to_bits).collect();
+            let got = core.snapshot(0).unwrap().bits();
+            assert_eq!(got, want, "{} {} on {backend:?}", spec.name, spec.op.name());
+        }
+
+        let host = BackendChoice::Auto;
+        let f32_len = f32_edges.len() + 1;
+        let adds = stream(&f32_edges, |v| v.is_finite() && v.abs() < 1.0);
+        let add = TableSpec::f32("f32-add", OpKind::Add, f32_len);
+        check::<f32, Sum>(add, host, &adds, f32::to_bits);
+        let no_nan: Vec<f32> = f32_edges.iter().copied().filter(|v| !v.is_nan()).collect();
+        let min_max_len = no_nan.len() + 1;
+        for (edges, len, backend) in
+            [(&f32_edges, f32_len, BackendChoice::Portable), (&no_nan, min_max_len, host)]
+        {
+            let ordered = stream(edges, |v| !v.is_nan() && *v != 0.0);
+            let min = TableSpec::f32("f32-min", OpKind::Min, len);
+            check::<f32, Min>(min, backend, &ordered, f32::to_bits);
+            let max = TableSpec::f32("f32-max", OpKind::Max, len);
+            check::<f32, Max>(max, backend, &ordered, f32::to_bits);
+        }
+
+        let len = i32_edges.len() + 1;
+        let ints = stream(&i32_edges, |_| true);
+        let bits = |v: i32| v as u32;
+        check::<i32, Sum>(TableSpec::i32("i32-add", OpKind::Add, len), host, &ints, bits);
+        check::<i32, Min>(TableSpec::i32("i32-min", OpKind::Min, len), host, &ints, bits);
+        check::<i32, Max>(TableSpec::i32("i32-max", OpKind::Max, len), host, &ints, bits);
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! over `f32`/`i32`), so the serving hot path is exactly the paper's
 //! in-vector reduction.
 
-use invector_core::exec::{execute_epoch, EpochScratch, ExecPolicy, ExecReport};
+use invector_core::exec::{execute, ExecPolicy};
 use invector_core::ops::{Max, Min, ReduceOp, Sum};
 use invector_core::stats::DepthHistogram;
 use invector_core::tune::{EpochPolicy, PolicySchedule};
+use invector_core::InvecStats;
+use invector_simd::SimdElement;
 use invector_streamkit::{AggOp, Engine, StreamKind};
 
-use crate::epoch::ReorderBuffer;
+use crate::epoch::{ReorderBuffer, RunView};
 use crate::protocol::Update;
 
 /// Element type of a table.
@@ -239,7 +241,7 @@ pub struct SliceReport {
 }
 
 /// One resident table plus its ingest bookkeeping: the seq-ordered reorder
-/// buffer and the reusable engine scratch.
+/// buffer and the policy schedule its cuts follow.
 #[derive(Debug)]
 pub struct TableState {
     spec: TableSpec,
@@ -248,9 +250,6 @@ pub struct TableState {
     /// Watermark-keyed policy schedule the scheduled cut path follows —
     /// the per-table half of the tuning determinism contract.
     schedule: PolicySchedule,
-    chunk: Vec<Update>,
-    scratch_f32: EpochScratch<f32>,
-    scratch_i32: EpochScratch<i32>,
     /// The streamkit engine for stream tables (`None` for flat folds). Its
     /// caches are a pure function of the slot array, rebuilt on install.
     engine: Option<Engine>,
@@ -275,9 +274,6 @@ impl TableState {
             data,
             pending: ReorderBuffer::new(),
             schedule: PolicySchedule::fixed(initial),
-            chunk: Vec::new(),
-            scratch_f32: EpochScratch::new(),
-            scratch_i32: EpochScratch::new(),
             engine,
             checksum_cache: std::cell::Cell::new(None),
         };
@@ -325,16 +321,16 @@ impl TableState {
         self.pending.insert(update)
     }
 
-    /// Buffers a whole staged batch for ordered application (see
-    /// [`ReorderBuffer::insert_batch`]).
-    pub fn absorb_batch(&mut self, updates: &[Update]) {
+    /// Buffers a staged seq-contiguous run for ordered application (see
+    /// [`ReorderBuffer::insert_run`]).
+    pub(crate) fn absorb_run(&mut self, run: RunView<'_>) {
         debug_assert!(
-            updates.iter().all(|u| (u.idx as usize) < self.spec.len),
+            run.keys.iter().all(|&k| (k as u32 as usize) < self.spec.len),
             "index out of bounds for table '{}' of {} slots",
             self.spec.name,
             self.spec.len
         );
-        self.pending.insert_batch(updates)
+        self.pending.insert_run(run)
     }
 
     /// Schedules `policy` for every slice starting at watermark `from` or
@@ -369,7 +365,7 @@ impl TableState {
     pub fn cut_scheduled_logged(
         &mut self,
         drain: bool,
-        log: &mut dyn FnMut(&[Update]),
+        log: &mut dyn FnMut(RunView<'_>),
     ) -> Vec<SliceReport> {
         let schedule = std::mem::take(&mut self.schedule);
         let slices = self.cut_with(&schedule, drain, log);
@@ -399,6 +395,10 @@ impl TableState {
     /// runs under `schedule.at(wm)` — exactly `quantum` updates, or the
     /// contiguous remainder when `drain`ing.
     ///
+    /// Each slice is consumed from the reorder buffer in place and reaches
+    /// the kernel as borrowed key/value columns — no copy between the
+    /// buffer and the SIMD driver.
+    ///
     /// Cut positions are what make snapshots reproducible: under a fixed
     /// schedule they depend only on the stream itself (and on explicitly
     /// client-requested drains), never on arrival timing. A scheduled
@@ -411,7 +411,7 @@ impl TableState {
         &mut self,
         schedule: &PolicySchedule,
         drain: bool,
-        log: &mut dyn FnMut(&[Update]),
+        log: &mut dyn FnMut(RunView<'_>),
     ) -> Vec<SliceReport> {
         let mut slices = Vec::new();
         loop {
@@ -429,14 +429,15 @@ impl TableState {
             if let Some(next) = schedule.next_change_after(wm) {
                 take = take.min((next - wm) as usize);
             }
-            self.pending.pop_run(take, &mut self.chunk);
-            log(&self.chunk);
-            let report = self.apply_chunk(&policy.exec);
+            let run = self.pending.take_run(take);
+            log(run);
+            let stats =
+                apply_run(&mut self.data, self.engine.as_mut(), self.spec.op, run, &policy.exec);
             slices.push(SliceReport {
                 applied: take,
                 offered: quantum,
-                vectors: report.stats.vectors,
-                depth: report.stats.depth,
+                vectors: stats.vectors,
+                depth: stats.depth,
             });
         }
         slices
@@ -444,9 +445,10 @@ impl TableState {
 
     /// Replays one logged slice: the updates must start exactly at the
     /// current watermark and be `seq`-contiguous (they were cut that way).
-    /// The slice bypasses the reorder buffer and is applied as a single
-    /// chunk under the schedule's policy at its watermark — the same
-    /// execution the original cut ran, so the result is bitwise identical.
+    /// The slice bypasses the reorder buffer: it is split into key/value
+    /// columns once and applied as a single chunk under the schedule's
+    /// policy at its watermark — the same execution the original cut ran,
+    /// so the result is bitwise identical.
     ///
     /// # Errors
     ///
@@ -476,15 +478,17 @@ impl TableState {
             }
         }
         let policy = self.schedule.at(wm);
-        self.chunk.clear();
-        self.chunk.extend_from_slice(updates);
+        let keys: Vec<i32> = updates.iter().map(|u| u.idx as i32).collect();
+        let bits: Vec<u32> = updates.iter().map(|u| u.bits).collect();
         self.pending.advance_to(wm + updates.len() as u64);
-        let report = self.apply_chunk(&policy.exec);
+        let run = RunView { first: wm, keys: &keys, bits: &bits };
+        let stats =
+            apply_run(&mut self.data, self.engine.as_mut(), self.spec.op, run, &policy.exec);
         Ok(SliceReport {
             applied: updates.len(),
             offered: policy.quantum,
-            vectors: report.stats.vectors,
-            depth: report.stats.depth,
+            vectors: stats.vectors,
+            depth: stats.depth,
         })
     }
 
@@ -579,62 +583,68 @@ impl TableState {
         self.checksum_cache.set(Some((wm, out)));
         out
     }
+}
 
-    /// Runs the engine on the updates currently staged in `self.chunk`.
-    fn apply_chunk(&mut self, policy: &ExecPolicy) -> ExecReport {
-        fn run<T, Op>(
-            target: &mut [T],
-            chunk: &[Update],
-            scratch: &mut EpochScratch<T>,
-            policy: &ExecPolicy,
-            from_bits: impl Fn(u32) -> T,
-        ) -> ExecReport
-        where
-            T: invector_simd::SimdElement,
-            Op: ReduceOp<T>,
-        {
-            execute_epoch::<T, Op>(
-                target,
-                chunk.iter().map(|u| (u.idx as i32, from_bits(u.bits))),
-                scratch,
-                policy,
-            )
-        }
-
-        // Stream tables route the slice through their engine: the events
-        // are the same logged updates, so WAL replay and replication take
-        // this exact path too.
-        if let Some(engine) = self.engine.as_mut() {
-            let TableData::I32(slots) = &mut self.data else {
-                unreachable!("stream tables are validated to be i32")
-            };
-            let events: Vec<(u32, u32)> = self.chunk.iter().map(|u| (u.idx, u.bits)).collect();
-            let stats = engine.apply(slots, &events, policy);
-            return ExecReport { stats, workers: Vec::new() };
-        }
-
-        let chunk = &self.chunk;
-        match (&mut self.data, self.spec.op) {
-            (TableData::F32(v), OpKind::Add) => {
-                run::<f32, Sum>(v, chunk, &mut self.scratch_f32, policy, f32::from_bits)
-            }
-            (TableData::F32(v), OpKind::Min) => {
-                run::<f32, Min>(v, chunk, &mut self.scratch_f32, policy, f32::from_bits)
-            }
-            (TableData::F32(v), OpKind::Max) => {
-                run::<f32, Max>(v, chunk, &mut self.scratch_f32, policy, f32::from_bits)
-            }
-            (TableData::I32(v), OpKind::Add) => {
-                run::<i32, Sum>(v, chunk, &mut self.scratch_i32, policy, |b| b as i32)
-            }
-            (TableData::I32(v), OpKind::Min) => {
-                run::<i32, Min>(v, chunk, &mut self.scratch_i32, policy, |b| b as i32)
-            }
-            (TableData::I32(v), OpKind::Max) => {
-                run::<i32, Max>(v, chunk, &mut self.scratch_i32, policy, |b| b as i32)
-            }
-        }
+/// Folds one cut slice into the table: through the stream engine for
+/// stream tables, otherwise straight from the run's columns into the SIMD
+/// driver.
+fn apply_run(
+    data: &mut TableData,
+    engine: Option<&mut Engine>,
+    op: OpKind,
+    run: RunView<'_>,
+    policy: &ExecPolicy,
+) -> InvecStats {
+    fn fold<T: FromBits, Op: ReduceOp<T>>(
+        target: &mut [T],
+        run: RunView<'_>,
+        policy: &ExecPolicy,
+    ) -> InvecStats {
+        execute::<T, Op>(target, run.keys, typed(run.bits), policy).stats
     }
+
+    // Stream tables route the slice through their engine: the events are
+    // the same logged updates, so WAL replay and replication take this
+    // exact path too.
+    if let Some(engine) = engine {
+        let TableData::I32(slots) = data else {
+            unreachable!("stream tables are validated to be i32")
+        };
+        let events: Vec<(u32, u32)> =
+            run.keys.iter().zip(run.bits).map(|(&k, &b)| (k as u32, b)).collect();
+        return engine.apply(slots, &events, policy);
+    }
+    match (data, op) {
+        (TableData::F32(v), OpKind::Add) => fold::<f32, Sum>(v, run, policy),
+        (TableData::F32(v), OpKind::Min) => fold::<f32, Min>(v, run, policy),
+        (TableData::F32(v), OpKind::Max) => fold::<f32, Max>(v, run, policy),
+        (TableData::I32(v), OpKind::Add) => fold::<i32, Sum>(v, run, policy),
+        (TableData::I32(v), OpKind::Min) => fold::<i32, Min>(v, run, policy),
+        (TableData::I32(v), OpKind::Max) => fold::<i32, Max>(v, run, policy),
+    }
+}
+
+/// Table element types a value-bits column can be read as in place:
+/// implemented for `f32` and `i32` only.
+trait FromBits: SimdElement {}
+
+impl FromBits for f32 {}
+impl FromBits for i32 {}
+
+/// Views a value-bits column as the table's element type, without a copy.
+fn typed<T: FromBits>(bits: &[u32]) -> &[T] {
+    const {
+        assert!(std::mem::size_of::<T>() == std::mem::size_of::<u32>());
+        assert!(std::mem::align_of::<T>() == std::mem::align_of::<u32>());
+    }
+    // SAFETY: `FromBits` is private to this module and implemented only
+    // for `f32` and `i32`. Both have the size and alignment of `u32` (the
+    // const block above checks it), and every 32-bit pattern is a valid
+    // value of either (for `f32` that includes every NaN payload, -0.0 and
+    // the subnormals), so the `bits.len()` initialized `u32`s read as
+    // `bits.len()` valid `T`s. The result borrows `bits`, so the column
+    // cannot change or be freed while the view lives.
+    unsafe { std::slice::from_raw_parts(bits.as_ptr().cast::<T>(), bits.len()) }
 }
 
 #[cfg(test)]

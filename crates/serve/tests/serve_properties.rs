@@ -11,6 +11,7 @@
 //!    admitted update. Both admission entry points (owned and wire-view
 //!    batches) refuse at the same position for the same reason.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -254,23 +255,90 @@ enum Fault {
     Capacity(usize),
 }
 
+/// How a generated batch's sequence numbers run.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Seq-contiguous from the stream's tail: continues the previous batch.
+    Continue,
+    /// Contiguous, then jumps ahead by `gap` at this position, leaving a
+    /// gap in the stream.
+    Jump(usize, u64),
+    /// Contiguous, with an already-sent (or already-applied) position
+    /// repeated at this point.
+    Repeat(usize),
+    /// The positions missing below the stream's tail, ascending: runs
+    /// separated by jumps that fill earlier gaps.
+    Fill,
+}
+
+/// The per-update rule for one table: every position is held, dropped as
+/// a duplicate (below the watermark or already held) or applied, one
+/// update at a time in admission order; epochs apply whole quanta of the
+/// contiguous run, a flush all of it. Values fold as a wrapping sum.
+#[derive(Default)]
+struct Model {
+    held: BTreeMap<u64, (u32, i32)>,
+    watermark: u64,
+    duplicates: u64,
+    sums: Vec<i32>,
+}
+
+impl Model {
+    fn admit(&mut self, u: Update) {
+        if u.seq < self.watermark || self.held.contains_key(&u.seq) {
+            self.duplicates += 1;
+        } else {
+            self.held.insert(u.seq, (u.idx, u.bits as i32));
+        }
+    }
+
+    fn cut(&mut self, quantum: usize, drain: bool) {
+        let run = (self.watermark..).take_while(|s| self.held.contains_key(s)).count();
+        let take = if drain { run } else { run / quantum * quantum };
+        for _ in 0..take {
+            let (idx, value) = self.held.remove(&self.watermark).expect("contiguous");
+            self.sums[idx as usize] = self.sums[idx as usize].wrapping_add(value);
+            self.watermark += 1;
+        }
+    }
+
+    /// One past the highest position sent so far.
+    fn end(&self) -> u64 {
+        self.held.keys().next_back().map_or(self.watermark, |s| s + 1)
+    }
+
+    /// Positions below [`end`](Self::end) not yet held or applied.
+    fn missing(&self) -> Vec<u64> {
+        (self.watermark..self.end()).filter(|s| !self.held.contains_key(s)).collect()
+    }
+}
+
 /// Twin cores under one configuration: one admits owned batches, the
-/// other the same batches in wire form.
+/// other the same batches in wire form; both are held to the per-update
+/// [`Model`].
 struct Twins {
     owned: Arc<ServerCore>,
     viewed: Arc<ServerCore>,
     capacity: usize,
     window: u64,
+    quantum: usize,
     /// Updates admitted since the last tick (the staging occupancy).
     staged: usize,
-    /// Next stream position to send.
-    next: u64,
+    model: Model,
 }
 
 impl Twins {
     fn tick(&mut self) {
         self.owned.tick(false);
         self.viewed.tick(false);
+        self.model.cut(self.quantum, false);
+        self.staged = 0;
+    }
+
+    fn flush(&mut self) {
+        self.owned.flush();
+        self.viewed.flush();
+        self.model.cut(self.quantum, true);
         self.staged = 0;
     }
 
@@ -313,9 +381,23 @@ impl Twins {
             }
             (got, want) => panic!("admission gave {got:?}, the per-update rule {want:?}"),
         };
+        for &u in &batch[..accepted] {
+            self.model.admit(u);
+        }
         self.staged += accepted;
-        self.next += accepted as u64;
         accepted
+    }
+
+    /// Both cores' table-0 snapshot, watermark and duplicate count equal
+    /// the model's.
+    fn check(&self) {
+        for core in [&self.owned, &self.viewed] {
+            let snap = core.snapshot(0).expect("snapshot");
+            let want: Vec<u32> = self.model.sums.iter().map(|&v| v as u32).collect();
+            assert_eq!(snap.watermark, self.model.watermark, "watermark");
+            assert_eq!(snap.bits(), want, "table 0 differs from the per-update fold");
+            assert_eq!(core.stats_summary().duplicates, self.model.duplicates, "duplicates");
+        }
     }
 }
 
@@ -325,8 +407,10 @@ proptest! {
     /// `submit(&[Update])` and `submit_view` (the reactor's zero-copy
     /// path) are one admission path: on twin cores, every batch — each
     /// carrying an out-of-range index, a window overrun or a capacity
-    /// boundary at a random position — gets the same outcome, the one the
-    /// per-update rule predicts, and the final snapshots are identical.
+    /// boundary at a random position, and running contiguous, jumping
+    /// ahead, repeating a position or filling earlier gaps — gets the
+    /// outcome the per-update rule predicts, and the snapshots,
+    /// watermarks and duplicate counts after every epoch are the rule's.
     #[test]
     fn owned_and_wire_view_admission_agree(seed in any::<u64>(), rounds in 1usize..40) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -339,11 +423,12 @@ proptest! {
             viewed: ServerCore::new(config.clone()).expect("core"),
             capacity: config.queue_capacity,
             window: config.window,
+            quantum: config.quantum,
             staged: 0,
-            next: 0,
+            model: Model { sums: vec![0; TABLE_LEN], ..Model::default() },
         };
         let update = |rng: &mut SmallRng, seq: u64| {
-            Update::i32(seq, rng.gen_range(0u32..TABLE_LEN as u32), 1)
+            Update::i32(seq, rng.gen_range(0u32..TABLE_LEN as u32), rng.gen_range(-100..100))
         };
         for _ in 0..rounds {
             let n = rng.gen_range(1usize..48);
@@ -353,43 +438,84 @@ proptest! {
                 2 => Fault::Window(rng.gen_range(0..n)),
                 _ => Fault::Capacity(rng.gen_range(0..n)),
             };
+            let shape = match rng.gen_range(0u32..5) {
+                0 | 1 => Shape::Continue,
+                2 => Shape::Jump(rng.gen_range(1..n.max(2)), rng.gen_range(1u64..12)),
+                3 => Shape::Repeat(rng.gen_range(0..n)),
+                _ => Shape::Fill,
+            };
             if let Fault::Capacity(p) = fault {
                 // Stage exactly `capacity - p` updates first, so the
                 // buffer fills at position `p` of the batch.
                 if twins.staged + p > twins.capacity {
                     twins.tick();
                 }
-                let from = twins.next;
+                let from = twins.model.end();
                 let fill = twins.capacity.saturating_sub(p) - twins.staged;
                 let filler: Vec<Update> =
                     (from..from + fill as u64).map(|s| update(&mut rng, s)).collect();
                 twins.submit(&filler);
             }
-            let from = twins.next;
-            let mut batch: Vec<Update> =
-                (from..from + n as u64).map(|s| update(&mut rng, s)).collect();
+            let from = twins.model.end();
+            let mut seqs: Vec<u64> = (from..from + n as u64).collect();
+            match shape {
+                Shape::Continue => {}
+                Shape::Jump(p, gap) => seqs[p..].iter_mut().for_each(|s| *s += gap),
+                Shape::Repeat(p) => {
+                    // A position from this batch, the stream so far, or
+                    // below the watermark.
+                    let lo = twins.model.watermark.saturating_sub(4);
+                    let seq = if p > 0 && rng.gen_bool(0.5) {
+                        seqs[p - 1]
+                    } else {
+                        rng.gen_range(lo..=from)
+                    };
+                    seqs.insert(p, seq);
+                }
+                Shape::Fill => {
+                    let missing = twins.model.missing();
+                    if !missing.is_empty() {
+                        seqs = missing.into_iter().take(n).collect();
+                    }
+                }
+            }
+            let mut batch: Vec<Update> = seqs.into_iter().map(|s| update(&mut rng, s)).collect();
             match fault {
-                Fault::Index(p) => batch[p].idx = TABLE_LEN as u32 + rng.gen_range(0u32..8),
-                Fault::Window(p) => {
+                Fault::Index(p) if p < batch.len() => {
+                    batch[p].idx = TABLE_LEN as u32 + rng.gen_range(0u32..8);
+                }
+                Fault::Window(p) if p < batch.len() => {
                     let watermark = twins.owned.watermarks()[0];
                     batch[p].seq = watermark + twins.window + rng.gen_range(0u64..4);
                 }
-                Fault::Capacity(_) | Fault::None => {}
+                _ => {}
             }
             twins.submit(&batch);
             if rng.gen_bool(0.3) {
                 twins.tick();
+                twins.check();
             }
         }
-        twins.owned.flush();
-        twins.viewed.flush();
+        // Fill every gap the jumps left, then drain: the whole stream the
+        // model holds is applied.
+        loop {
+            let missing = twins.model.missing();
+            if missing.is_empty() {
+                break;
+            }
+            let batch: Vec<Update> = missing.iter().take(48).map(|&s| update(&mut rng, s)).collect();
+            twins.submit(&batch);
+            twins.tick();
+        }
+        twins.flush();
+        twins.check();
+        prop_assert_eq!(twins.model.watermark, twins.model.end());
         for t in 0..tables().len() as u16 {
             let a = twins.owned.snapshot(t).expect("snapshot");
             let b = twins.viewed.snapshot(t).expect("snapshot");
             prop_assert_eq!(a.watermark, b.watermark);
             prop_assert_eq!(a.bits(), b.bits(), "table {} diverged", t);
         }
-        prop_assert_eq!(twins.owned.snapshot(0).expect("snapshot").watermark, twins.next);
     }
 }
 
