@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use invector_simd::{conflict_detect, conflict_free_subset, native, I32x16, Mask16};
+use invector_simd::arch::avx512;
+use invector_simd::{conflict_detect, conflict_free_subset, I32x16, Mask16};
 
 fn portable_reference(idx: [i32; 16]) -> [i32; 16] {
     std::array::from_fn(|i| {
@@ -33,10 +34,10 @@ fn bench_conflict(c: &mut Criterion) {
             let v = I32x16::from_array(idx);
             b.iter(|| black_box(conflict_detect(black_box(v))))
         });
-        if native::available() {
+        if avx512::available() {
             group.bench_with_input(BenchmarkId::new("native_avx512", name), &idx, |b, &idx| {
-                // SAFETY: guarded by `native::available()`.
-                b.iter(|| black_box(unsafe { native::conflict_i32(black_box(idx)) }))
+                // SAFETY: guarded by `avx512::available()`.
+                b.iter(|| black_box(unsafe { avx512::conflict_i32(black_box(idx)) }))
             });
         }
         group.bench_with_input(BenchmarkId::new("conflict_free_subset", name), &idx, |b, &idx| {

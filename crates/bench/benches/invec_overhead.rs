@@ -10,6 +10,8 @@ use std::hint::black_box;
 use invector_core::invec::{reduce_alg1, reduce_alg2, AuxArray};
 use invector_core::masking::masked_accumulate;
 use invector_core::ops::Sum;
+use invector_core::Backend;
+use invector_simd::arch::avx512;
 use invector_simd::{F32x16, I32x16, Mask16};
 
 /// Builds an index vector with exactly `d` distinct conflicting groups
@@ -51,16 +53,14 @@ fn bench_algorithms(c: &mut Criterion) {
     }
     // Portable model vs the fully-native AVX-512 Algorithm 1 (intrinsics
     // end to end) when the hardware supports it.
-    if invector_simd::native::available() {
+    if avx512::available() {
         for d in [0usize, 4, 8] {
             let idx = index_with_conflicts(d);
             group.bench_with_input(BenchmarkId::new("alg1_native_avx512", d), &idx, |b, &idx| {
                 b.iter(|| {
                     let mut data = [1.0f32; 16];
-                    // SAFETY: guarded by `native::available()`.
-                    let mask = unsafe {
-                        invector_simd::native::invec_add_f32(0xFFFF, black_box(idx), &mut data)
-                    };
+                    // SAFETY: guarded by `avx512::available()`.
+                    let mask = unsafe { avx512::invec_add_f32(0xFFFF, black_box(idx), &mut data) };
                     black_box((mask, data))
                 })
             });
@@ -125,7 +125,7 @@ fn bench_stream_strategies(c: &mut Criterion) {
 /// AVX-512 pipeline (real `vpconflictd` + in-register reduction + hardware
 /// gather-add-scatter), no emulation in the loop.
 fn bench_native_pipeline(c: &mut Criterion) {
-    if !invector_simd::native::available() {
+    if !avx512::available() {
         eprintln!("skipping native_pipeline: AVX-512 not available");
         return;
     }
@@ -149,11 +149,12 @@ fn bench_native_pipeline(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("native_invec", name), |b| {
             b.iter(|| {
                 let mut target = vec![0.0f32; domain];
-                assert!(invector_core::native_invec_accumulate_f32(
+                invector_core::invec_accumulate_with::<f32, Sum>(
+                    Backend::Avx512,
                     &mut target,
                     black_box(&idx),
                     black_box(&vals),
-                ));
+                );
                 black_box(target)
             })
         });

@@ -59,7 +59,7 @@ fn main() {
     let updates = 2 * rows as u64;
 
     let mut backends = vec![("portable", BackendChoice::Portable)];
-    if invector_simd::native::available() {
+    if invector_simd::arch::avx512::available() {
         backends.push(("native", BackendChoice::Native));
     }
 

@@ -344,59 +344,6 @@ where
     stats
 }
 
-/// Whole-stream f32 summation on the **native AVX-512 path**: the complete
-/// per-vector pipeline (conflict detection, in-vector reduction,
-/// conflict-free gather-add-scatter) executes as real AVX-512 instructions
-/// — no emulation, no instruction accounting. This is the code path whose
-/// wall-clock time is honestly comparable against scalar Rust, i.e. the
-/// deployment form of the paper's technique.
-///
-/// Returns `false` (leaving `target` untouched) when the host lacks
-/// `avx512f`/`avx512cd`; callers fall back to [`invec_accumulate`].
-///
-/// # Panics
-///
-/// Panics if `idx.len() != vals.len()` or any index is out of bounds for
-/// `target`.
-///
-/// # Example
-///
-/// ```
-/// use invector_core::accumulate::{invec_accumulate, native_invec_accumulate_f32};
-/// use invector_core::ops::Sum;
-///
-/// let idx = [0, 2, 0, 1];
-/// let vals = [1.0f32, 2.0, 3.0, 4.0];
-/// let mut fast = vec![0.0f32; 3];
-/// if !native_invec_accumulate_f32(&mut fast, &idx, &vals) {
-///     invec_accumulate::<f32, Sum>(&mut fast, &idx, &vals);
-/// }
-/// assert_eq!(fast, vec![4.0, 4.0, 2.0]);
-/// ```
-pub fn native_invec_accumulate_f32(target: &mut [f32], idx: &[i32], vals: &[f32]) -> bool {
-    assert_eq!(idx.len(), vals.len(), "index/value length mismatch");
-    if !invector_simd::native::available() || target.len() > i32::MAX as usize {
-        return false;
-    }
-    // Off x86_64 `available()` is a compile-time false, so the native call
-    // below only exists where the native module does.
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: availability checked above; lengths equal; target length
-        // fits i32; the driver bounds-checks every index itself (one masked
-        // unsigned compare per vector), panicking like the portable model.
-        // The whole stream runs inside one target_feature function so the
-        // hot loop stays in registers.
-        let mut depth = [0u64; 17];
-        unsafe {
-            invector_simd::native::accumulate_add_f32(target, idx, vals, &mut depth);
-        }
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("native availability is compile-time false off x86_64")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,12 +439,11 @@ mod tests {
         let _ = invec_accumulate::<i32, Sum>(&mut target, &[0, 1], &[1]);
     }
 
+    // The fused AVX-512 driver where the host has it; elsewhere
+    // `Backend::Avx512` falls back to the portable 16-lane loop, which must
+    // behave the same.
     #[test]
     fn native_path_matches_serial_on_integer_valued_floats() {
-        if !invector_simd::native::available() {
-            eprintln!("skipping: AVX-512 not available");
-            return;
-        }
         let mut rng = rand::rngs::SmallRng::seed_from_u64(91);
         for _ in 0..50 {
             let n = rng.gen_range(0..500);
@@ -508,30 +454,28 @@ mod tests {
             let mut expect = vec![0.0f32; domain as usize];
             serial_accumulate::<f32, Sum>(&mut expect, &idx, &vals);
             let mut got = vec![0.0f32; domain as usize];
-            assert!(native_invec_accumulate_f32(&mut got, &idx, &vals));
+            invec_accumulate_with::<f32, Sum>(Backend::Avx512, &mut got, &idx, &vals);
             assert_eq!(got, expect);
         }
     }
 
     #[test]
     fn native_path_accumulates_into_existing_contents() {
-        if !invector_simd::native::available() {
-            eprintln!("skipping: AVX-512 not available");
-            return;
-        }
         let mut target = vec![10.0f32, 20.0];
-        assert!(native_invec_accumulate_f32(&mut target, &[1, 1, 0], &[1.0, 2.0, 3.0]));
+        invec_accumulate_with::<f32, Sum>(
+            Backend::Avx512,
+            &mut target,
+            &[1, 1, 0],
+            &[1.0, 2.0, 3.0],
+        );
         assert_eq!(target, vec![13.0, 23.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn native_path_rejects_bad_indices() {
-        if !invector_simd::native::available() {
-            panic!("index 9 out of bounds for target of length 2"); // keep expectation
-        }
         let mut target = vec![0.0f32; 2];
-        let _ = native_invec_accumulate_f32(&mut target, &[9], &[1.0]);
+        invec_accumulate_with::<f32, Sum>(Backend::Avx512, &mut target, &[9], &[1.0]);
     }
 
     #[test]

@@ -107,8 +107,9 @@ where
     }
 
     /// Performs one in-vector reduction; see
-    /// [`reduce_alg1`] for the meaning of the returned mask. The caller scatters through the returned mask and must
-    /// eventually call [`finish`](Self::finish).
+    /// [`reduce_alg1`](crate::invec::reduce_alg1) for the meaning of the
+    /// returned mask. The caller scatters through the returned mask and
+    /// must eventually call [`finish`](Self::finish).
     pub fn reduce<const N: usize>(
         &mut self,
         active: Mask<N>,

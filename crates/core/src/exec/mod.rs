@@ -20,13 +20,12 @@
 //!   chunks; each worker reduces into a private array bounded to its
 //!   *touched* index range (`min..=max` of the keys it sees — not
 //!   `target.len()`, fixing the seed's `O(threads × |target|)` blow-up) and
-//!   private arrays are folded into the target afterwards. No bucketing
-//!   pass, but the fold reassociates float sums across workers.
+//!   private arrays are folded into the target afterwards, in task order
+//!   on the calling thread. No bucketing pass; the fold reassociates float
+//!   sums across workers, identically on every run at a fixed thread count.
 //!
-//! With [`ExecPolicy::deterministic`] set, the privatized fold runs in task
-//! order on the calling thread, so float results are bit-identical across
-//! runs at a fixed thread count. Owner-computes is deterministic by
-//! construction.
+//! Both strategies are deterministic: float results are bit-identical
+//! across runs at a fixed thread count.
 //!
 //! The entry points, from most to least packaged:
 //!
@@ -43,7 +42,7 @@
 //!
 //! SIMD instruction counts recorded by workers (thread-local in
 //! `invector_simd::count`) are summed and re-charged to the calling thread
-//! via [`count::bump_recharged`](invector_simd::count::bump_recharged), so
+//! via [`count::bump_recharged`], so
 //! per-caller accounting keeps working unchanged while the process-wide
 //! total (`count::global_total`, exported to the metric registry) counts
 //! each instruction once. Batches and worker tasks also publish counters
@@ -127,9 +126,10 @@ pub enum Partition {
     #[default]
     OwnerComputes,
     /// Chunk the stream; each worker reduces into a private array bounded
-    /// to its touched index range, folded into the target afterwards. No
-    /// bucketing pass and immune to key skew (a single hot key cannot
-    /// starve workers), but float sums reassociate across workers.
+    /// to its touched index range, folded into the target afterwards in
+    /// task order. No bucketing pass and immune to key skew (a single hot
+    /// key cannot starve workers), but float sums reassociate across
+    /// workers (identically on every run at a fixed thread count).
     Privatized,
 }
 
@@ -142,7 +142,6 @@ pub enum Partition {
 ///
 /// let policy = ExecPolicy::with_threads(8)
 ///     .partition(Partition::Privatized)
-///     .deterministic(true)
 ///     .backend(BackendChoice::Auto);
 /// assert_eq!(policy.threads, 8);
 /// ```
@@ -155,9 +154,6 @@ pub struct ExecPolicy {
     pub threads: usize,
     /// Partitioning strategy; irrelevant when one worker runs.
     pub partition: Partition,
-    /// Fold privatized results in task order so float outputs are
-    /// bit-identical across runs at a fixed thread count.
-    pub deterministic: bool,
     /// Which reduction backend the workers run (portable software model vs
     /// native AVX-512). Resolved once per [`execute`] call, composing with
     /// every variant/partition: `Auto` (the default) uses native when the
@@ -173,7 +169,6 @@ impl Default for ExecPolicy {
             variant: ExecVariant::Invec,
             threads: 1,
             partition: Partition::OwnerComputes,
-            deterministic: false,
             backend: BackendChoice::Auto,
         }
     }
@@ -194,12 +189,6 @@ impl ExecPolicy {
     /// Returns `self` with the partition strategy replaced.
     pub fn partition(mut self, partition: Partition) -> Self {
         self.partition = partition;
-        self
-    }
-
-    /// Returns `self` with the deterministic flag replaced.
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
         self
     }
 
@@ -458,10 +447,9 @@ impl ExecPlan {
 /// Owner-computes tasks receive their owned disjoint sub-slice of `target`
 /// (`view[k - ctx.lo]` is `target[k]`). Privatized tasks receive a fresh
 /// `Op::identity()`-filled scratch array covering their touched range,
-/// which the engine folds into `target` with `Op` afterwards — in task
-/// order when `deterministic`, in completion order (under a mutex)
-/// otherwise. Single-task plans run inline on the calling thread against
-/// the whole target.
+/// which the engine folds into `target` with `Op` afterwards, in task
+/// order on the calling thread. Single-task plans run inline on the
+/// calling thread against the whole target.
 ///
 /// Returns the body results in task order. SIMD instructions recorded by
 /// workers are re-charged to the calling thread.
@@ -470,12 +458,7 @@ impl ExecPlan {
 ///
 /// Panics if the plan was built for a different target length, or
 /// propagates the first panic raised by a body.
-pub fn run_plan<T, Op, R, F>(
-    plan: &ExecPlan,
-    target: &mut [T],
-    deterministic: bool,
-    body: F,
-) -> Vec<R>
+pub fn run_plan<T, Op, R, F>(plan: &ExecPlan, target: &mut [T], body: F) -> Vec<R>
 where
     T: SimdElement,
     Op: ReduceOp<T>,
@@ -518,7 +501,7 @@ where
                 *results[t].lock().expect("result cell poisoned") = Some(r);
             });
         }
-        Partition::Privatized if deterministic => {
+        Partition::Privatized => {
             let privates: Vec<Mutex<Option<Vec<T>>>> =
                 (0..n_tasks).map(|_| Mutex::new(None)).collect();
             pool::global().run(n_tasks, &|t| {
@@ -541,21 +524,6 @@ where
                     *slot = Op::combine(*slot, p);
                 }
             }
-        }
-        Partition::Privatized => {
-            let shared = Mutex::new(&mut *target);
-            pool::global().run(n_tasks, &|t| {
-                let _span = invector_obs::span!("exec.task.privatized");
-                let task = &plan.tasks[t];
-                let mut scratch = vec![Op::identity(); task.hi - task.lo];
-                let (r, n) = count::with(|| body(plan.ctx(t, true), &mut scratch));
-                instructions[t].store(n, Ordering::Relaxed);
-                let mut guard = shared.lock().expect("target mutex poisoned");
-                for (slot, &p) in guard[task.lo..task.hi].iter_mut().zip(&scratch) {
-                    *slot = Op::combine(*slot, p);
-                }
-                *results[t].lock().expect("result cell poisoned") = Some(r);
-            });
         }
     }
 
@@ -642,11 +610,11 @@ impl ExecReport {
 /// parallel, policy-driven form of
 /// [`invec_accumulate`](crate::accumulate::invec_accumulate).
 ///
-/// Agreement with [`serial_accumulate`](crate::accumulate::serial_accumulate)
-/// is exact for integer operators and float min/max under either partition;
-/// float sums reassociate (identically so across runs when
-/// `policy.deterministic` is set, or under owner-computes with the `Serial`
-/// variant, which is bitwise-equal to the scalar loop).
+/// Agreement with [`serial_accumulate`] is exact for integer operators and
+/// float min/max under either partition; float sums reassociate
+/// (identically on every run at a fixed thread count), except under
+/// owner-computes with the `Serial` variant, which is bitwise-equal to the
+/// scalar loop.
 ///
 /// # Panics
 ///
@@ -677,36 +645,30 @@ where
     // Resolve the backend once; every worker closure captures the resolved
     // value instead of re-probing CPU features per task.
     let backend = policy.backend.resolve();
-    let workers =
-        run_plan::<T, Op, WorkerReport, _>(&plan, target, policy.deterministic, |ctx, view| {
-            let lo = ctx.lo as i32;
-            let private_len = if ctx.private { view.len() } else { 0 };
-            let (stats, items) = match &ctx.items {
-                TaskItems::Span(range) => {
-                    let vals_part = &vals[range.clone()];
-                    let stats = if lo == 0 {
-                        run_variant::<T, Op>(variant, backend, view, &idx[range.clone()], vals_part)
-                    } else {
-                        let rebased: Vec<i32> =
-                            idx[range.clone()].iter().map(|&k| k - lo).collect();
-                        run_variant::<T, Op>(variant, backend, view, &rebased, vals_part)
-                    };
-                    (stats, range.len())
-                }
-                TaskItems::Picked(positions) => {
-                    // Bucketing gather: route the owned items (and rebase
-                    // their keys) into contiguous scratch for the SIMD loop.
-                    let rebased: Vec<i32> =
-                        positions.iter().map(|&p| idx[p as usize] - lo).collect();
-                    let gathered: Vec<T> = positions.iter().map(|&p| vals[p as usize]).collect();
-                    (
-                        run_variant::<T, Op>(variant, backend, view, &rebased, &gathered),
-                        positions.len(),
-                    )
-                }
-            };
-            WorkerReport { stats, items, touched_lo: ctx.lo, touched_hi: ctx.hi, private_len }
-        });
+    let workers = run_plan::<T, Op, WorkerReport, _>(&plan, target, |ctx, view| {
+        let lo = ctx.lo as i32;
+        let private_len = if ctx.private { view.len() } else { 0 };
+        let (stats, items) = match &ctx.items {
+            TaskItems::Span(range) => {
+                let vals_part = &vals[range.clone()];
+                let stats = if lo == 0 {
+                    run_variant::<T, Op>(variant, backend, view, &idx[range.clone()], vals_part)
+                } else {
+                    let rebased: Vec<i32> = idx[range.clone()].iter().map(|&k| k - lo).collect();
+                    run_variant::<T, Op>(variant, backend, view, &rebased, vals_part)
+                };
+                (stats, range.len())
+            }
+            TaskItems::Picked(positions) => {
+                // Bucketing gather: route the owned items (and rebase
+                // their keys) into contiguous scratch for the SIMD loop.
+                let rebased: Vec<i32> = positions.iter().map(|&p| idx[p as usize] - lo).collect();
+                let gathered: Vec<T> = positions.iter().map(|&p| vals[p as usize]).collect();
+                (run_variant::<T, Op>(variant, backend, view, &rebased, &gathered), positions.len())
+            }
+        };
+        WorkerReport { stats, items, touched_lo: ctx.lo, touched_hi: ctx.hi, private_len }
+    });
     let mut stats = InvecStats::default();
     for w in &workers {
         stats.merge(&w.stats);
@@ -907,20 +869,23 @@ mod tests {
 
     #[test]
     fn deterministic_privatized_float_sums_are_bit_identical_across_runs() {
+        // The default privatized policy folds in task order: no option
+        // asks for it.
         let mut rng = rand::rngs::SmallRng::seed_from_u64(104);
         let idx: Vec<i32> = (0..5000).map(|_| rng.gen_range(0..32)).collect();
         let vals: Vec<f32> = (0..5000).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let policy =
-            ExecPolicy::with_threads(6).partition(Partition::Privatized).deterministic(true);
-        let mut first = vec![0.0f32; 32];
-        execute::<f32, Sum>(&mut first, &idx, &vals, &policy);
-        for _ in 0..10 {
-            let mut again = vec![0.0f32; 32];
-            execute::<f32, Sum>(&mut again, &idx, &vals, &policy);
-            assert!(
-                first.iter().zip(&again).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "deterministic mode must be bit-identical across runs"
-            );
+        for threads in [2, 3, 7, 16] {
+            let policy = ExecPolicy::with_threads(threads).partition(Partition::Privatized);
+            let mut first = vec![0.0f32; 32];
+            execute::<f32, Sum>(&mut first, &idx, &vals, &policy);
+            for _ in 0..10 {
+                let mut again = vec![0.0f32; 32];
+                execute::<f32, Sum>(&mut again, &idx, &vals, &policy);
+                assert!(
+                    first.iter().zip(&again).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{threads} threads: privatized sums must be bit-identical across runs"
+                );
+            }
         }
     }
 
@@ -1093,7 +1058,7 @@ mod tests {
         for round in 1..=3i64 {
             let vals: Vec<i64> = keys.iter().map(|_| round).collect();
             let mut target = vec![0i64; 128];
-            run_plan::<i64, Sum, (), _>(&plan, &mut target, false, |ctx, view| {
+            run_plan::<i64, Sum, (), _>(&plan, &mut target, |ctx, view| {
                 let lo = ctx.lo as i32;
                 if let TaskItems::Picked(positions) = &ctx.items {
                     let rebased: Vec<i32> =

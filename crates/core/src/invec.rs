@@ -512,9 +512,9 @@ where
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    use invector_simd::native;
+    use invector_simd::arch::avx512;
     use std::any::TypeId;
-    if N != 16 || !native::available() {
+    if N != 16 || !avx512::available() {
         return None;
     }
     // SAFETY: N == 16 checked above, so [i32; N] is [i32; 16].
@@ -536,12 +536,12 @@ where
             }
         };
     }
-    dispatch!(f32, crate::ops::Sum, native::invec_add_f32);
-    dispatch!(f32, crate::ops::Min, native::invec_min_f32);
-    dispatch!(f32, crate::ops::Max, native::invec_max_f32);
-    dispatch!(i32, crate::ops::Sum, native::invec_add_i32);
-    dispatch!(i32, crate::ops::Min, native::invec_min_i32);
-    dispatch!(i32, crate::ops::Max, native::invec_max_i32);
+    dispatch!(f32, crate::ops::Sum, avx512::invec_add_f32);
+    dispatch!(f32, crate::ops::Min, avx512::invec_min_f32);
+    dispatch!(f32, crate::ops::Max, avx512::invec_max_f32);
+    dispatch!(i32, crate::ops::Sum, avx512::invec_add_i32);
+    dispatch!(i32, crate::ops::Min, avx512::invec_min_i32);
+    dispatch!(i32, crate::ops::Max, avx512::invec_max_i32);
     None
 }
 
@@ -555,10 +555,10 @@ where
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    use invector_simd::native;
+    use invector_simd::arch::avx512;
     use std::any::TypeId;
     if N != 16
-        || !native::available()
+        || !avx512::available()
         || TypeId::of::<T>() != TypeId::of::<f32>()
         || TypeId::of::<Op>() != TypeId::of::<crate::ops::Sum>()
     {
@@ -569,7 +569,7 @@ where
     let mut bufs: [[f32; 16]; K] =
         std::array::from_fn(|c| unsafe { reinterpret_lanes(vdata[c].as_array()) });
     // SAFETY: availability checked; no memory beyond `bufs` is touched.
-    let (mask, d1) = unsafe { native::invec_add_arr_f32(active.bits() as u16, idx, &mut bufs) };
+    let (mask, d1) = unsafe { avx512::invec_add_arr_f32(active.bits() as u16, idx, &mut bufs) };
     for (c, buf) in bufs.iter().enumerate() {
         // SAFETY: same-type copy back.
         vdata[c] = SimdVec::from_array(unsafe { reinterpret_lanes(buf) });
@@ -588,10 +588,10 @@ where
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    use invector_simd::native;
+    use invector_simd::arch::avx512;
     use std::any::TypeId;
     if N != 16
-        || !native::available()
+        || !avx512::available()
         || TypeId::of::<T>() != TypeId::of::<f32>()
         || TypeId::of::<Op>() != TypeId::of::<crate::ops::Sum>()
     {
@@ -605,7 +605,7 @@ where
     let aux_data: &mut [f32] = unsafe { &mut *(aux.data.as_mut_slice() as *mut [T] as *mut [f32]) };
     // SAFETY: availability checked; aux writes inside are bounds-checked.
     let (mask, d2) = unsafe {
-        native::alg2_add_f32(active.bits() as u16, idx, &mut buf, aux_data, &mut aux.touched)
+        avx512::alg2_add_f32(active.bits() as u16, idx, &mut buf, aux_data, &mut aux.touched)
     };
     // SAFETY: same-type copy back.
     *vdata = SimdVec::from_array(unsafe { reinterpret_lanes(&buf) });

@@ -66,8 +66,7 @@ pub mod tune;
 
 pub use accumulate::{
     adaptive_accumulate, adaptive_accumulate_n, adaptive_accumulate_with, invec_accumulate,
-    invec_accumulate_n, invec_accumulate_with, native_invec_accumulate_f32, serial_accumulate,
-    InvecStats,
+    invec_accumulate_n, invec_accumulate_with, serial_accumulate, InvecStats,
 };
 pub use adaptive::AdaptiveReducer;
 pub use backend::{Backend, BackendChoice};
@@ -82,6 +81,6 @@ pub use invec::{
 pub use masking::masked_accumulate;
 pub use ops::ReduceOp;
 pub use tune::{
-    Controller, Decision, EpochPolicy, MetricFrame, PolicyHandle, PolicySchedule, PolicyTrace,
-    TraceEntry, TuneConfig,
+    Controller, Decision, EpochPolicy, MetricFrame, PolicySchedule, PolicyTrace, TraceEntry,
+    TuneConfig,
 };

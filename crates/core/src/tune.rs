@@ -5,9 +5,9 @@
 //! static cell moves with the workload (a quantum that wins on a zipfian
 //! stream loses on a uniform one). This module makes that selection
 //! continuous: a [`Controller`] watches completed-epoch metrics
-//! ([`MetricFrame`]s pulled from the stats registry) and hill-climbs the
-//! `(quantum, threads, variant)` lattice between epochs, swapping the
-//! active [`EpochPolicy`] through a shared [`PolicyHandle`].
+//! ([`MetricFrame`]s) and hill-climbs the `(quantum, threads, variant)`
+//! lattice between epochs; the caller schedules each [`EpochPolicy`] it
+//! returns on every table ([`PolicySchedule`]).
 //!
 //! # Determinism
 //!
@@ -27,9 +27,6 @@
 //!    [`PolicyTrace`] against the same streams reproduces every slice
 //!    boundary — and therefore every table bit — of the tuned run, under
 //!    any shard count, client interleaving, or epoch timing.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::exec::{ExecPolicy, ExecVariant};
 
@@ -58,115 +55,18 @@ impl Default for EpochPolicy {
     }
 }
 
-#[derive(Debug)]
-struct HandleInner {
-    /// The quantum, readable with one atomic load — the admission path
-    /// checks it per batch.
-    quantum: AtomicUsize,
-    exec: Mutex<ExecPolicy>,
-    generation: AtomicU64,
-}
-
-/// The one shared, swappable route to the active [`EpochPolicy`].
-///
-/// Every layer that used to build its own `ExecPolicy` + quantum pair
-/// (CLI, harness driver, serve core, bench bins) now holds one of these;
-/// the controller (or anything else) can [`install`](PolicyHandle::install)
-/// a replacement between epochs and every reader sees it on its next
-/// [`current`](PolicyHandle::current) call. Cloning shares the handle.
-#[derive(Debug, Clone)]
-pub struct PolicyHandle {
-    inner: Arc<HandleInner>,
-}
-
-impl PolicyHandle {
-    /// A handle starting at `initial`.
-    pub fn new(initial: EpochPolicy) -> PolicyHandle {
-        PolicyHandle {
-            inner: Arc::new(HandleInner {
-                quantum: AtomicUsize::new(initial.quantum),
-                exec: Mutex::new(initial.exec),
-                generation: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// A handle for batch callers that have no epoch quantum of their own
-    /// (the quantum defaults and is ignored by non-epoch execution).
-    pub fn fixed(exec: ExecPolicy) -> PolicyHandle {
-        PolicyHandle::new(EpochPolicy { exec, ..EpochPolicy::default() })
-    }
-
-    /// The active policy pair.
-    pub fn current(&self) -> EpochPolicy {
-        EpochPolicy {
-            exec: *self.inner.exec.lock().expect("policy lock"),
-            quantum: self.inner.quantum.load(Ordering::Acquire),
-        }
-    }
-
-    /// The active engine policy.
-    pub fn exec(&self) -> ExecPolicy {
-        *self.inner.exec.lock().expect("policy lock")
-    }
-
-    /// The active quantum (one atomic load — safe on the admission path).
-    pub fn quantum(&self) -> usize {
-        self.inner.quantum.load(Ordering::Acquire)
-    }
-
-    /// Atomically replaces the active policy; returns the new generation
-    /// (counts installs since construction).
-    pub fn install(&self, policy: EpochPolicy) -> u64 {
-        let mut exec = self.inner.exec.lock().expect("policy lock");
-        *exec = policy.exec;
-        self.inner.quantum.store(policy.quantum, Ordering::Release);
-        self.inner.generation.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Installs since construction.
-    pub fn generation(&self) -> u64 {
-        self.inner.generation.load(Ordering::Acquire)
-    }
-}
-
-/// One completed epoch's observations, pulled from the stats registry —
-/// the controller's only input.
-///
-/// The load-bearing fields (`applied`, `offered`, `busy_ns`,
-/// `queue_depth`, the conflict-depth summary) come straight from the epoch
-/// report and are real on every feature leg; the latency quantiles and
-/// instruction total are registry enrichment that read zero with `obs` /
-/// `count` compiled out. The controller's decisions use only the
-/// leg-independent fields, so tuning behaves identically on every build.
+/// One completed non-empty epoch's observations — the controller's only
+/// input, and everything the throughput score reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricFrame {
-    /// 1-based index of the completed non-empty epoch.
-    pub epoch: u64,
     /// Updates applied this epoch.
     pub applied: u64,
-    /// Slice capacity offered this epoch (Σ per-slice quantum).
-    pub offered: u64,
     /// Wall nanoseconds attributed to this epoch's updates. The serve
     /// layer reports the time since the previous non-empty epoch —
     /// end-to-end cost including admission and reorder-buffer residency,
     /// clamped to discount client idle gaps — falling back to in-epoch
     /// execution time for the first frame.
     pub busy_ns: u64,
-    /// Updates still waiting in the ingest queues after the epoch.
-    pub queue_depth: u64,
-    /// Mean conflict depth (D1) of the epoch's vector iterations.
-    pub conflict_depth: f64,
-    /// Fraction of vector iterations with conflict depth ≥ 2.
-    pub deep_frac: f64,
-    /// p50 epoch latency (µs) from the registry histogram (0 without obs).
-    pub p50_epoch_us: f64,
-    /// p99 epoch latency (µs) from the registry histogram (0 without obs).
-    pub p99_epoch_us: f64,
-    /// Process-wide modeled SIMD instruction total (0 without `count`).
-    pub instructions: u64,
-    /// Policy the epoch ran under.
-    pub policy: EpochPolicy,
 }
 
 /// Knobs of the hill-climbing schedule.
@@ -294,7 +194,7 @@ pub struct Decision {
 ///
 /// Feed it one [`MetricFrame`] per completed non-empty epoch via
 /// [`observe`](Controller::observe); a returned policy is the caller's to
-/// install (through its [`PolicyHandle`]) before the next epoch cuts.
+/// schedule before the next epoch cuts.
 ///
 /// State machine: `Warmup → Measure → Probe → … → Hold`, with `Hold`
 /// re-entering `Measure` periodically (rejuvenation) and immediately on
@@ -310,7 +210,7 @@ pub struct Decision {
 pub struct Controller {
     cfg: TuneConfig,
     /// Template for lattice fields not under tuning (partition,
-    /// determinism, backend).
+    /// backend).
     base: ExecPolicy,
     cell: Cell,
     incumbent: Cell,
@@ -607,20 +507,8 @@ pub type PolicyTrace = Vec<TraceEntry>;
 mod tests {
     use super::*;
 
-    fn frame(applied: u64, busy_ns: u64, policy: EpochPolicy) -> MetricFrame {
-        MetricFrame {
-            epoch: 0,
-            applied,
-            offered: applied,
-            busy_ns,
-            queue_depth: 0,
-            conflict_depth: 0.0,
-            deep_frac: 0.0,
-            p50_epoch_us: 0.0,
-            p99_epoch_us: 0.0,
-            instructions: 0,
-            policy,
-        }
+    fn frame(applied: u64, busy_ns: u64) -> MetricFrame {
+        MetricFrame { applied, busy_ns }
     }
 
     fn cfg() -> TuneConfig {
@@ -642,25 +530,12 @@ mod tests {
         let mut active = ctl.current();
         for _ in 0..epochs {
             let q = active.quantum as u64;
-            let f = frame(q, q * cost(active.quantum), active);
+            let f = frame(q, q * cost(active.quantum));
             if let Some(p) = ctl.observe(&f) {
                 active = p;
             }
         }
         active
-    }
-
-    #[test]
-    fn policy_handle_swaps_atomically_and_counts_generations() {
-        let handle = PolicyHandle::new(EpochPolicy::default());
-        assert_eq!(handle.quantum(), 4096);
-        assert_eq!(handle.generation(), 0);
-        let next = EpochPolicy::new(ExecPolicy::with_threads(2), 256);
-        assert_eq!(handle.install(next), 1);
-        assert_eq!(handle.current(), next);
-        assert_eq!(handle.exec().threads, 2);
-        let clone = handle.clone();
-        assert_eq!(clone.quantum(), 256, "clones share the handle");
     }
 
     #[test]
@@ -711,7 +586,7 @@ mod tests {
         let start = EpochPolicy::new(ExecPolicy::default(), 16);
         let mut ctl = Controller::new(cfg(), start).unwrap();
         for _ in 0..50 {
-            assert_eq!(ctl.observe(&frame(0, 1000, start)), None);
+            assert_eq!(ctl.observe(&frame(0, 1000)), None);
         }
         assert!(ctl.trace().is_empty(), "no throughput signal, no decisions");
     }
@@ -728,7 +603,7 @@ mod tests {
         let mut probed = false;
         for _ in 0..60 {
             let q = active.quantum as u64;
-            if let Some(p) = ctl.observe(&frame(q, q * 1000, active)) {
+            if let Some(p) = ctl.observe(&frame(q, q * 1000)) {
                 active = p;
                 probed = true;
             }

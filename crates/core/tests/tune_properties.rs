@@ -25,22 +25,6 @@ fn cfg() -> TuneConfig {
     }
 }
 
-fn frame(epoch: u64, applied: u64, busy_ns: u64, policy: EpochPolicy) -> MetricFrame {
-    MetricFrame {
-        epoch,
-        applied,
-        offered: applied,
-        busy_ns,
-        queue_depth: 0,
-        conflict_depth: 0.0,
-        deep_frac: 0.0,
-        p50_epoch_us: 0.0,
-        p99_epoch_us: 0.0,
-        instructions: 0,
-        policy,
-    }
-}
-
 /// The synthetic observation stream: per-epoch (applied, busy_ns) pairs,
 /// with occasional empty epochs mixed in.
 fn observations(seed: u64, n: usize) -> Vec<(u64, u64)> {
@@ -53,15 +37,15 @@ fn observations(seed: u64, n: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Drives a fresh controller over `obs`, closing the loop the way the
-/// serve layer does (an installed policy becomes the next frame's
-/// `policy`). Returns the decision trace and the final active policy.
+/// Drives a fresh controller over `obs`, tracking the active policy the
+/// way the serve layer does (each returned policy replaces it). Returns
+/// the decision trace and the final active policy.
 fn drive(obs: &[(u64, u64)]) -> (Vec<Decision>, EpochPolicy) {
     let initial = EpochPolicy::new(ExecPolicy::default(), 8);
     let mut ctl = Controller::new(cfg(), initial).expect("valid config");
     let mut active = initial;
-    for (epoch, &(applied, busy_ns)) in obs.iter().enumerate() {
-        if let Some(next) = ctl.observe(&frame(epoch as u64, applied, busy_ns, active)) {
+    for &(applied, busy_ns) in obs {
+        if let Some(next) = ctl.observe(&MetricFrame { applied, busy_ns }) {
             active = next;
         }
     }

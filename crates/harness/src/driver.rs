@@ -4,7 +4,6 @@
 
 use std::time::Duration;
 
-use invector_core::tune::PolicyHandle;
 use invector_core::{Backend, BackendChoice};
 use invector_kernels::{ExecPolicy, Variant};
 
@@ -144,27 +143,22 @@ pub fn run_all_apps(
         let reference = workload
             .run(app.variants()[0], &ExecPolicy::default().backend(BackendChoice::Portable));
 
-        // Each cell's policy sits behind the same swappable handle the
-        // serving layer routes through; the smoke matrix just never
-        // installs a replacement.
         let mut policies = Vec::new();
         for &choice in choices {
             for &variant in app.variants() {
-                policies
-                    .push((variant, PolicyHandle::fixed(ExecPolicy::default().backend(choice))));
+                policies.push((variant, ExecPolicy::default().backend(choice)));
             }
         }
         if threads > 1 && app.supports_threads() {
             for &variant in app.variants() {
                 if matches!(variant, Variant::Serial | Variant::Invec) {
-                    policies
-                        .push((variant, PolicyHandle::fixed(ExecPolicy::with_threads(threads))));
+                    policies.push((variant, ExecPolicy::with_threads(threads)));
                 }
             }
         }
 
-        for (variant, handle) in policies {
-            let r = workload.run(variant, &handle.exec());
+        for (variant, policy) in policies {
+            let r = workload.run(variant, &policy);
             r.publish_obs();
             cells.push(CellReport {
                 app: app.name(),

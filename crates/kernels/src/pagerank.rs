@@ -121,15 +121,7 @@ pub fn pagerank(graph: &EdgeList, variant: Variant, config: &PageRankConfig) -> 
         match (&plan, variant) {
             (Some(plan), _) => {
                 edge_phase_parallel(
-                    plan,
-                    &config.exec,
-                    variant,
-                    backend,
-                    &working,
-                    &rank,
-                    &deg,
-                    &mut sum,
-                    &mut depth,
+                    plan, variant, backend, &working, &rank, &deg, &mut sum, &mut depth,
                 );
             }
             (None, Serial | SerialTiled) => {
@@ -187,7 +179,6 @@ pub fn pagerank(graph: &EdgeList, variant: Variant, config: &PageRankConfig) -> 
 #[allow(clippy::too_many_arguments)]
 fn edge_phase_parallel(
     plan: &ExecPlan,
-    exec: &ExecPolicy,
     variant: Variant,
     backend: Backend,
     g: &EdgeList,
@@ -198,7 +189,7 @@ fn edge_phase_parallel(
 ) {
     let (src, dst) = (g.src(), g.dst());
     let worker = variant.exec_variant();
-    let stats = run_plan::<f32, Sum, InvecStats, _>(plan, sum, exec.deterministic, |ctx, view| {
+    let stats = run_plan::<f32, Sum, InvecStats, _>(plan, sum, |ctx, view| {
         let lo = ctx.lo as i32;
         // Gather this task's share of the stream: rebased destination keys
         // plus the per-edge contributions of Figure 1's loop body.
@@ -406,9 +397,7 @@ mod tests {
         for threads in [2, 4] {
             for partition in [Partition::OwnerComputes, Partition::Privatized] {
                 let config = PageRankConfig {
-                    exec: ExecPolicy::with_threads(threads)
-                        .partition(partition)
-                        .deterministic(true),
+                    exec: ExecPolicy::with_threads(threads).partition(partition),
                     ..PageRankConfig::default()
                 };
                 for variant in [Variant::Serial, Variant::Invec] {

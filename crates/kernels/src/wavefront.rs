@@ -201,7 +201,6 @@ pub fn run_with_policy<R: RelaxRule>(
         let results = run_plan::<R::Value, R::Op, (Vec<i32>, DepthHistogram), _>(
             &plan,
             &mut new_vals,
-            policy.deterministic,
             |ctx, view| {
                 // Gather this task's active edges, destinations rebased
                 // into its owned view. Stream item `k` is the active edge

@@ -210,7 +210,7 @@ const MAX_SUBMIT_ATTEMPTS: u32 = 8;
 ///
 /// `submit` honors the server's reject-with-retry-after contract itself:
 /// a rejected suffix is backed off and resubmitted up to
-/// [`MAX_SUBMIT_ATTEMPTS`] times before the caller ever sees a
+/// `MAX_SUBMIT_ATTEMPTS` times before the caller ever sees a
 /// `Rejected` outcome, so transient backpressure never surfaces to every
 /// call site.
 #[derive(Debug)]
@@ -523,7 +523,6 @@ mod tests {
             TableSpec::f32("mins", OpKind::Min, 32),
         ]);
         config.quantum = 16;
-        config.epoch_interval = Duration::from_millis(1);
         Server::bind(config, "127.0.0.1:0").expect("bind loopback")
     }
 
@@ -586,7 +585,6 @@ mod tests {
         let mut config = ServeConfig::new(vec![TableSpec::i32("c", OpKind::Add, 16)]);
         config.queue_capacity = 8;
         config.quantum = 4;
-        config.epoch_interval = Duration::from_millis(1);
         let server = Server::bind(config, "127.0.0.1:0").expect("bind loopback");
         let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
 

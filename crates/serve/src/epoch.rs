@@ -9,14 +9,13 @@
 //!
 //! Updates travel in column form — a key column and a value-bits column —
 //! from admission to the SIMD driver: staging keeps each table's admitted
-//! updates as columns plus their seq-contiguous runs ([`Staging`]), the
+//! updates as columns plus their seq-contiguous runs (`Staging`), the
 //! reorder buffer holds the same two columns, and a cut hands the kernel a
 //! borrowed [`RunView`] of them.
 
 use std::time::Duration;
 
 use invector_core::stats::DepthHistogram;
-use invector_core::tune::{EpochPolicy, MetricFrame};
 use invector_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::protocol::{StatsSummary, Update};
@@ -584,38 +583,6 @@ impl ServeStats {
             updates_per_sec: if busy > 0.0 { applied as f64 / busy } else { 0.0 },
             p50_epoch_us: self.latency_us.quantile(0.50),
             p99_epoch_us: self.latency_us.quantile(0.99),
-        }
-    }
-
-    /// Builds the structured per-epoch observation the tuning controller
-    /// consumes — the registry's pull API at epoch granularity.
-    ///
-    /// The throughput fields come from the epoch report itself (real on
-    /// every feature leg); the latency quantiles and the process-wide
-    /// instruction total are registry enrichment that read zero with the
-    /// `obs` / `count` features compiled out.
-    pub fn frame(
-        &self,
-        epoch: u64,
-        report: &EpochReport,
-        depth: &DepthHistogram,
-        queue_depth: u64,
-        policy: EpochPolicy,
-    ) -> MetricFrame {
-        let iterations = depth.invocations();
-        let deep: u64 = (2..=16).map(|d| depth.bucket(d)).sum();
-        MetricFrame {
-            epoch,
-            applied: report.applied as u64,
-            offered: report.offered as u64,
-            busy_ns: report.elapsed.as_nanos() as u64,
-            queue_depth,
-            conflict_depth: depth.mean(),
-            deep_frac: if iterations == 0 { 0.0 } else { deep as f64 / iterations as f64 },
-            p50_epoch_us: self.latency_us.quantile(0.50),
-            p99_epoch_us: self.latency_us.quantile(0.99),
-            instructions: invector_simd::count::global_total(),
-            policy,
         }
     }
 }

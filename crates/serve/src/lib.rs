@@ -29,7 +29,7 @@
 //!    slices of exactly `quantum` updates; partial tails wait for an
 //!    explicit `Flush` or the shutdown drain. Batch boundaries therefore
 //!    depend only on stream content, so replays see identical batches and
-//!    the engine (deterministic mode) produces bitwise-identical tables —
+//!    the engine produces bitwise-identical tables —
 //!    the snapshot determinism contract.
 //! 3. **Reject, never block or drop.** Full staging buffers and reorder
 //!    windows refuse admission with a retry-after hint; an admitted update
@@ -68,9 +68,7 @@ pub mod wal;
 pub use client::{LocalClient, ServeClient, SnapshotPlan, TcpClient};
 pub use epoch::{EpochReport, ReorderBuffer, ServeStats};
 pub use follower::{FollowStatus, Follower};
-pub use invector_core::tune::{
-    EpochPolicy, MetricFrame, PolicyHandle, PolicyTrace, TraceEntry, TuneConfig,
-};
+pub use invector_core::tune::{EpochPolicy, PolicyTrace, TraceEntry, TuneConfig};
 pub use invector_replog::SyncPolicy;
 pub use invector_streamkit::{AggOp, StreamKind};
 pub use protocol::{

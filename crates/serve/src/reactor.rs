@@ -6,7 +6,7 @@
 //! forced fallback, and a portable scan poller everywhere else. Each
 //! connection owns growable read/write [`Ring`] buffers; request frames are
 //! decoded **zero-copy** straight out of the read ring via
-//! [`RequestView`](crate::protocol::RequestView) (a frame that happens to
+//! [`RequestView`] (a frame that happens to
 //! wrap the ring edge is linearized into a per-connection scratch buffer,
 //! never per-update allocations), and decoded batches feed the exact same
 //! [`ServerCore`] admission path the blocking front end used — which is the
@@ -79,9 +79,12 @@ impl std::fmt::Display for ReactorKind {
 /// both shutdown latency and new-connection registration latency.
 const WAIT_MS: i32 = 5;
 
-/// Per-readiness-event socket read budget multiplier is the configured
-/// read-buffer cap; individual `read` calls use this chunk size.
+/// Size of one socket `read` call.
 const READ_CHUNK: usize = 16 << 10;
+
+/// Per-readiness-event socket read budget per connection: bounds how long
+/// one chatty connection can monopolize an I/O thread.
+const READ_BUDGET: usize = 64 << 10;
 
 /// Grace period for flushing pending replies (`Bye`, final acks) once
 /// shutdown begins.
@@ -228,7 +231,7 @@ impl Ring {
     /// # Errors
     ///
     /// Returns [`ProtoError::Malformed`] for frames over
-    /// [`MAX_FRAME_LEN`](crate::protocol::MAX_FRAME_LEN).
+    /// [`MAX_FRAME_LEN`].
     pub fn pop_frame<'s>(
         &'s mut self,
         scratch: &'s mut Vec<u8>,
@@ -947,7 +950,7 @@ fn drive(conn: &mut Conn, shared: &Shared, stopping: bool, readable: bool) -> Re
 
     // Read until the socket drains, the per-event budget is spent, or
     // backpressure pauses the connection.
-    let mut budget = if readable { config.read_buffer_cap.max(READ_CHUNK) } else { 0 };
+    let mut budget = if readable { READ_BUDGET } else { 0 };
     while !conn.closing && !conn.peer_eof && budget > 0 {
         if conn.wbuf.len() >= write_cap {
             flush(conn, shared)?;

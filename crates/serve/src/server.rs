@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use invector_core::exec::{ExecPolicy, ExecVariant, Partition};
 use invector_core::stats::DepthHistogram;
-use invector_core::tune::{Controller, EpochPolicy, PolicyHandle, PolicyTrace, TraceEntry};
+use invector_core::tune::{Controller, EpochPolicy, MetricFrame, PolicyTrace, TraceEntry};
 use invector_core::{BackendChoice, TuneConfig};
 use invector_obs::Registry;
 
@@ -59,19 +59,11 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Reduction backend request.
     pub backend: BackendChoice,
-    /// Epoch timer period for the background executor thread.
-    pub epoch_interval: Duration,
-    /// Backoff suggested to rejected clients.
-    pub retry_after_ms: u32,
     /// Reactor I/O threads multiplexing every TCP connection.
     pub io_threads: usize,
     /// Open-connection ceiling; accepts beyond it are refused (and
     /// counted) rather than queued.
     pub max_connections: usize,
-    /// Per-readiness-event socket read budget per connection (bytes); also
-    /// sizes read-ring growth. Bounds how long one chatty connection can
-    /// monopolize an I/O thread.
-    pub read_buffer_cap: usize,
     /// Write-ring backpressure cap (bytes): past this, the reactor stops
     /// reading from the connection until its replies drain — a slow reader
     /// cannot balloon server memory.
@@ -114,11 +106,8 @@ impl ServeConfig {
             window: 1 << 20,
             threads: 1,
             backend: BackendChoice::Auto,
-            epoch_interval: Duration::from_millis(1),
-            retry_after_ms: 2,
             io_threads: 2,
             max_connections: 4096,
-            read_buffer_cap: 64 << 10,
             write_buffer_cap: 256 << 10,
             reactor: ReactorKind::Auto,
             tune: TuneMode::Off,
@@ -126,23 +115,23 @@ impl ServeConfig {
         }
     }
 
-    /// The engine policy epochs start under: in-vector reduction,
-    /// owner-computes partitioning, deterministic fold — the combination
-    /// whose results are a pure function of (batch content, thread count,
-    /// quantum), which is what the snapshot contract leans on. Under
-    /// tuning this is the controller's starting cell; the variant and
-    /// thread count may change between epochs, but partitioning,
-    /// determinism, and the backend request are held fixed.
+    /// The engine policy epochs start under: in-vector reduction and
+    /// owner-computes partitioning — a combination whose results are a
+    /// pure function of (batch content, thread count, quantum), which is
+    /// what the snapshot contract leans on. Under tuning this is the
+    /// controller's starting cell; the variant and thread count may change
+    /// between epochs, but partitioning and the backend request are held
+    /// fixed.
     pub fn policy(&self) -> ExecPolicy {
         ExecPolicy::with_threads(self.threads)
             .variant(ExecVariant::Invec)
             .partition(Partition::OwnerComputes)
-            .deterministic(true)
             .backend(self.backend)
     }
 
     /// The initial epoch policy pair ([`policy`](Self::policy) at the
-    /// configured quantum) — what the core's [`PolicyHandle`] starts at.
+    /// configured quantum) — the policy in effect until tuning installs
+    /// another.
     pub fn initial_policy(&self) -> EpochPolicy {
         EpochPolicy::new(self.policy(), self.quantum)
     }
@@ -173,8 +162,8 @@ impl ServeConfig {
         if self.io_threads == 0 || self.max_connections == 0 {
             return Err("io_threads and max_connections must be >= 1".into());
         }
-        if self.read_buffer_cap < 1024 || self.write_buffer_cap < 1024 {
-            return Err("read/write buffer caps must be >= 1 KiB".into());
+        if self.write_buffer_cap < 1024 {
+            return Err("write buffer cap must be >= 1 KiB".into());
         }
         if self.wal.is_some() && matches!(self.tune, TuneMode::Auto(_)) {
             // Online tuning decisions are not captured in batch records, so
@@ -221,7 +210,8 @@ pub struct Snapshot {
     pub table: u16,
     /// Stream positions folded in (`seq < watermark`).
     pub watermark: u64,
-    /// CRC-32 over the slot bit patterns ([`snapshot_checksum`]), computed
+    /// CRC-32 over the slot bit patterns
+    /// ([`crate::protocol::snapshot_checksum`]), computed
     /// under the table lock so it always matches `data`.
     pub checksum: u32,
     /// Typed table contents.
@@ -310,10 +300,9 @@ pub struct LogTailPage {
 #[derive(Debug)]
 pub struct ServerCore {
     config: ServeConfig,
-    /// The one swappable route to the active policy/quantum pair: the
-    /// admission threshold reads it per batch, the tuning hook installs
-    /// into it between epochs.
-    policy: PolicyHandle,
+    /// The quantum in effect (mirrors `TuneState::policy`): admission
+    /// wakes the epoch thread once this many updates are staged.
+    quantum: AtomicUsize,
     /// Per-table bounded staging buffers (key/value columns plus their
     /// seq-contiguous runs): admission appends a batch's admitted prefix
     /// under one lock, an epoch swaps the whole buffer out.
@@ -346,21 +335,24 @@ pub struct ServerCore {
     /// Signals the background epoch thread that a full quantum is queued.
     wake: Condvar,
     wake_lock: Mutex<bool>,
-    /// Tuning state: the optional controller, the recorded decision
-    /// trace, and the completed-non-empty-epoch count. Touched only under
-    /// the tick lock (plus trace reads), so the admission path never sees
-    /// it.
+    /// Tuning state: the policy in effect, the optional controller, and
+    /// the recorded decision trace. Written only under the tick lock, so
+    /// the admission path never sees it.
     tuning: Mutex<TuneState>,
 }
 
 /// The core's tuning state, behind one mutex.
 #[derive(Debug, Default)]
 struct TuneState {
+    /// The policy in effect: the initial policy, then each installed
+    /// decision.
+    policy: EpochPolicy,
     /// The online controller (`TuneMode::Auto` only).
     controller: Option<Controller>,
     /// Every policy install, keyed by per-table watermarks.
     trace: Vec<TraceEntry>,
-    /// Completed epochs that applied at least one slice.
+    /// Completed epochs that applied at least one slice (counted while a
+    /// controller runs).
     epochs: u64,
     /// When the previous non-empty epoch completed, for end-to-end frame
     /// cost attribution (see [`ServerCore::tune_observe`]).
@@ -374,6 +366,12 @@ struct TuneState {
 /// whatever policy happens to be active.
 const TUNE_IDLE_CLAMP: u64 = 64;
 
+/// Period of the background epoch thread's timer.
+const EPOCH_INTERVAL: Duration = Duration::from_millis(1);
+
+/// Backoff suggested to rejected clients.
+const RETRY_AFTER_MS: u32 = 2;
+
 impl ServerCore {
     /// Builds a core from `config`.
     ///
@@ -384,7 +382,6 @@ impl ServerCore {
     pub fn new(config: ServeConfig) -> Result<Arc<ServerCore>, String> {
         config.validate()?;
         let initial = config.initial_policy();
-        let policy = PolicyHandle::new(initial);
         // Admission never stages more than `queue_capacity` updates per
         // table, and a closed-loop client that outruns the epochs fills the
         // buffer to exactly that. Sized to the bound once, a staging buffer
@@ -421,71 +418,19 @@ impl ServerCore {
                 None
             }
         };
-        // Durable mode: load the latest checkpoint and replay the log tail
-        // through the normal slice path before serving a single request.
-        // Any integrity failure is a refusal to serve, never a silent
-        // fresh start over data that existed.
-        let mut replayed_updates = 0u64;
-        let wal = match config.wal.clone() {
-            None => None,
+        let (wal, recovery) = match config.wal.clone() {
+            None => (None, None),
             Some(options) => {
                 let (state, recovery) = WalState::open(options, &config.tables)?;
-                for (t, (data, watermark)) in recovery.installed.into_iter().enumerate() {
-                    tables[t].get_mut().expect("table lock").install(data, watermark)?;
-                }
-                for (i, record) in recovery.replay.iter().enumerate() {
-                    match record {
-                        WalRecord::Batch { table, updates } => {
-                            let state = tables
-                                .get_mut(*table as usize)
-                                .ok_or_else(|| {
-                                    format!("WAL record {i} names unknown table {table}")
-                                })?
-                                .get_mut()
-                                .expect("table lock");
-                            state
-                                .apply_logged(updates)
-                                .map_err(|e| format!("WAL record {i}: {e}"))?;
-                            replayed_updates += updates.len() as u64;
-                        }
-                        WalRecord::Seal { table, watermark, crc } => {
-                            let state = tables
-                                .get_mut(*table as usize)
-                                .ok_or_else(|| {
-                                    format!("WAL record {i} names unknown table {table}")
-                                })?
-                                .get_mut()
-                                .expect("table lock");
-                            if state.watermark() != *watermark {
-                                return Err(format!(
-                                    "WAL seal {i}: table {table} replayed to watermark {}, \
-                                     seal says {watermark}",
-                                    state.watermark()
-                                ));
-                            }
-                            let got = state.checksum();
-                            if got != *crc {
-                                return Err(format!(
-                                    "WAL seal {i}: table {table} state checksum {got:#010x} \
-                                     != sealed {crc:#010x} — refusing to serve diverged state",
-                                ));
-                            }
-                        }
-                    }
-                }
-                Some(Mutex::new(state))
+                (Some(Mutex::new(state)), Some(recovery))
             }
         };
-        let watermarks = tables
-            .iter_mut()
-            .map(|t| AtomicU64::new(t.get_mut().expect("table lock").watermark()))
-            .collect();
+        let watermarks = tables.iter().map(|_| AtomicU64::new(0)).collect();
         let registry = Registry::new();
         let stats = ServeStats::new(&registry);
-        stats.record_wal_replayed(replayed_updates);
         let core = Arc::new(ServerCore {
             config,
-            policy,
+            quantum: AtomicUsize::new(initial.quantum),
             staging,
             tables,
             watermarks,
@@ -498,8 +443,21 @@ impl ServerCore {
             draining: AtomicBool::new(false),
             wake: Condvar::new(),
             wake_lock: Mutex::new(false),
-            tuning: Mutex::new(TuneState { controller, ..TuneState::default() }),
+            tuning: Mutex::new(TuneState { policy: initial, controller, ..TuneState::default() }),
         });
+        // Durable mode: install the latest checkpoint and replay the log
+        // tail through the follower's record path (under any replayed
+        // policy schedule, loaded above) before serving a single request.
+        // Any integrity failure is a refusal to serve, never a silent
+        // fresh start over data that existed.
+        if let Some(recovery) = recovery {
+            if !recovery.installed.is_empty() {
+                core.install_snapshot(recovery.installed)?;
+            }
+            for (i, record) in recovery.replay.iter().enumerate() {
+                core.apply_record(record).map_err(|e| format!("WAL record {i}: {e}"))?;
+            }
+        }
         // Duplicates live in the tables' reorder buffers; bridge them into
         // the scrape as a pull collector (table locks are only taken at
         // scrape/summary time, never on the hot path).
@@ -613,7 +571,7 @@ impl ServerCore {
             }
             Some(_) => self.reject(accepted, total, RejectReason::WindowExceeded),
             None => {
-                if queued >= self.policy.quantum() {
+                if queued >= self.quantum.load(Ordering::Acquire) {
                     self.notify_epoch_thread();
                 }
                 SubmitOutcome::Accepted {
@@ -631,7 +589,7 @@ impl ServerCore {
         self.notify_epoch_thread();
         SubmitOutcome::Rejected {
             accepted: accepted as u32,
-            retry_after_ms: self.config.retry_after_ms.max(1),
+            retry_after_ms: RETRY_AFTER_MS,
             reason,
         }
     }
@@ -724,7 +682,7 @@ impl ServerCore {
         drop(wal);
         report.elapsed = start.elapsed();
         self.stats.record_epoch(&report, &depth);
-        self.tune_observe(&report, &depth);
+        self.tune_observe(&report);
         report
     }
 
@@ -763,23 +721,20 @@ impl ServerCore {
     /// therefore depend only on completed-epoch metrics and take effect
     /// only at recorded boundaries, which is what keeps tuned snapshots
     /// replayable bitwise from the trace.
-    fn tune_observe(&self, report: &EpochReport, depth: &DepthHistogram) {
+    fn tune_observe(&self, report: &EpochReport) {
         if report.slices == 0 {
             return;
         }
         let mut tuning = self.tuning.lock().expect("tune lock");
-        tuning.epochs += 1;
-        let epoch = tuning.epochs;
         if tuning.controller.is_none() {
             return;
         }
-        let mut frame = self.stats.frame(
-            epoch,
-            report,
-            depth,
-            self.queued.load(Ordering::Acquire) as u64,
-            self.policy.current(),
-        );
+        tuning.epochs += 1;
+        let epoch = tuning.epochs;
+        let mut frame = MetricFrame {
+            applied: report.applied as u64,
+            busy_ns: report.elapsed.as_nanos() as u64,
+        };
         // Score end-to-end, not just in-epoch: the updates applied this
         // epoch cost everything since the last non-empty epoch — admission,
         // reorder-buffer residency, and execution. In-epoch time alone
@@ -801,7 +756,8 @@ impl ServerCore {
                 state.push_policy(wm, next);
                 at.push(wm);
             }
-            self.policy.install(next);
+            self.quantum.store(next.quantum, Ordering::Release);
+            tuning.policy = next;
             tuning.trace.push(TraceEntry { epoch, policy: next, at });
         }
     }
@@ -1032,8 +988,9 @@ impl ServerCore {
         self.read_only.load(Ordering::Acquire)
     }
 
-    /// Installs bootstrap state on a fresh follower core: every table's
-    /// bits and watermark from an assembled snapshot transfer.
+    /// Installs bootstrap state on a fresh core: every table's bits and
+    /// watermark from an assembled snapshot transfer (follower) or a
+    /// recovered checkpoint (restart).
     ///
     /// # Errors
     ///
@@ -1062,47 +1019,59 @@ impl ServerCore {
     ///
     /// # Errors
     ///
-    /// Fails on a malformed record, a non-contiguous slice, or a seal
-    /// mismatch (divergence).
+    /// Fails on a malformed record, a non-contiguous slice, an unknown
+    /// table, or a seal mismatch (divergence).
     pub fn apply_replica(&self, record: &WalRecord) -> Result<(), String> {
+        self.apply_record(record)?;
+        if let WalRecord::Seal { .. } = record {
+            self.stats.record_follower_verified();
+        }
+        Ok(())
+    }
+
+    /// Applies one log record. Crash recovery replays the WAL through
+    /// this and [`apply_replica`](Self::apply_replica) runs it for every
+    /// fetched record, so both refuse a bad log for the same reason.
+    fn apply_record(&self, record: &WalRecord) -> Result<(), String> {
         let _epoch = self.tick_lock.lock().expect("tick lock");
+        let (WalRecord::Batch { table, .. } | WalRecord::Seal { table, .. }) = record;
+        let t = *table as usize;
+        let mut state = self
+            .tables
+            .get(t)
+            .ok_or_else(|| {
+                format!(
+                    "divergence: record names unknown table {table} ({} configured) \
+                     — refusing to serve diverged state",
+                    self.tables.len()
+                )
+            })?
+            .lock()
+            .expect("table lock");
         match record {
-            WalRecord::Batch { table, updates } => {
-                let mut state = self
-                    .tables
-                    .get(*table as usize)
-                    .ok_or_else(|| format!("replica batch for unknown table {table}"))?
-                    .lock()
-                    .expect("table lock");
+            WalRecord::Batch { updates, .. } => {
                 state.apply_logged(updates)?;
-                self.watermarks[*table as usize].store(state.watermark(), Ordering::Release);
+                self.watermarks[t].store(state.watermark(), Ordering::Release);
                 self.stats.record_wal_replayed(updates.len() as u64);
-                Ok(())
             }
-            WalRecord::Seal { table, watermark, crc } => {
-                let state = self
-                    .tables
-                    .get(*table as usize)
-                    .ok_or_else(|| format!("replica seal for unknown table {table}"))?
-                    .lock()
-                    .expect("table lock");
+            WalRecord::Seal { watermark, crc, .. } => {
                 if state.watermark() != *watermark {
                     return Err(format!(
-                        "divergence: table {table} at watermark {}, leader sealed {watermark}",
+                        "divergence: table {table} at watermark {}, sealed at {watermark} \
+                         — refusing to serve diverged state",
                         state.watermark()
                     ));
                 }
                 let got = state.checksum();
                 if got != *crc {
                     return Err(format!(
-                        "divergence: table {table} state checksum {got:#010x} != leader's \
-                         {crc:#010x} at watermark {watermark}",
+                        "divergence: table {table} state checksum {got:#010x} != sealed \
+                         {crc:#010x} at watermark {watermark} — refusing to serve diverged state",
                     ));
                 }
-                self.stats.record_follower_verified();
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// The follower-lag gauge hook (records still to fetch).
@@ -1136,14 +1105,7 @@ impl ServerCore {
 
     /// The active epoch policy (the tuned values under `TuneMode::Auto`).
     pub fn current_policy(&self) -> EpochPolicy {
-        self.policy.current()
-    }
-
-    /// The core's policy handle (shared; installs take effect from the
-    /// next epoch — prefer `TuneMode` over manual installs in servers,
-    /// which records the trace for replay).
-    pub fn policy_handle(&self) -> &PolicyHandle {
-        &self.policy
+        self.tuning.lock().expect("tune lock").policy
     }
 
     /// Every policy install so far, keyed by per-table watermarks —
@@ -1151,11 +1113,6 @@ impl ServerCore {
     /// bitwise without a controller.
     pub fn policy_trace(&self) -> PolicyTrace {
         self.tuning.lock().expect("tune lock").trace.clone()
-    }
-
-    /// Completed epochs that applied at least one slice.
-    pub fn epochs_completed(&self) -> u64 {
-        self.tuning.lock().expect("tune lock").epochs
     }
 
     /// Applied watermark per table, in id order.
@@ -1191,10 +1148,8 @@ impl ServerCore {
     fn epoch_loop(&self) {
         let mut guard = self.wake_lock.lock().expect("wake lock");
         loop {
-            let (g, _timeout) = self
-                .wake
-                .wait_timeout(guard, self.config.epoch_interval)
-                .expect("wake lock poisoned");
+            let (g, _timeout) =
+                self.wake.wait_timeout(guard, EPOCH_INTERVAL).expect("wake lock poisoned");
             guard = g;
             *guard = false;
             if self.draining.load(Ordering::Acquire) {

@@ -350,8 +350,10 @@ impl TableState {
     }
 
     /// Applies pending updates under the table's own policy schedule —
-    /// the serving epoch path. See [`cut_with`](Self::cut_with) for the
-    /// cut rules.
+    /// the serving epoch path. Each slice starts at the current watermark
+    /// and runs under the schedule's policy there: exactly `quantum`
+    /// updates, or with `drain` the contiguous remainder, and never past
+    /// a scheduled policy change.
     pub fn cut_scheduled(&mut self, drain: bool) -> Vec<SliceReport> {
         self.cut_scheduled_logged(drain, &mut |_| {})
     }
@@ -371,24 +373,6 @@ impl TableState {
         let slices = self.cut_with(&schedule, drain, log);
         self.schedule = schedule;
         slices
-    }
-
-    /// Applies pending updates in contiguous `seq` order as fixed-size
-    /// batch slices of exactly `quantum` updates; with `drain`, a final
-    /// partial slice empties the contiguous run. The static-policy
-    /// convenience over [`cut_with`](Self::cut_with) (the table's own
-    /// schedule is untouched).
-    pub fn cut_and_apply(
-        &mut self,
-        quantum: usize,
-        drain: bool,
-        policy: &ExecPolicy,
-    ) -> Vec<SliceReport> {
-        self.cut_with(
-            &PolicySchedule::fixed(EpochPolicy::new(*policy, quantum)),
-            drain,
-            &mut |_| {},
-        )
     }
 
     /// The cut loop: each slice starts at the current watermark `wm` and
@@ -651,37 +635,34 @@ fn typed<T: FromBits>(bits: &[u32]) -> &[T] {
 mod tests {
     use super::*;
 
-    fn policy() -> ExecPolicy {
-        ExecPolicy::default().deterministic(true)
-    }
-
-    fn state(spec: TableSpec) -> TableState {
-        TableState::new(spec, EpochPolicy::new(policy(), 4096))
+    /// A table whose schedule cuts at `quantum` from watermark 0.
+    fn state(spec: TableSpec, quantum: usize) -> TableState {
+        TableState::new(spec, EpochPolicy::new(ExecPolicy::default(), quantum))
     }
 
     #[test]
     fn identity_initialization_per_op() {
-        let t = state(TableSpec::f32("m", OpKind::Min, 3));
+        let t = state(TableSpec::f32("m", OpKind::Min, 3), 4096);
         assert_eq!(t.data(), &TableData::F32(vec![f32::INFINITY; 3]));
-        let t = state(TableSpec::i32("c", OpKind::Add, 2));
+        let t = state(TableSpec::i32("c", OpKind::Add, 2), 4096);
         assert_eq!(t.data(), &TableData::I32(vec![0; 2]));
-        let t = state(TableSpec::i32("x", OpKind::Max, 1));
+        let t = state(TableSpec::i32("x", OpKind::Max, 1), 4096);
         assert_eq!(t.data(), &TableData::I32(vec![i32::MIN]));
     }
 
     #[test]
     fn quantum_slices_apply_only_full_batches_until_drained() {
-        let mut t = state(TableSpec::i32("c", OpKind::Add, 8));
+        let mut t = state(TableSpec::i32("c", OpKind::Add, 8), 4);
         for seq in 0..10u64 {
             assert!(t.absorb(Update::i32(seq, (seq % 8) as u32, 1)));
         }
         // Quantum 4: two full slices apply, two updates stay pending.
-        let slices = t.cut_and_apply(4, false, &policy());
+        let slices = t.cut_scheduled(false);
         assert_eq!(slices.len(), 2);
         assert_eq!(t.watermark(), 8);
         assert_eq!(t.pending_len(), 2);
         // Drain cuts the partial tail.
-        let slices = t.cut_and_apply(4, true, &policy());
+        let slices = t.cut_scheduled(true);
         assert_eq!(slices.len(), 1);
         assert_eq!(slices[0].applied, 2);
         assert_eq!(t.watermark(), 10);
@@ -691,20 +672,19 @@ mod tests {
 
     #[test]
     fn scheduled_policy_changes_cut_on_their_watermark() {
-        let mut t =
-            TableState::new(TableSpec::i32("c", OpKind::Add, 8), EpochPolicy::new(policy(), 4));
+        let mut t = state(TableSpec::i32("c", OpKind::Add, 8), 4);
         for seq in 0..20u64 {
             t.absorb(Update::i32(seq, (seq % 8) as u32, 1));
         }
         // Quantum 4 until watermark 8, then quantum 8.
-        t.push_policy(8, EpochPolicy::new(policy(), 8));
+        t.push_policy(8, EpochPolicy::new(ExecPolicy::default(), 8));
         let slices = t.cut_scheduled(false);
         let sizes: Vec<(usize, usize)> = slices.iter().map(|s| (s.applied, s.offered)).collect();
         assert_eq!(sizes, vec![(4, 4), (4, 4), (8, 8)], "4+4 under q=4, then one q=8 slice");
         assert_eq!(t.watermark(), 16);
         assert_eq!(t.pending_len(), 4, "partial q=8 tail waits for a drain");
         // A change scheduled mid-run acts as a hard cut point.
-        t.push_policy(18, EpochPolicy::new(policy(), 2));
+        t.push_policy(18, EpochPolicy::new(ExecPolicy::default(), 2));
         let slices = t.cut_scheduled(true);
         let sizes: Vec<usize> = slices.iter().map(|s| s.applied).collect();
         assert_eq!(sizes, vec![2, 2], "drain stops at the boundary, then cuts under q=2");
@@ -714,22 +694,22 @@ mod tests {
 
     #[test]
     fn out_of_order_arrival_is_held_back_until_contiguous() {
-        let mut t = state(TableSpec::i32("c", OpKind::Add, 4));
+        let mut t = state(TableSpec::i32("c", OpKind::Add, 4), 1);
         t.absorb(Update::i32(2, 0, 1));
         t.absorb(Update::i32(1, 0, 1));
-        assert!(t.cut_and_apply(1, true, &policy()).is_empty(), "gap at seq 0 blocks");
+        assert!(t.cut_scheduled(true).is_empty(), "gap at seq 0 blocks");
         t.absorb(Update::i32(0, 0, 1));
-        let slices = t.cut_and_apply(1, true, &policy());
+        let slices = t.cut_scheduled(true);
         assert_eq!(slices.len(), 3);
         assert_eq!(t.watermark(), 3);
     }
 
     #[test]
     fn duplicates_are_dropped_and_counted() {
-        let mut t = state(TableSpec::f32("m", OpKind::Min, 4));
+        let mut t = state(TableSpec::f32("m", OpKind::Min, 4), 1);
         assert!(t.absorb(Update::f32(0, 1, 5.0)));
         assert!(!t.absorb(Update::f32(0, 1, 9.0)), "same seq again");
-        t.cut_and_apply(1, true, &policy());
+        t.cut_scheduled(true);
         assert!(!t.absorb(Update::f32(0, 2, 1.0)), "seq below watermark");
         assert_eq!(t.duplicates(), 2);
         let TableData::F32(v) = t.data() else { panic!("f32 table") };
@@ -744,20 +724,20 @@ mod tests {
             (TableSpec::f32("c", OpKind::Max, 4), [2.0, 3.0], 3.0),
         ];
         for (spec, vals, expect) in cases {
-            let mut t = state(spec);
+            let mut t = state(spec, 16);
             t.absorb(Update::f32(0, 1, vals[0]));
             t.absorb(Update::f32(1, 1, vals[1]));
-            t.cut_and_apply(16, true, &policy());
+            t.cut_scheduled(true);
             let TableData::F32(v) = t.data() else { panic!("f32 table") };
             assert_eq!(v[1], expect);
         }
         for (op, vals, expect) in
             [(OpKind::Add, [2, 3], 5i32), (OpKind::Min, [2, 3], 2), (OpKind::Max, [2, 3], 3)]
         {
-            let mut t = state(TableSpec::i32("t", op, 4));
+            let mut t = state(TableSpec::i32("t", op, 4), 16);
             t.absorb(Update::i32(0, 1, vals[0]));
             t.absorb(Update::i32(1, 1, vals[1]));
-            t.cut_and_apply(16, true, &policy());
+            t.cut_scheduled(true);
             let TableData::I32(v) = t.data() else { panic!("i32 table") };
             assert_eq!(v[1], expect);
         }

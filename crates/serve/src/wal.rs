@@ -314,12 +314,10 @@ pub struct WalState {
 /// What recovery reconstructed before the core applies it.
 #[derive(Debug)]
 pub struct WalRecovery {
-    /// Per-table state to install (from the checkpoint, or identity
-    /// fresh), with its watermark.
+    /// Per-table state to install from the checkpoint, with its
+    /// watermark (empty on a fresh start). Each table's checksum already
+    /// matched its manifest entry.
     pub installed: Vec<(TableData, u64)>,
-    /// Expected per-table checksums for the installed state (from the
-    /// manifest), `None` on a fresh start.
-    pub install_checksums: Option<Vec<u32>>,
     /// Decoded log records to replay through the epoch path, in order.
     pub replay: Vec<WalRecord>,
     /// Human-readable note when a torn tail was truncated.
@@ -342,8 +340,8 @@ impl WalState {
         let store = SnapshotStore::open(&options.dir)
             .map_err(|e| format!("open WAL dir {}: {e}", options.dir.display()))?;
         let manifest = store.manifest().map_err(|e| format!("read checkpoint manifest: {e}"))?;
-        let (checkpoint, installed, install_checksums) = match manifest {
-            None => (0, Vec::new(), None),
+        let (checkpoint, installed) = match manifest {
+            None => (0, Vec::new()),
             Some(bytes) => {
                 let (checkpoint, entries) =
                     decode_manifest(&bytes).map_err(|e| format!("checkpoint manifest: {e}"))?;
@@ -365,7 +363,6 @@ impl WalState {
                     ));
                 }
                 let mut installed = Vec::with_capacity(entries.len());
-                let mut checksums = Vec::with_capacity(entries.len());
                 for (t, (entry, record)) in entries.iter().zip(&records).enumerate() {
                     let spec = &specs[t];
                     if entry.table as usize != t
@@ -404,9 +401,8 @@ impl WalState {
                         ));
                     }
                     installed.push((data, watermark));
-                    checksums.push(entry.checksum);
                 }
-                (checkpoint, installed, Some(checksums))
+                (checkpoint, installed)
             }
         };
         let recovered = invector_replog::recover(&store.wal_path())
@@ -419,7 +415,7 @@ impl WalState {
         let wal = Wal::open(&store.wal_path())
             .map_err(|e| format!("open WAL {}: {e}", store.wal_path().display()))?;
         let state = WalState { options, store, wal, tail, checkpoint, epochs_since: 0 };
-        let recovery = WalRecovery { installed, install_checksums, replay, torn: recovered.torn };
+        let recovery = WalRecovery { installed, replay, torn: recovered.torn };
         Ok((state, recovery))
     }
 
@@ -661,7 +657,6 @@ mod tests {
         assert_eq!(state.checkpoint(), 1);
         assert!(recovery.replay.is_empty());
         assert_eq!(recovery.installed, vec![(data, 4)]);
-        assert_eq!(recovery.install_checksums, Some(vec![entry.checksum]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,20 +8,24 @@
 //!    the longest valid record prefix and serves exactly that state.
 //! 3. **Tamper refusal.** A log record altered *consistently* (valid
 //!    framing, wrong contents) is caught by the next `Seal`'s state
-//!    checksum, and the server refuses to start.
+//!    checksum, and the server refuses to start. Recovery and a follower
+//!    fed the same bad log refuse it at the same record, for the same
+//!    reason.
 //! 4. **Follower convergence.** A follower tailing a leader over loopback
 //!    TCP verifies every epoch seal and converges bitwise, through
 //!    checkpoint resets; a tampered record parks it in `Diverged`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, SmallRng};
 
+use invector_core::exec::ExecVariant;
 use invector_replog::recover;
 use invector_serve::{
-    FollowStatus, Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server, ServerCore,
-    SyncPolicy, TableSpec, TcpClient, Update, WalOptions, WalRecord,
+    EpochPolicy, FollowStatus, Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server,
+    ServerCore, SyncPolicy, TableSpec, TcpClient, TraceEntry, TuneMode, Update, WalOptions,
+    WalRecord,
 };
 
 const TABLE_LEN: usize = 48;
@@ -179,6 +183,34 @@ proptest! {
     }
 }
 
+/// A short durable run — `n` unit increments on table 0, cut by one
+/// non-draining tick — and the records its log holds, decoded.
+fn logged_run(dir: &PathBuf, quantum: usize, n: u64) -> Vec<WalRecord> {
+    {
+        let core = ServerCore::new(config_with_wal(dir, quantum)).expect("core");
+        let mut client = LocalClient::new(core.clone());
+        let updates: Vec<Update> =
+            (0..n).map(|seq| Update::i32(seq, (seq % TABLE_LEN as u64) as u32, 1)).collect();
+        client.submit_all(0, &updates).expect("submit");
+        core.tick(false);
+    }
+    let recovered = recover(&dir.join("wal.log")).expect("recover");
+    assert!(recovered.torn.is_none());
+    recovered.records.iter().map(|p| WalRecord::decode(p).expect("decode")).collect()
+}
+
+/// Rewrites the whole log as `records` with correct framing, so only the
+/// record contents can give a tampering away.
+fn rewrite_log(dir: &Path, records: &[WalRecord]) {
+    let wal_path = dir.join("wal.log");
+    std::fs::remove_file(&wal_path).expect("drop log");
+    let mut wal = invector_replog::Wal::open(&wal_path).expect("fresh log");
+    for r in records {
+        wal.append(&r.encode()).expect("append");
+    }
+    wal.sync().expect("sync");
+}
+
 /// A record altered with *valid* framing — the attack a frame CRC cannot
 /// catch — is caught by the next seal's state checksum: the restart fails
 /// loudly instead of serving diverged state.
@@ -186,22 +218,9 @@ proptest! {
 fn consistently_tampered_log_refuses_to_serve() {
     let quantum = 8usize;
     let dir = temp_dir("tamper");
-    {
-        let core = ServerCore::new(config_with_wal(&dir, quantum)).expect("core");
-        let mut client = LocalClient::new(core.clone());
-        let updates: Vec<Update> =
-            (0..64u64).map(|seq| Update::i32(seq, (seq % TABLE_LEN as u64) as u32, 1)).collect();
-        client.submit_all(0, &updates).expect("submit");
-        core.tick(false);
-    }
+    let mut records = logged_run(&dir, quantum, 64);
 
-    // Decode the records, flip one bit of one batch update's value, and
-    // rewrite the whole log with correct framing.
-    let wal_path = dir.join("wal.log");
-    let recovered = recover(&wal_path).expect("recover");
-    assert!(recovered.torn.is_none());
-    let mut records: Vec<WalRecord> =
-        recovered.records.iter().map(|p| WalRecord::decode(p).expect("decode")).collect();
+    // Flip one bit of one batch update's value.
     let tampered = records
         .iter_mut()
         .find_map(|r| match r {
@@ -210,13 +229,7 @@ fn consistently_tampered_log_refuses_to_serve() {
         })
         .expect("a batch record");
     tampered[3] = Update::i32(tampered[3].seq, tampered[3].idx, 2);
-    std::fs::remove_file(&wal_path).expect("drop log");
-    let mut wal = invector_replog::Wal::open(&wal_path).expect("fresh log");
-    for r in &records {
-        wal.append(&r.encode()).expect("append");
-    }
-    wal.sync().expect("sync");
-    drop(wal);
+    rewrite_log(&dir, &records);
 
     let err = ServerCore::new(config_with_wal(&dir, quantum))
         .expect_err("tampered log must refuse to serve");
@@ -224,6 +237,108 @@ fn consistently_tampered_log_refuses_to_serve() {
         err.contains("refusing to serve") || err.contains("diverged"),
         "error must name the divergence: {err}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Crash recovery and a follower run the same record path, so they refuse
+/// a bad log at the same record for the same reason: a seal whose
+/// watermark is off by one, a seal with one checksum bit flipped, and a
+/// batch for a table that does not exist.
+#[test]
+fn recovery_and_followers_refuse_a_bad_log_the_same_way() {
+    let quantum = 8usize;
+    let dir = temp_dir("refuse");
+    let records = logged_run(&dir, quantum, 32);
+    let seal = records.iter().position(|r| matches!(r, WalRecord::Seal { .. })).expect("a seal");
+    let batch = records.iter().position(|r| matches!(r, WalRecord::Batch { .. })).expect("a batch");
+
+    type Tamper = fn(&mut WalRecord);
+    let tampers: [(&str, usize, Tamper); 3] = [
+        ("seal watermark off by one", seal, |r| {
+            if let WalRecord::Seal { watermark, .. } = r {
+                *watermark += 1;
+            }
+        }),
+        ("seal checksum bit flipped", seal, |r| {
+            if let WalRecord::Seal { crc, .. } = r {
+                *crc ^= 1 << 7;
+            }
+        }),
+        ("batch for an unknown table", batch, |r| {
+            if let WalRecord::Batch { table, .. } = r {
+                *table = tables().len() as u16;
+            }
+        }),
+    ];
+    for (what, at, tamper) in tampers {
+        let mut log = records.clone();
+        tamper(&mut log[at]);
+        rewrite_log(&dir, &log);
+
+        let at_recovery = ServerCore::new(config_with_wal(&dir, quantum))
+            .expect_err("recovery must refuse a tampered log");
+        assert!(
+            at_recovery.contains("refusing to serve") || at_recovery.contains("diverged"),
+            "{what}: {at_recovery}"
+        );
+
+        let replica = ServerCore::new(ServeConfig { quantum, ..ServeConfig::new(tables()) })
+            .expect("replica core");
+        replica.set_read_only(true);
+        let (i, at_follower) = log
+            .iter()
+            .enumerate()
+            .find_map(|(i, r)| replica.apply_replica(r).err().map(|e| (i, e)))
+            .expect("the follower must refuse a tampered log");
+        assert!(at_follower.contains("divergence"), "{what}: {at_follower}");
+        assert_eq!(i, at, "{what}: refused at the tampered record");
+        assert_eq!(at_recovery, format!("WAL record {i}: {at_follower}"), "{what}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With a WAL and a replayed policy trace, recovery loads the trace's
+/// schedules before it replays the log, so each logged slice is applied
+/// again under the policy it was cut under and every seal verifies. A
+/// restart without the trace replays the same slices under the initial
+/// policy, and the seals refuse it.
+#[test]
+fn recovery_replays_the_log_under_the_replayed_policy_schedule() {
+    let quantum = 4usize;
+    let dir = temp_dir("replay-schedule");
+    let config = |tune: TuneMode| ServeConfig { tune, ..config_with_wal(&dir, quantum) };
+    // From watermark 16 on, both tables cut at quantum 8 with the scalar
+    // variant, whose left fold rounds f32 sums differently from the
+    // in-vector group fold.
+    let policy = ServeConfig::new(tables()).policy().variant(ExecVariant::Serial);
+    let trace =
+        vec![TraceEntry { epoch: 1, policy: EpochPolicy::new(policy, 8), at: vec![16, 16] }];
+
+    // Hot f32 slots: many conflicts per slice, so the two folds disagree.
+    let mut rng = SmallRng::seed_from_u64(0x5c4e);
+    let sums: Vec<Update> = (0..64u64)
+        .map(|seq| Update::f32(seq, rng.gen_range(0..3), rng.gen_range(-1.0..1.0)))
+        .collect();
+    let counts: Vec<Update> = (0..64u64).map(|seq| Update::i32(seq, (seq % 5) as u32, 1)).collect();
+    let before = {
+        let core = ServerCore::new(config(TuneMode::Replay(trace.clone()))).expect("core");
+        let mut client = LocalClient::new(core.clone());
+        client.submit_all(0, &counts).expect("submit");
+        client.submit_all(1, &sums).expect("submit");
+        core.tick(false);
+        (0..2u16).map(|t| core.snapshot(t).expect("snapshot")).collect::<Vec<_>>()
+        // Dropped without a drain: the crash.
+    };
+
+    let recovered = ServerCore::new(config(TuneMode::Replay(trace))).expect("recovery");
+    for (t, want) in before.iter().enumerate() {
+        let got = recovered.snapshot(t as u16).expect("snapshot");
+        assert_eq!(got.watermark, 64);
+        assert_eq!(got.bits(), want.bits(), "table {t} diverged after recovery");
+    }
+    let err = ServerCore::new(config(TuneMode::Off))
+        .expect_err("replaying under the initial policy must fail a seal");
+    assert!(err.contains("divergence"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

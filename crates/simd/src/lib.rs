@@ -11,10 +11,11 @@
 //!
 //! * a **portable model** written in plain Rust, which defines the reference
 //!   semantics and runs on any target, and
-//! * a **native backend** ([`native`]) that executes the hot primitives with
-//!   real AVX-512 instructions (`_mm512_conflict_epi32`, hardware
-//!   gather/scatter) when the host CPU supports them. The native backend is
-//!   differential-tested against the portable model.
+//! * **native backends** ([`arch`]) that execute the hot primitives with
+//!   real SIMD instructions — AVX-512 (`_mm512_conflict_epi32`, hardware
+//!   gather/scatter), AVX2 and NEON behind one [`Isa`] trait — when the
+//!   host CPU supports them. Each is differential-tested against the
+//!   portable model.
 //!
 //! Every emulated operation is accounted as one SIMD instruction by the
 //! [`count`] module, so analytic cost claims (e.g. "Algorithm 1 takes
@@ -42,7 +43,6 @@ pub mod arch;
 pub mod count;
 mod element;
 mod mask;
-pub mod native;
 pub mod trace;
 mod vector;
 

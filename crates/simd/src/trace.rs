@@ -1,6 +1,6 @@
 //! Optional memory-access tracing into a cache simulator.
 //!
-//! When a [`Hierarchy`](invector_cachesim::Hierarchy) is
+//! When a [`Hierarchy`] is
 //! [`install`]ed on the current thread, every gather/scatter lane and every
 //! contiguous vector load/store feeds its byte address to the simulator.
 //! [`take`] removes it and returns the accumulated statistics. With no

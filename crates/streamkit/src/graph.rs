@@ -273,7 +273,6 @@ impl PageRankEngine {
         let policy = ExecPolicy {
             variant: ExecVariant::Serial,
             partition: invector_core::Partition::OwnerComputes,
-            deterministic: true,
             ..*policy
         };
         let policy = &policy;

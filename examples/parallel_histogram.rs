@@ -34,8 +34,7 @@ fn main() {
         // task order: bit-identical float sums from run to run.
         let policy = ExecPolicy::with_threads(threads)
             .variant(ExecVariant::Invec)
-            .partition(Partition::Privatized)
-            .deterministic(true);
+            .partition(Partition::Privatized);
         let report = execute::<f32, Sum>(&mut hist, &idx, &weights, &policy);
         let elapsed = t.elapsed().as_secs_f64() * 1e3;
         let d1 = report.stats.depth.mean();

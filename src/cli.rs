@@ -12,9 +12,9 @@ use invector_core::BackendChoice;
 use invector_harness::{driver, registry, RunRecord, RunSpec};
 use invector_kernels::{ExecPolicy, Variant};
 use invector_serve::{
-    FollowStatus, Follower, LocalClient, OpKind, PolicyHandle, ReactorKind, ServeClient,
-    ServeConfig, Server, ServerCore, SubmitOutcome, SyncPolicy, TableSpec, TcpClient, TuneConfig,
-    TuneMode, Update, WalOptions,
+    FollowStatus, Follower, LocalClient, OpKind, ReactorKind, ServeClient, ServeConfig, Server,
+    ServerCore, SubmitOutcome, SyncPolicy, TableSpec, TcpClient, TuneConfig, TuneMode, Update,
+    WalOptions,
 };
 
 /// Reactor front-end knobs shared by `serve` and `bench-serve`.
@@ -62,10 +62,9 @@ impl ExecOpts {
         Ok(ExecOpts { threads, backend, quantum, tune: get(opts, "tune").is_some() })
     }
 
-    /// The engine policy these options denote, behind the process's
-    /// swappable policy route.
-    fn policy_handle(&self) -> PolicyHandle {
-        PolicyHandle::fixed(ExecPolicy::with_threads(self.threads).backend(self.backend))
+    /// The engine policy these options denote.
+    fn policy(&self) -> ExecPolicy {
+        ExecPolicy::with_threads(self.threads).backend(self.backend)
     }
 }
 
@@ -580,11 +579,8 @@ fn run_app(
     if obs {
         invector_obs::set_enabled(true);
     }
-    // Batch runs hold the policy fixed, but read it through the same
-    // swappable handle the serving layer tunes through.
-    let handle = exec.policy_handle();
+    let policy = exec.policy();
     for &variant in variants {
-        let policy = handle.exec();
         let mut best = workload.run(variant, &policy);
         for _ in 1..repeat {
             let r = workload.run(variant, &policy);
