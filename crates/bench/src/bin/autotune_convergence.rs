@@ -14,6 +14,14 @@
 //! 4. **Determinism** — replaying the recorded policy trace without the
 //!    controller reproduces the tuned run's snapshots bitwise.
 //!
+//! Every static cell and the tuned run are timed [`REPEATS`] times, in
+//! interleaved rounds, and the checks compare medians: at smoke scale the
+//! fast cells' timed sections last under a millisecond, where one
+//! descheduled run or a change in the host's speed would otherwise decide
+//! the verdict.
+//! Convergence and the trace replay are checked on the tuned run with the
+//! median steady-state throughput.
+//!
 //! `--smoke` scales the streams down and exits non-zero on any failed
 //! check (the CI gate); the default run prints the full table for
 //! `BENCH`-style inspection.
@@ -24,11 +32,14 @@
 use invector_bench::arg_scale;
 use invector_bench::autotune::{
     convergence_config, ladder_steps, replay_trace, run_tuned, shifting_hot_key, sweep, uniform,
-    zipf, Workload,
+    zipf, StaticRun, Workload,
 };
 use invector_serve::TuneConfig;
 
 const SEED: u64 = 0x1b_f2_9d;
+
+/// Timed runs per static cell and of the tuned run.
+const REPEATS: usize = 5;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -69,18 +80,42 @@ fn main() {
 /// Runs one workload's sweep + tuned run and returns the failed checks.
 fn check_workload(w: &Workload, cfg: &TuneConfig, ladder: &[usize]) -> Result<(), Vec<String>> {
     println!("\n{}:", w.name);
-    println!("  {:>8} {:>10}", "quantum", "Mup/s");
-    let cells = sweep(w, ladder);
-    for c in &cells {
-        println!("  {:>8} {:>10.2}", c.quantum, c.mups);
-    }
+    println!("  {:>8} {:>10}  (median of {REPEATS} runs; min-max)", "quantum", "Mup/s");
+    // Each round runs the whole sweep and then the tuned run, so a slow
+    // phase of the host spreads over every cell and the tuned run alike
+    // instead of landing on one of them.
+    let (sweeps, mut runs): (Vec<Vec<StaticRun>>, Vec<_>) =
+        (0..REPEATS).map(|_| (sweep(w, ladder), run_tuned(w, cfg.clone()))).unzip();
+    let cells: Vec<StaticRun> = ladder
+        .iter()
+        .enumerate()
+        .map(|(i, &quantum)| {
+            let mut mups: Vec<f64> = sweeps.iter().map(|s| s[i].mups).collect();
+            mups.sort_by(f64::total_cmp);
+            println!(
+                "  {:>8} {:>10.2}  ({:.2}-{:.2})",
+                quantum,
+                mups[REPEATS / 2],
+                mups[0],
+                mups[REPEATS - 1]
+            );
+            StaticRun { quantum, mups: mups[REPEATS / 2] }
+        })
+        .collect();
     let best = cells.iter().max_by(|a, b| a.mups.total_cmp(&b.mups)).expect("cells");
     let worst = cells.iter().min_by(|a, b| a.mups.total_cmp(&b.mups)).expect("cells");
 
-    let tuned = run_tuned(w, cfg.clone());
+    runs.sort_by(|a, b| a.steady_mups.total_cmp(&b.steady_mups));
+    let steady: Vec<String> = runs.iter().map(|r| format!("{:.2}", r.steady_mups)).collect();
+    let tuned = runs.swap_remove(REPEATS / 2);
     println!(
-        "  {:>8} {:>10.2}  (steady {:.2}, {} policy changes, final quantum {})",
-        "tuned", tuned.overall_mups, tuned.steady_mups, tuned.changes, tuned.final_quantum
+        "  {:>8} {:>10.2}  (steady {:.2} of [{}], {} policy changes, final quantum {})",
+        "tuned",
+        tuned.overall_mups,
+        tuned.steady_mups,
+        steady.join(", "),
+        tuned.changes,
+        tuned.final_quantum
     );
     let top = ladder.last().copied().unwrap_or(4_096);
     let replayed = replay_trace(w, tuned.trace.clone(), ladder[0], top);

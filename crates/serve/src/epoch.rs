@@ -13,12 +13,15 @@
 //! reorder buffer holds the same two columns, and a cut hands the kernel a
 //! borrowed [`RunView`] of them.
 
+use std::mem::MaybeUninit;
 use std::time::Duration;
 
 use invector_core::stats::DepthHistogram;
+use invector_core::Backend;
 use invector_obs::{Counter, Gauge, Histogram, Registry};
+use invector_simd::records::RecordVerdict;
 
-use crate::protocol::{StatsSummary, Update};
+use crate::protocol::{StatsSummary, Update, UpdatesView, UPDATE_WIRE_LEN};
 
 /// A borrowed seq-contiguous run of updates in column form: `keys[i]` and
 /// `bits[i]` are stream position `first + i`.
@@ -41,6 +44,19 @@ impl<'a> RunView<'a> {
     /// `true` for an empty run.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// Splits off the first `n` updates as their own run, leaving the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run holds fewer than `n` updates.
+    pub(crate) fn split_to(&mut self, n: usize) -> RunView<'a> {
+        let (keys, rest_keys) = self.keys.split_at(n);
+        let (bits, rest_bits) = self.bits.split_at(n);
+        let head = RunView { first: self.first, keys, bits };
+        *self = RunView { first: self.first + n as u64, keys: rest_keys, bits: rest_bits };
+        head
     }
 
     /// The run as `Update` records, in stream order.
@@ -66,6 +82,21 @@ pub(crate) struct Staging {
     bits: Vec<u32>,
     /// `(first_seq, len)` per run; the lengths sum to `keys.len()`.
     runs: Vec<(u64, usize)>,
+    /// Updates the buffer admits before it refuses; both columns are
+    /// allocated this large up front, so admission never reallocates.
+    capacity: usize,
+}
+
+/// What [`Staging::admit`] took from a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Admitted {
+    /// Records appended: a prefix of the batch.
+    pub(crate) accepted: usize,
+    /// The first record the per-record rule refuses (key out of range, or
+    /// seq at or past the window limit), with its position; `None` when
+    /// every record passes. Records before it that were not accepted
+    /// found the buffer full.
+    pub(crate) refused: Option<(usize, Update)>,
 }
 
 impl Staging {
@@ -75,6 +106,7 @@ impl Staging {
             keys: Vec::with_capacity(capacity),
             bits: Vec::with_capacity(capacity),
             runs: Vec::new(),
+            capacity,
         }
     }
 
@@ -83,28 +115,65 @@ impl Staging {
         self.keys.len()
     }
 
-    /// Appends the first `count` of `updates`, of which the first
-    /// `contiguous` are known to be seq-contiguous (admission measures
-    /// that in its validation pass): they join the runs as one, the rest
-    /// one position at a time.
-    pub(crate) fn push(
+    /// Admits the longest prefix of `records` that fits and passes the
+    /// per-record rule: key below `slots`, seq below `limit`.
+    ///
+    /// One pass over the wire bytes splits every record that fits into the
+    /// columns' spare capacity and judges the batch (the record kernel for
+    /// `backend`, see [`split_records`]). A batch that fits whole, passes
+    /// both verdicts and whose last seq `first + n − 1` is below `limit`
+    /// without wrapping — a client's in-order batch — commits as one run
+    /// on that alone. Otherwise the per-record search finds the refusal
+    /// point and the accepted prefix commits record by record into runs.
+    pub(crate) fn admit(
         &mut self,
-        updates: impl Iterator<Item = Update> + Clone,
-        count: usize,
-        contiguous: usize,
-    ) {
-        let batch = updates.take(count);
-        self.keys.extend(batch.clone().map(|u| u.idx as i32));
-        self.bits.extend(batch.clone().map(|u| u.bits));
-        if let Some(first) = batch.clone().next() {
-            self.note_run(first.seq, contiguous);
+        records: &UpdatesView<'_>,
+        slots: u32,
+        limit: u64,
+        backend: Backend,
+    ) -> Admitted {
+        let n = records.len();
+        let at = self.len();
+        let fits = n.min(self.capacity - at);
+        let verdict = split_records(
+            backend,
+            &records.bytes()[..fits * UPDATE_WIRE_LEN],
+            slots,
+            &mut self.keys.spare_capacity_mut()[..fits],
+            &mut self.bits.spare_capacity_mut()[..fits],
+        );
+        let first = if n > 0 { records.get(0).seq } else { 0 };
+        let clean = fits == n
+            && verdict == RecordVerdict::CLEAN
+            && (n as u64)
+                .checked_sub(1)
+                .and_then(|span| first.checked_add(span))
+                .is_some_and(|last| last < limit);
+        let (accepted, refused) = if clean {
+            (n, None)
+        } else {
+            let refused =
+                records.iter().enumerate().find(|(_, u)| u.idx >= slots || u.seq >= limit);
+            (refused.map_or(n, |(i, _)| i).min(fits), refused)
+        };
+        // SAFETY: the spare capacity held at least `fits` elements per
+        // column (the slices above would have panicked otherwise), and
+        // `split_records` wrote every one of them whatever its verdict.
+        // The commit is at most `fits`: the whole batch on a clean verdict
+        // (`fits == n`), otherwise the prefix before the refusal point that
+        // the per-record search found, clamped to `fits`.
+        unsafe {
+            self.keys.set_len(at + accepted);
+            self.bits.set_len(at + accepted);
         }
-        // Skipping the prefix walks it again, so only when a rest exists.
-        if contiguous < count {
-            for u in batch.skip(contiguous) {
+        if clean {
+            self.note_run(first, n);
+        } else {
+            for u in records.iter().take(accepted) {
                 self.note_run(u.seq, 1);
             }
         }
+        Admitted { accepted, refused }
     }
 
     /// Records `len` positions from `first` on, merging with the last run
@@ -133,6 +202,29 @@ impl Staging {
         self.bits.clear();
         self.runs.clear();
     }
+}
+
+/// The record kernel for `backend`: the AVX-512 pass on
+/// [`Backend::Avx512`], the portable fused loop on every other backend.
+/// Both fill every column element and return the same verdict
+/// (`tests/native_differential.rs`).
+fn split_records(
+    backend: Backend,
+    records: &[u8],
+    slots: u32,
+    keys: &mut [MaybeUninit<i32>],
+    bits: &mut [MaybeUninit<u32>],
+) -> RecordVerdict {
+    assert!(records.len() == keys.len() * UPDATE_WIRE_LEN && bits.len() == keys.len());
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx512 && invector_simd::arch::avx512::available() {
+        // SAFETY: `available()` reported avx512f just above, and the assert
+        // above checked 16 record bytes per key and one bits element per
+        // key — the kernel's whole contract.
+        return unsafe { invector_simd::arch::avx512::split_records(records, slots, keys, bits) };
+    }
+    let _ = backend;
+    invector_simd::records::split_records(records, slots, keys, bits)
 }
 
 /// Buffers out-of-order arrivals and releases the contiguous prefix.
@@ -648,21 +740,48 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// Admits `seqs` (key `seq % 64`) into `staging` under 64 slots and an
+    /// unbounded window, on both record kernels the host runs.
+    fn admit(staging: &mut Staging, seqs: &[u64], backend: Backend) -> Admitted {
+        let batch: Vec<Update> = seqs.iter().map(|&s| Update::i32(s, (s % 64) as u32, 1)).collect();
+        let bytes = Update::wire_bytes(&batch);
+        staging.admit(&UpdatesView::new(&bytes), 64, u64::MAX, backend)
+    }
+
     #[test]
     fn staging_merges_continuing_batches_into_one_run() {
-        let batch = |seqs: &[u64]| -> Vec<Update> {
-            seqs.iter().map(|&s| Update::i32(s, (s % 64) as u32, 1)).collect()
-        };
-        let mut staging = Staging::with_capacity(16);
-        staging.push(batch(&[0, 1, 2]).into_iter(), 3, 3);
-        staging.push(batch(&[3, 4]).into_iter(), 2, 2);
-        // Contiguous, then a jump and a repeat: each break starts a run.
-        staging.push(batch(&[5, 6, 9, 9, 10, 11]).into_iter(), 5, 2);
+        for backend in [Backend::Portable, invector_core::BackendChoice::Auto.resolve()] {
+            let mut staging = Staging::with_capacity(10);
+            admit(&mut staging, &[0, 1, 2], backend);
+            admit(&mut staging, &[3, 4], backend);
+            // Contiguous, then a jump and a repeat: each break starts a
+            // run. The buffer fills before the last record.
+            let got = admit(&mut staging, &[5, 6, 9, 9, 10, 11], backend);
+            assert_eq!(got, Admitted { accepted: 5, refused: None });
+            let runs: Vec<(u64, usize)> = staging.runs().map(|r| (r.first, r.len())).collect();
+            assert_eq!(runs, vec![(0, 7), (9, 1), (9, 2)]);
+            let keys: Vec<i32> = staging.runs().flat_map(|r| r.keys.to_vec()).collect();
+            assert_eq!(keys, vec![0, 1, 2, 3, 4, 5, 6, 9, 9, 10]);
+            staging.clear();
+            assert_eq!((staging.len(), staging.runs().count()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn staging_admits_the_prefix_before_the_first_refusal() {
+        let backend = invector_core::BackendChoice::Auto.resolve();
+        let mut staging = Staging::with_capacity(64);
+        let batch = [Update::i32(0, 1, 1), Update::i32(1, 2, 1), Update::i32(2, 64, 1)];
+        let bytes = Update::wire_bytes(&batch);
+        let view = UpdatesView::new(&bytes);
+        // A key past the slot count stops the batch at its position...
+        let got = staging.admit(&view, 64, u64::MAX, backend);
+        assert_eq!(got, Admitted { accepted: 2, refused: Some((2, batch[2])) });
+        // ...and so does a seq at the window limit, for a clean batch too.
+        let got = staging.admit(&view, 65, 1, backend);
+        assert_eq!(got, Admitted { accepted: 1, refused: Some((1, batch[1])) });
         let runs: Vec<(u64, usize)> = staging.runs().map(|r| (r.first, r.len())).collect();
-        assert_eq!(runs, vec![(0, 7), (9, 1), (9, 2)]);
-        assert_eq!(staging.len(), 10);
-        staging.clear();
-        assert_eq!((staging.len(), staging.runs().count()), (0, 0));
+        assert_eq!(runs, vec![(0, 2), (0, 1)]);
     }
 
     /// Model-based check of the reorder buffer against a `BTreeMap` of
@@ -677,8 +796,10 @@ mod tests {
         use proptest::prelude::*;
         use rand::{Rng, SeedableRng, SmallRng};
 
+        use invector_core::Backend;
+
         use super::super::{ReorderBuffer, RunView, Staging};
-        use crate::protocol::Update;
+        use crate::protocol::{Update, UpdatesView};
 
         #[derive(Default)]
         struct Model {
@@ -792,12 +913,10 @@ mod tests {
                                     update(&mut rng, seq)
                                 })
                                 .collect();
-                            let contiguous = 1 + batch
-                                .windows(2)
-                                .take_while(|w| w[1].seq == w[0].seq + 1)
-                                .count();
+                            let bytes = Update::wire_bytes(&batch);
+                            let view = UpdatesView::new(&bytes);
                             let mut staging = Staging::with_capacity(n);
-                            staging.push(batch.iter().copied(), n, contiguous);
+                            staging.admit(&view, 64, u64::MAX, Backend::Portable);
                             for r in staging.runs() {
                                 ring.insert_run(r);
                             }

@@ -59,6 +59,7 @@
 //! [`MAX_FRAME_LEN`]; `LogTail` streams the admitted-batch log from the
 //! pinned position — together they are the follower bootstrap path.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use invector_streamkit::StreamKind;
@@ -217,7 +218,12 @@ impl SnapshotAssembler {
 /// `seq` is assigned by the producer of the logical stream and must be
 /// unique per table; the server applies updates in contiguous `seq` order
 /// regardless of which connection delivered them.
+///
+/// The layout is the wire record's (`seq:u64 idx:u32 bits:u32`, 16 bytes,
+/// no padding), so on little-endian targets a slice of updates is its own
+/// wire image ([`Update::wire_bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct Update {
     /// Position in the logical update stream (per table, starting at 0).
     pub seq: u64,
@@ -236,6 +242,40 @@ impl Update {
     /// An update carrying an `i32` value.
     pub fn i32(seq: u64, idx: u32, value: i32) -> Update {
         Update { seq, idx, bits: value as u32 }
+    }
+
+    /// The batch as wire records (the [`encode_updates`] layout). On
+    /// little-endian targets that is the slice's own memory, borrowed;
+    /// elsewhere an encoded copy.
+    pub fn wire_bytes(updates: &[Update]) -> Cow<'_, [u8]> {
+        const {
+            assert!(std::mem::size_of::<Update>() == UPDATE_WIRE_LEN);
+            assert!(std::mem::offset_of!(Update, seq) == 0);
+            assert!(std::mem::offset_of!(Update, idx) == 8);
+            assert!(std::mem::offset_of!(Update, bits) == 12);
+        }
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: `Update` is `repr(C)` with its fields at offsets 0, 8
+            // and 12 and a size of 16 (the const block above checks all
+            // four), so it has no padding and every one of the slice's
+            // `16 * len` bytes is initialized. On a little-endian target
+            // each field's bytes are its wire encoding. `u8` has alignment
+            // 1, and the result borrows `updates`, so the memory outlives
+            // it and cannot change under it.
+            Cow::Borrowed(unsafe {
+                std::slice::from_raw_parts(
+                    updates.as_ptr().cast::<u8>(),
+                    std::mem::size_of_val(updates),
+                )
+            })
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            let mut out = Vec::new();
+            encode_updates(&mut out, updates);
+            Cow::Owned(out)
+        }
     }
 }
 
@@ -660,9 +700,8 @@ impl<'a> Cursor<'a> {
 ///
 /// The reactor's zero-copy decode path hands the 16-byte-per-update
 /// payload region of an `Update` frame to admission without ever copying
-/// it into an intermediate `Vec<Update>`: each update is materialized
-/// lazily, one register-sized record at a time, as the admission loop
-/// walks the batch.
+/// it into an intermediate `Vec<Update>`: admission splits the records
+/// into its staging columns in one pass over these bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdatesView<'a> {
     bytes: &'a [u8],
@@ -687,7 +726,7 @@ pub fn encode_updates(out: &mut Vec<u8>, updates: &[Update]) {
 impl<'a> UpdatesView<'a> {
     /// Wraps a payload region; `bytes.len()` must be a multiple of
     /// [`UPDATE_WIRE_LEN`].
-    fn new(bytes: &'a [u8]) -> UpdatesView<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> UpdatesView<'a> {
         debug_assert_eq!(bytes.len() % UPDATE_WIRE_LEN, 0);
         UpdatesView { bytes }
     }
@@ -711,6 +750,11 @@ impl<'a> UpdatesView<'a> {
     /// Number of updates in the batch.
     pub fn len(&self) -> usize {
         self.bytes.len() / UPDATE_WIRE_LEN
+    }
+
+    /// The encoded records.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// `true` for an empty batch.

@@ -21,12 +21,12 @@ use std::time::{Duration, Instant};
 use invector_core::exec::{ExecPolicy, ExecVariant, Partition};
 use invector_core::stats::DepthHistogram;
 use invector_core::tune::{Controller, EpochPolicy, MetricFrame, PolicyTrace, TraceEntry};
-use invector_core::{BackendChoice, TuneConfig};
+use invector_core::{Backend, BackendChoice, TuneConfig};
 use invector_obs::Registry;
 
 use invector_streamkit::{StreamKind, ValueRepr};
 
-use crate::epoch::{EpochReport, ServeStats, Staging};
+use crate::epoch::{Admitted, EpochReport, ServeStats, Staging};
 use crate::protocol::{EdgeOp, RejectReason, StatsSummary, Update, UpdatesView};
 use crate::reactor::{self, ReactorKind};
 use crate::table::{TableData, TableSpec, TableState, ValueKind};
@@ -307,6 +307,9 @@ pub struct ServerCore {
     /// seq-contiguous runs): admission appends a batch's admitted prefix
     /// under one lock, an epoch swaps the whole buffer out.
     staging: Vec<Mutex<Staging>>,
+    /// `config.backend`, resolved once: it picks the record kernel that
+    /// admission runs.
+    backend: Backend,
     /// Per-table state (values + reorder buffer), locked independently.
     tables: Vec<Mutex<TableState>>,
     /// Published per-table watermarks (read by admission without taking
@@ -334,6 +337,8 @@ pub struct ServerCore {
     draining: AtomicBool,
     /// Signals the background epoch thread that a full quantum is queued.
     wake: Condvar,
+    /// Whether a wake is pending: set (and signalled) only on its flip
+    /// from `false`, consumed by the epoch loop before it waits.
     wake_lock: Mutex<bool>,
     /// Tuning state: the policy in effect, the optional controller, and
     /// the recorded decision trace. Written only under the tick lock, so
@@ -428,10 +433,12 @@ impl ServerCore {
         let watermarks = tables.iter().map(|_| AtomicU64::new(0)).collect();
         let registry = Registry::new();
         let stats = ServeStats::new(&registry);
+        let backend = config.backend.resolve();
         let core = Arc::new(ServerCore {
             config,
             quantum: AtomicUsize::new(initial.quantum),
             staging,
+            backend,
             tables,
             watermarks,
             queued: AtomicUsize::new(0),
@@ -485,38 +492,28 @@ impl ServerCore {
     /// first refusal (full staging buffer, reorder window, drain mode)
     /// stops the batch, returning how many were admitted. Nothing is ever
     /// silently dropped — a refused update is the client's to retry.
+    ///
+    /// The batch is admitted as its wire image ([`Update::wire_bytes`]),
+    /// through the same record path as [`submit_view`](Self::submit_view).
     pub fn submit(&self, table: u16, updates: &[Update]) -> SubmitOutcome {
-        self.submit_stream(table, updates.len(), updates.iter().copied())
+        self.submit_view(table, &UpdatesView::new(&Update::wire_bytes(updates)))
     }
 
     /// Admits a borrowed wire-format batch — the reactor's zero-copy path.
     ///
-    /// Each update is materialized from the frame bytes one record at a
-    /// time, straight into the staging buffer; the batch never exists as
-    /// an intermediate `Vec<Update>`. Semantics are identical to
-    /// [`submit`](ServerCore::submit) by construction (both are the same
-    /// admission path).
-    pub fn submit_view(&self, table: u16, updates: &UpdatesView<'_>) -> SubmitOutcome {
-        self.submit_stream(table, updates.len(), updates.iter())
-    }
-
-    /// The shared all-or-prefix admission path over any update stream.
+    /// The records go from the frame bytes straight into the staging
+    /// columns; the batch never exists as a `Vec<Update>`. Every submit
+    /// entry point ends here.
     ///
-    /// The batch is checked outside any lock (index range, and the
-    /// reorder window against the published watermark); the same pass
-    /// measures its seq-contiguous prefix, which staging records as one
-    /// run. The admitted prefix is then appended to the table's staging
-    /// columns under one lock, with one `queued` add. The drain flag is
-    /// read under that same lock, which the epoch also takes to swap the
-    /// buffer out: once [`begin_shutdown`](Self::begin_shutdown) has set
-    /// the flag and flushed, no batch can be admitted behind the final
+    /// The drain flag, the reorder window and the staging room are all read
+    /// under the table's staging lock; under it, one pass over the records
+    /// splits them into the staging columns and judges the batch (the
+    /// record kernel of the core's backend), and the admitted prefix is
+    /// appended with one `queued` add. The epoch takes the same lock to swap
+    /// the buffer out: once [`begin_shutdown`](Self::begin_shutdown) has
+    /// set the flag and flushed, no batch can be admitted behind the final
     /// drain.
-    fn submit_stream(
-        &self,
-        table: u16,
-        total: usize,
-        updates: impl Iterator<Item = Update> + Clone,
-    ) -> SubmitOutcome {
+    pub fn submit_view(&self, table: u16, updates: &UpdatesView<'_>) -> SubmitOutcome {
         let t = table as usize;
         if t >= self.tables.len() {
             return SubmitOutcome::Failed(format!(
@@ -528,37 +525,22 @@ impl ServerCore {
             return SubmitOutcome::Failed("read-only follower: submit to the leader".into());
         }
         let spec = &self.config.tables[t];
-        let limit = self.watermarks[t].load(Ordering::Acquire).saturating_add(self.config.window);
-        // The first update a per-update check would stop at, if any, and
-        // how many updates from the front continue the first one's seq.
-        let first_seq = updates.clone().next().map_or(0, |u| u.seq);
-        let mut refused = None;
-        let mut contiguous = 0;
-        for (i, u) in updates.clone().enumerate() {
-            if (u.idx as usize) >= spec.len || u.seq >= limit {
-                refused = Some((i, u));
-                break;
-            }
-            if contiguous == i && u.seq == first_seq.wrapping_add(i as u64) {
-                contiguous = i + 1;
-            }
-        }
-        let valid = refused.map_or(total, |(i, _)| i);
-
+        let total = updates.len();
         let mut staged = self.staging[t].lock().expect("staging lock");
         if self.draining.load(Ordering::Acquire) {
             drop(staged);
             return self.reject(0, total, RejectReason::Draining);
         }
-        let room = self.config.queue_capacity.saturating_sub(staged.len());
-        let accepted = valid.min(room);
-        staged.push(updates, accepted, contiguous.min(accepted));
+        let limit = self.watermarks[t].load(Ordering::Acquire).saturating_add(self.config.window);
+        // `validate` bounds every table's slot count by `i32::MAX`.
+        let Admitted { accepted, refused } =
+            staged.admit(updates, spec.len as u32, limit, self.backend);
         // Counted under the lock: the epoch subtracts what it takes under
         // the same lock, so the count never dips below zero.
         let queued = self.queued.fetch_add(accepted, Ordering::AcqRel) + accepted;
         drop(staged);
 
-        if accepted < valid {
+        if accepted < refused.map_or(total, |(i, _)| i) {
             return self.reject(accepted, total, RejectReason::QueueFull);
         }
         match refused {
@@ -631,21 +613,18 @@ impl ServerCore {
         let mut depth = DepthHistogram::new();
         for (t, (table, batch)) in self.tables.iter().zip(batches.iter_mut()).enumerate() {
             let mut state = table.lock().expect("table lock");
-            for run in batch.runs() {
-                state.absorb_run(run);
-            }
-            // Cleared, capacity kept: this is the table's next spare.
-            batch.clear();
             let before = state.watermark();
             let slices = match wal.as_deref_mut() {
-                None => state.cut_scheduled(drain),
-                Some(wal) => state.cut_scheduled_logged(drain, &mut |run| {
+                None => state.cut_staged(batch.runs(), drain, &mut |_| {}),
+                Some(wal) => state.cut_staged(batch.runs(), drain, &mut |run| {
                     let record =
                         WalRecord::Batch { table: t as u16, updates: run.updates().collect() };
                     let bytes = wal.append(&record).expect("WAL append failed");
                     self.stats.record_wal_append(bytes);
                 }),
             };
+            // Cleared, capacity kept: this is the table's next spare.
+            batch.clear();
             for slice in &slices {
                 report.applied += slice.applied;
                 report.slices += 1;
@@ -788,51 +767,62 @@ impl ServerCore {
     /// Admits a batch of edge ops for a graph stream table (the `EdgeOps`
     /// verb). Endpoints are validated against the table's vertex range up
     /// front, then the batch goes through the ordinary all-or-prefix
-    /// admission loop — on the wire, in the WAL and in replication an edge
-    /// op *is* an update record.
+    /// record admission — on the wire, in the WAL and in replication an
+    /// edge op *is* an update record.
     pub fn submit_edge_ops(&self, table: u16, ops: &[EdgeOp]) -> SubmitOutcome {
-        self.submit_edge_stream(table, ops.len(), ops.iter().copied())
+        if let Err(refusal) = self.check_edges(table, ops.len(), ops.iter().copied()) {
+            return refusal;
+        }
+        let updates: Vec<Update> = ops.iter().map(|op| op.to_update()).collect();
+        self.submit(table, &updates)
     }
 
     /// Admits a borrowed wire-format edge-op batch — the reactor's
     /// zero-copy path for the `EdgeOps` verb.
     pub fn submit_edge_ops_view(&self, table: u16, ops: &UpdatesView<'_>) -> SubmitOutcome {
-        self.submit_edge_stream(table, ops.len(), ops.iter().map(EdgeOp::from_update))
+        if let Err(refusal) =
+            self.check_edges(table, ops.len(), ops.iter().map(EdgeOp::from_update))
+        {
+            return refusal;
+        }
+        self.submit_view(table, ops)
     }
 
-    fn submit_edge_stream(
+    /// Fails an edge batch for a table that is not a graph stream table, or
+    /// with an endpoint outside its vertex range.
+    fn check_edges(
         &self,
         table: u16,
         total: usize,
-        ops: impl Iterator<Item = EdgeOp> + Clone,
-    ) -> SubmitOutcome {
+        mut ops: impl Iterator<Item = EdgeOp>,
+    ) -> Result<(), SubmitOutcome> {
         let Some(spec) = self.config.tables.get(table as usize) else {
-            return SubmitOutcome::Failed(format!(
+            return Err(SubmitOutcome::Failed(format!(
                 "unknown table {table} ({} registered)",
                 self.tables.len()
-            ));
+            )));
         };
         let vertices = match spec.stream {
             StreamKind::GraphPageRank { vertices, .. } | StreamKind::GraphWcc { vertices } => {
                 vertices
             }
             _ => {
-                return SubmitOutcome::Failed(format!(
+                return Err(SubmitOutcome::Failed(format!(
                     "table '{}' is not a graph stream table",
                     spec.name
-                ))
+                )))
             }
         };
-        for op in ops.clone() {
-            if op.src >= vertices || op.dst >= vertices {
+        match ops.find(|op| op.src >= vertices || op.dst >= vertices) {
+            Some(op) => {
                 self.stats.record_rejects(total as u64);
-                return SubmitOutcome::Failed(format!(
+                Err(SubmitOutcome::Failed(format!(
                     "edge ({}, {}) out of range for table '{}' of {vertices} vertices",
                     op.src, op.dst, spec.name
-                ));
+                )))
             }
+            None => Ok(()),
         }
-        self.submit_stream(table, total, ops.map(EdgeOp::to_update))
     }
 
     /// Reads one bucket of a window stream table (the `WindowQuery` verb):
@@ -1137,27 +1127,34 @@ impl ServerCore {
         self.watermarks()
     }
 
+    /// Wakes the epoch thread. Edge-triggered: only the flip of the
+    /// pending flag from `false` signals the condvar, whose `notify_all`
+    /// is a futex syscall on every call. A flag already set needs no
+    /// signal: the epoch loop consumes the flag before it waits, so it
+    /// either sees it then or is already waiting and was signalled.
     fn notify_epoch_thread(&self) {
         let mut pending = self.wake_lock.lock().expect("wake lock");
-        *pending = true;
-        self.wake.notify_all();
+        if !*pending {
+            *pending = true;
+            self.wake.notify_all();
+        }
     }
 
     /// The background epoch loop: cut batches when a quantum is ready or
     /// the interval elapses, until shutdown.
     fn epoch_loop(&self) {
-        let mut guard = self.wake_lock.lock().expect("wake lock");
+        let mut pending = self.wake_lock.lock().expect("wake lock");
         loop {
-            let (g, _timeout) =
-                self.wake.wait_timeout(guard, EPOCH_INTERVAL).expect("wake lock poisoned");
-            guard = g;
-            *guard = false;
+            if !*pending {
+                pending = self.wake.wait_timeout(pending, EPOCH_INTERVAL).expect("wake lock").0;
+            }
+            *pending = false;
             if self.draining.load(Ordering::Acquire) {
                 return;
             }
-            drop(guard);
+            drop(pending);
             self.tick(false);
-            guard = self.wake_lock.lock().expect("wake lock");
+            pending = self.wake_lock.lock().expect("wake lock");
         }
     }
 }
@@ -1473,12 +1470,6 @@ mod tests {
     /// infinities under add, no ±0 ties under min/max) meet again on a
     /// shared slot, so the comparison isolates the view from
     /// reassociation.
-    ///
-    /// The native f32 min/max drivers commit with `vminps`/`vmaxps`, which
-    /// return a NaN operand where `f32::min`/`f32::max` (the serial fold
-    /// and the portable model) return the other one. That divergence is
-    /// the kernel's, not the view's, so f32 min/max streams carrying NaN
-    /// run on the portable backend and the rest on the host's.
     #[test]
     fn edge_bit_patterns_fold_like_a_serial_loop() {
         use invector_core::ops::{Max, Min, ReduceOp, Sum};
@@ -1553,17 +1544,11 @@ mod tests {
         let adds = stream(&f32_edges, |v| v.is_finite() && v.abs() < 1.0);
         let add = TableSpec::f32("f32-add", OpKind::Add, f32_len);
         check::<f32, Sum>(add, host, &adds, f32::to_bits);
-        let no_nan: Vec<f32> = f32_edges.iter().copied().filter(|v| !v.is_nan()).collect();
-        let min_max_len = no_nan.len() + 1;
-        for (edges, len, backend) in
-            [(&f32_edges, f32_len, BackendChoice::Portable), (&no_nan, min_max_len, host)]
-        {
-            let ordered = stream(edges, |v| !v.is_nan() && *v != 0.0);
-            let min = TableSpec::f32("f32-min", OpKind::Min, len);
-            check::<f32, Min>(min, backend, &ordered, f32::to_bits);
-            let max = TableSpec::f32("f32-max", OpKind::Max, len);
-            check::<f32, Max>(max, backend, &ordered, f32::to_bits);
-        }
+        let ordered = stream(&f32_edges, |v| !v.is_nan() && *v != 0.0);
+        let min = TableSpec::f32("f32-min", OpKind::Min, f32_len);
+        check::<f32, Min>(min, host, &ordered, f32::to_bits);
+        let max = TableSpec::f32("f32-max", OpKind::Max, f32_len);
+        check::<f32, Max>(max, host, &ordered, f32::to_bits);
 
         let len = i32_edges.len() + 1;
         let ints = stream(&i32_edges, |_| true);

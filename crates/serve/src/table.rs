@@ -240,6 +240,12 @@ pub struct SliceReport {
     pub depth: DepthHistogram,
 }
 
+impl SliceReport {
+    fn new(applied: usize, offered: usize, stats: InvecStats) -> SliceReport {
+        SliceReport { applied, offered, vectors: stats.vectors, depth: stats.depth }
+    }
+}
+
 /// One resident table plus its ingest bookkeeping: the seq-ordered reorder
 /// buffer and the policy schedule its cuts follow.
 #[derive(Debug)]
@@ -321,18 +327,6 @@ impl TableState {
         self.pending.insert(update)
     }
 
-    /// Buffers a staged seq-contiguous run for ordered application (see
-    /// [`ReorderBuffer::insert_run`]).
-    pub(crate) fn absorb_run(&mut self, run: RunView<'_>) {
-        debug_assert!(
-            run.keys.iter().all(|&k| (k as u32 as usize) < self.spec.len),
-            "index out of bounds for table '{}' of {} slots",
-            self.spec.name,
-            self.spec.len
-        );
-        self.pending.insert_run(run)
-    }
-
     /// Schedules `policy` for every slice starting at watermark `from` or
     /// beyond — the tuning install point (and the trace replay loader).
     ///
@@ -349,81 +343,85 @@ impl TableState {
         &self.schedule
     }
 
-    /// Applies pending updates under the table's own policy schedule —
-    /// the serving epoch path. Each slice starts at the current watermark
-    /// and runs under the schedule's policy there: exactly `quantum`
-    /// updates, or with `drain` the contiguous remainder, and never past
-    /// a scheduled policy change.
+    /// Applies pending updates under the table's own policy schedule.
+    /// Each slice starts at the current watermark and runs under the
+    /// schedule's policy there: exactly `quantum` updates, or with `drain`
+    /// the contiguous remainder, and never past a scheduled policy change.
     pub fn cut_scheduled(&mut self, drain: bool) -> Vec<SliceReport> {
-        self.cut_scheduled_logged(drain, &mut |_| {})
+        self.cut_staged(std::iter::empty(), drain, &mut |_| {})
     }
 
-    /// [`cut_scheduled`](Self::cut_scheduled) with a write-ahead hook:
-    /// `log` sees every slice exactly as cut, after it is removed from the
-    /// reorder buffer and before it is applied — the durability point. A
+    /// Cuts an epoch's staged runs, in admission order, under the table's
+    /// policy schedule — the serving epoch path. `log` sees every slice
+    /// exactly as cut, before it is applied — the write-ahead point. A
     /// slice that reaches `log` is already admitted, so replaying logged
     /// slices in order through [`apply_logged`](Self::apply_logged)
     /// reproduces the same cuts, and therefore the same bits.
-    pub fn cut_scheduled_logged(
+    ///
+    /// A run that starts at the watermark while the reorder buffer holds
+    /// nothing has no earlier position to wait for, so its full quanta are
+    /// cut straight from the staging columns and never copied. The rest —
+    /// the sub-quantum tail of such a run, and every run behind a gap, a
+    /// repeat or held updates — enters the reorder buffer, whose cut then
+    /// follows, draining with `drain`.
+    ///
+    /// Cut positions are what make snapshots reproducible: under a fixed
+    /// schedule they depend only on the stream itself (and on explicitly
+    /// client-requested drains), never on arrival timing. Both paths take
+    /// every slice from the watermark at the length [`next_slice`] sets,
+    /// and the direct path takes one only when the run alone holds a full
+    /// quantum, which the buffer would then hold too. So which path a
+    /// slice took never moves a cut. A scheduled policy change is a hard
+    /// cut point — a slice never spans one — so a changing quantum keeps
+    /// the same property: boundaries are a pure function of (stream
+    /// content, schedule), and replaying a recorded schedule reproduces
+    /// every slice (and every table bit) of the original run.
+    pub(crate) fn cut_staged<'a>(
         &mut self,
+        runs: impl Iterator<Item = RunView<'a>>,
         drain: bool,
         log: &mut dyn FnMut(RunView<'_>),
     ) -> Vec<SliceReport> {
         let schedule = std::mem::take(&mut self.schedule);
-        let slices = self.cut_with(&schedule, drain, log);
-        self.schedule = schedule;
-        slices
-    }
-
-    /// The cut loop: each slice starts at the current watermark `wm` and
-    /// runs under `schedule.at(wm)` — exactly `quantum` updates, or the
-    /// contiguous remainder when `drain`ing.
-    ///
-    /// Each slice is consumed from the reorder buffer in place and reaches
-    /// the kernel as borrowed key/value columns — no copy between the
-    /// buffer and the SIMD driver.
-    ///
-    /// Cut positions are what make snapshots reproducible: under a fixed
-    /// schedule they depend only on the stream itself (and on explicitly
-    /// client-requested drains), never on arrival timing. A scheduled
-    /// policy change is a hard cut point — a slice never spans one — so a
-    /// changing quantum keeps the same property: boundaries are a pure
-    /// function of (stream content, schedule), and replaying a recorded
-    /// schedule reproduces every slice (and every table bit) of the
-    /// original run.
-    fn cut_with(
-        &mut self,
-        schedule: &PolicySchedule,
-        drain: bool,
-        log: &mut dyn FnMut(RunView<'_>),
-    ) -> Vec<SliceReport> {
         let mut slices = Vec::new();
-        loop {
-            let wm = self.pending.watermark();
-            let policy = schedule.at(wm);
-            let quantum = policy.quantum;
-            let run = self.pending.contiguous_len();
-            let mut take = if run >= quantum {
-                quantum
-            } else if drain && run > 0 {
-                run
-            } else {
-                break;
-            };
-            if let Some(next) = schedule.next_change_after(wm) {
-                take = take.min((next - wm) as usize);
+        for mut run in runs {
+            debug_assert!(
+                run.keys.iter().all(|&k| (k as u32 as usize) < self.spec.len),
+                "index out of bounds for table '{}' of {} slots",
+                self.spec.name,
+                self.spec.len
+            );
+            if self.pending.is_empty() && run.first == self.pending.watermark() {
+                while let Some((policy, take)) =
+                    next_slice(&schedule, self.pending.watermark(), run.len(), false)
+                {
+                    let slice = run.split_to(take);
+                    self.pending.advance_to(slice.first + take as u64);
+                    log(slice);
+                    let stats = apply_run(
+                        &mut self.data,
+                        self.engine.as_mut(),
+                        self.spec.op,
+                        slice,
+                        &policy.exec,
+                    );
+                    slices.push(SliceReport::new(take, policy.quantum, stats));
+                }
             }
-            let run = self.pending.take_run(take);
-            log(run);
-            let stats =
-                apply_run(&mut self.data, self.engine.as_mut(), self.spec.op, run, &policy.exec);
-            slices.push(SliceReport {
-                applied: take,
-                offered: quantum,
-                vectors: stats.vectors,
-                depth: stats.depth,
-            });
+            self.pending.insert_run(run);
         }
+        while let Some((policy, take)) =
+            next_slice(&schedule, self.pending.watermark(), self.pending.contiguous_len(), drain)
+        {
+            // Consumed from the reorder buffer in place: the kernel reads
+            // the slice as borrowed key/value columns.
+            let slice = self.pending.take_run(take);
+            log(slice);
+            let stats =
+                apply_run(&mut self.data, self.engine.as_mut(), self.spec.op, slice, &policy.exec);
+            slices.push(SliceReport::new(take, policy.quantum, stats));
+        }
+        self.schedule = schedule;
         slices
     }
 
@@ -468,12 +466,7 @@ impl TableState {
         let run = RunView { first: wm, keys: &keys, bits: &bits };
         let stats =
             apply_run(&mut self.data, self.engine.as_mut(), self.spec.op, run, &policy.exec);
-        Ok(SliceReport {
-            applied: updates.len(),
-            offered: policy.quantum,
-            vectors: stats.vectors,
-            depth: stats.depth,
-        })
+        Ok(SliceReport::new(updates.len(), policy.quantum, stats))
     }
 
     /// Installs externally recovered contents (checkpoint load, follower
@@ -567,6 +560,30 @@ impl TableState {
         self.checksum_cache.set(Some((wm, out)));
         out
     }
+}
+
+/// The slice a cut at watermark `wm` takes from `available` contiguous
+/// updates under `schedule`: exactly the quantum of the policy in effect at
+/// `wm`, or with `drain` whatever is available, and never past the
+/// schedule's next policy change. `None` when no slice is due.
+fn next_slice(
+    schedule: &PolicySchedule,
+    wm: u64,
+    available: usize,
+    drain: bool,
+) -> Option<(EpochPolicy, usize)> {
+    let policy = schedule.at(wm);
+    let mut take = if available >= policy.quantum {
+        policy.quantum
+    } else if drain && available > 0 {
+        available
+    } else {
+        return None;
+    };
+    if let Some(next) = schedule.next_change_after(wm) {
+        take = take.min((next - wm) as usize);
+    }
+    Some((policy, take))
 }
 
 /// Folds one cut slice into the table: through the stream engine for

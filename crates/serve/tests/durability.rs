@@ -24,8 +24,8 @@ use invector_core::exec::ExecVariant;
 use invector_replog::recover;
 use invector_serve::{
     EpochPolicy, FollowStatus, Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server,
-    ServerCore, SyncPolicy, TableSpec, TcpClient, TraceEntry, TuneMode, Update, WalOptions,
-    WalRecord,
+    ServerCore, SubmitOutcome, SyncPolicy, TableSpec, TcpClient, TraceEntry, TuneMode, Update,
+    WalOptions, WalRecord,
 };
 
 const TABLE_LEN: usize = 48;
@@ -340,6 +340,80 @@ fn recovery_replays_the_log_under_the_replayed_policy_schedule() {
         .expect_err("replaying under the initial policy must fail a seal");
     assert!(err.contains("divergence"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Where an epoch cuts must not depend on which path a slice took. One
+/// two-table stream goes to two WAL-backed cores: one admits it in order,
+/// so full quanta are cut straight from the staging columns; the other
+/// holds each phase's first batch back until the rest is staged, so every
+/// update waits in the reorder buffer. The decoded logs — `Batch` records
+/// (first seq, length, columns) and `Seal` records (watermark, crc) — and
+/// the final snapshots must be bitwise equal: with and without a
+/// mid-stream flush, under a fixed quantum and under a replayed trace whose
+/// quantum changes at a watermark that is not a multiple of the old one.
+#[test]
+fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
+    let quantum = 8usize;
+    let len = 300usize;
+    let streams = generate_streams(&mut SmallRng::seed_from_u64(0x1c07), len);
+    // Quantum 8 until watermark 20, then 5.
+    let policy = ServeConfig::new(tables()).policy();
+    let replay = TuneMode::Replay(vec![TraceEntry {
+        epoch: 1,
+        policy: EpochPolicy::new(policy, 5),
+        at: vec![20, 20],
+    }]);
+    for (tune, phases) in [
+        (TuneMode::Off, vec![0, len]),
+        (TuneMode::Off, vec![0, 151, len]),
+        (replay.clone(), vec![0, len]),
+        (replay, vec![0, 151, len]),
+    ] {
+        let [in_order, held] = [false, true].map(|hold| {
+            let dir = temp_dir("cut-path");
+            let config = ServeConfig {
+                tune: tune.clone(),
+                queue_capacity: len,
+                ..config_with_wal(&dir, quantum)
+            };
+            let snapshots: Vec<(u64, Vec<u32>)> = {
+                let core = ServerCore::new(config).expect("core");
+                for (p, phase) in phases.windows(2).enumerate() {
+                    for (t, stream) in streams.iter().enumerate() {
+                        let mut batches: Vec<&[Update]> =
+                            stream[phase[0]..phase[1]].chunks(13).collect();
+                        if hold {
+                            batches.rotate_left(1);
+                        }
+                        for batch in batches {
+                            let outcome = core.submit(t as u16, batch);
+                            assert!(
+                                matches!(outcome, SubmitOutcome::Accepted { .. }),
+                                "{outcome:?}"
+                            );
+                        }
+                    }
+                    core.tick(false);
+                    if p + 2 < phases.len() {
+                        core.flush();
+                    }
+                }
+                core.flush();
+                (0..2u16)
+                    .map(|t| core.snapshot(t).expect("snapshot"))
+                    .map(|s| (s.watermark, s.bits()))
+                    .collect()
+            };
+            let recovered = recover(&dir.join("wal.log")).expect("recover");
+            let records: Vec<WalRecord> =
+                recovered.records.iter().map(|p| WalRecord::decode(p).expect("decode")).collect();
+            std::fs::remove_dir_all(&dir).ok();
+            (records, snapshots)
+        });
+        assert_eq!(in_order.1[0].0, len as u64, "the whole stream is applied");
+        assert!(in_order.0.len() > 2 * (len / quantum), "{tune:?}: every slice is logged");
+        assert_eq!(in_order, held, "{tune:?}, phases {phases:?}: the cut path moved a cut");
+    }
 }
 
 /// Leader/follower loopback: a follower bootstraps from a chunked snapshot,

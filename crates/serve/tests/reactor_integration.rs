@@ -7,6 +7,8 @@ use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
+#[cfg(feature = "obs")]
+use std::time::Instant;
 
 use invector_serve::protocol::{read_frame, write_frame, Reply, Request, Update, PROTOCOL_VERSION};
 use invector_serve::{
@@ -24,6 +26,17 @@ fn fnv64(bits: &[u32]) -> u64 {
         }
     }
     h
+}
+
+/// The value of one counter series in a `metrics` scrape over `probe`.
+#[cfg(feature = "obs")]
+fn metric(probe: &mut TcpClient, name: &str) -> u64 {
+    let text = probe.metrics().expect("metrics");
+    text.lines()
+        .find(|l| l.starts_with(name) && !l.starts_with('#'))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
 }
 
 /// Connects with retries: a 1k-connection storm can outrun the listen
@@ -78,8 +91,25 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
         write_frame(&mut writer, &Request::Update { table: 0, updates }.encode())
             .expect("update req");
     }
-    // Give the reactor time to fill the socket + write ring and hit both
-    // stall paths while we refuse to read.
+    // Refuse to read until the reactor has hit both stall paths: the four
+    // replies (16 MiB) outgrow what the kernel buffers hold for a peer that
+    // reads nothing, so the writes stall, and the update frames arrive
+    // while the write ring is over its cap, so the reads pause. No fixed
+    // pause is safe: a debug build takes around 100 ms to encode the first
+    // replies, and a client that drains before the socket fills keeps it
+    // from ever filling.
+    #[cfg(feature = "obs")]
+    {
+        let mut probe = TcpClient::connect(addr).expect("probe connect");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(metric(&mut probe, "invector_serve_write_stalls_total") >= 1
+            && metric(&mut probe, "invector_serve_read_stalls_total") >= 1)
+        {
+            assert!(Instant::now() < deadline, "no write and read stall within 10 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    #[cfg(not(feature = "obs"))]
     std::thread::sleep(Duration::from_millis(100));
 
     // Now drain: hello reply, every snapshot intact, then the update acks.
@@ -106,17 +136,9 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
     #[cfg(feature = "obs")]
     {
         let mut probe = TcpClient::connect(addr).expect("probe connect");
-        let text = probe.metrics().expect("metrics");
-        let series_value = |name: &str| -> u64 {
-            text.lines()
-                .find(|l| l.starts_with(name) && !l.starts_with('#'))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
-        };
-        assert!(series_value("invector_serve_write_stalls_total") >= 1, "writes must stall");
-        assert!(series_value("invector_serve_read_stalls_total") >= 1, "reads must pause");
-        assert!(series_value("invector_serve_wakeups_total") >= 1);
+        assert!(metric(&mut probe, "invector_serve_write_stalls_total") >= 1, "writes must stall");
+        assert!(metric(&mut probe, "invector_serve_read_stalls_total") >= 1, "reads must pause");
+        assert!(metric(&mut probe, "invector_serve_wakeups_total") >= 1);
     }
 
     server.shutdown();

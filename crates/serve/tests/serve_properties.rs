@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng, SmallRng};
 
 use invector_core::exec::ExecVariant;
+use invector_core::BackendChoice;
 use invector_serve::protocol::encode_updates;
 use invector_serve::{
     LocalClient, OpKind, PolicyTrace, RejectReason, ServeClient, ServeConfig, ServerCore,
@@ -411,10 +412,17 @@ proptest! {
     /// ahead, repeating a position or filling earlier gaps — gets the
     /// outcome the per-update rule predicts, and the snapshots,
     /// watermarks and duplicate counts after every epoch are the rule's.
+    /// The twins run on the portable backend or the host's, which picks
+    /// the record kernel admission runs.
     #[test]
-    fn owned_and_wire_view_admission_agree(seed in any::<u64>(), rounds in 1usize..40) {
+    fn owned_and_wire_view_admission_agree(
+        seed in any::<u64>(),
+        rounds in 1usize..40,
+        host in any::<bool>(),
+    ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut config = ServeConfig::new(tables());
+        config.backend = if host { BackendChoice::Auto } else { BackendChoice::Portable };
         config.quantum = 1 << rng.gen_range(2u32..6);
         config.queue_capacity = rng.gen_range(1usize..=96);
         config.window = rng.gen_range(8u64..=128);

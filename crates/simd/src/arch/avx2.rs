@@ -385,7 +385,7 @@ mod imp {
         f32,
         f32::INFINITY,
         f32::min,
-        _mm256_min_ps
+        commit_min_f32
     );
     avx2_accumulate!(
         /// Fused whole-stream `target[idx[j]] = max(target[idx[j]], vals[j])`
@@ -394,8 +394,22 @@ mod imp {
         f32,
         f32::NEG_INFINITY,
         f32::max,
-        _mm256_max_ps
+        commit_max_f32
     );
+
+    // `vminps`/`vmaxps` return their second operand when either is NaN.
+    // With the slot value second, a NaN update leaves the slot unchanged,
+    // as `f32::min`/`f32::max` (the portable model's commit) do.
+    #[target_feature(enable = "avx2")]
+    fn commit_min_f32(old: __m256, new: __m256) -> __m256 {
+        _mm256_min_ps(new, old)
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn commit_max_f32(old: __m256, new: __m256) -> __m256 {
+        _mm256_max_ps(new, old)
+    }
+
     avx2_accumulate!(
         /// Fused whole-stream `target[idx[j]] += vals[j]` (wrapping i32).
         accumulate_add_i32,

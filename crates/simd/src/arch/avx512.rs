@@ -138,6 +138,9 @@ unsafe impl Isa for Avx512 {
 #[cfg(target_arch = "x86_64")]
 mod imp {
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    use crate::records::{RecordVerdict, RECORD_LEN};
 
     /// `vpconflictd`: for each lane `i`, a bitset of preceding lanes `j < i`
     /// holding the same 32-bit value.
@@ -597,7 +600,7 @@ mod imp {
         f32,
         f32::INFINITY,
         f32::min,
-        _mm512_min_ps
+        commit_min_f32
     );
     native_accumulate!(
         /// Fused whole-stream `target[idx[j]] = max(target[idx[j]], vals[j])`
@@ -606,8 +609,21 @@ mod imp {
         f32,
         f32::NEG_INFINITY,
         f32::max,
-        _mm512_max_ps
+        commit_max_f32
     );
+
+    // `vminps`/`vmaxps` return their second operand when either is NaN.
+    // With the slot value second, a NaN update leaves the slot unchanged,
+    // as `f32::min`/`f32::max` (the portable model's commit) do.
+    #[target_feature(enable = "avx512f")]
+    fn commit_min_f32(old: __m512, new: __m512) -> __m512 {
+        _mm512_min_ps(new, old)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn commit_max_f32(old: __m512, new: __m512) -> __m512 {
+        _mm512_max_ps(new, old)
+    }
     native_accumulate!(
         /// Fused whole-stream `target[idx[j]] += vals[j]` (wrapping i32).
         accumulate_add_i32,
@@ -732,6 +748,97 @@ mod imp {
             _mm512_mask_i32scatter_ps::<4>(base.as_mut_ptr().cast(), mask, vidx, new);
         }
     }
+
+    /// The record-admission kernel
+    /// ([`records::split_records`](crate::records::split_records)) at 16
+    /// records per iteration: four unaligned 64-byte loads, a
+    /// `vpermt2d`/`vpermt2q` deinterleave into the key, value-bits and seq
+    /// lanes, an unsigned key compare and a seq compare into masks, and
+    /// two 64-byte column stores. A tail shorter than 16 records runs as
+    /// one masked iteration: masked loads never touch bytes past the
+    /// batch, masked stores never write past its last column element.
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx512f` (check [`super::available`]);
+    /// `records.len() == 16 * keys.len()` and `bits.len() == keys.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn split_records(
+        records: &[u8],
+        slots: u32,
+        keys: &mut [MaybeUninit<i32>],
+        bits: &mut [MaybeUninit<u32>],
+    ) -> RecordVerdict {
+        let n = keys.len();
+        debug_assert!(records.len() == n * RECORD_LEN && bits.len() == n);
+        let Some(first) = records.first_chunk::<8>() else {
+            return RecordVerdict::CLEAN;
+        };
+        let first = u64::from_le_bytes(*first);
+        // A 64-byte load holds four records as 32-bit lanes
+        // `[seq_lo, seq_hi, idx, bits]`, or as 64-bit lanes `[seq, idx|bits]`.
+        // Keys, then bits, of two loads (lane 16+ names the second operand):
+        let key_bits =
+            _mm512_setr_epi32(2, 6, 10, 14, 18, 22, 26, 30, 3, 7, 11, 15, 19, 23, 27, 31);
+        let low_halves = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23);
+        let high_halves =
+            _mm512_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 27, 28, 29, 30, 31);
+        // Seqs of two loads (lane 8+ names the second operand).
+        let seqs = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let vslots = _mm512_set1_epi32(slots as i32);
+        let sixteen = _mm512_set1_epi64(16);
+        let mut expect_lo = _mm512_add_epi64(
+            _mm512_set1_epi64(first as i64),
+            _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut expect_hi = _mm512_add_epi64(expect_lo, _mm512_set1_epi64(8));
+        let (mut bad_keys, mut bad_seqs) = (0u16, 0u8);
+        let src = records.as_ptr();
+        let mut j = 0;
+        while j < n {
+            let rem = n - j;
+            let at = src.wrapping_add(j * RECORD_LEN);
+            // SAFETY: records `j..j + min(rem, 16)` lie inside `records`.
+            // A full block reads its 256 bytes with plain unaligned loads;
+            // a tail reads each load's records under a lane mask (four
+            // lanes per record), so no byte past the batch is touched, and
+            // the pointer of a load with no records left is never
+            // dereferenced.
+            let (active, [a, b, c, d]) = unsafe {
+                if rem >= 16 {
+                    (u16::MAX, [0, 1, 2, 3].map(|v| _mm512_loadu_si512(at.add(64 * v).cast())))
+                } else {
+                    let lanes = |v: usize| {
+                        let held = rem.saturating_sub(4 * v).min(4);
+                        ((1u32 << (4 * held)) - 1) as u16
+                    };
+                    let load = |v: usize| {
+                        _mm512_maskz_loadu_epi32(lanes(v), at.wrapping_add(64 * v).cast())
+                    };
+                    (((1u32 << rem) - 1) as u16, [load(0), load(1), load(2), load(3)])
+                }
+            };
+            let kb_ab = _mm512_permutex2var_epi32(a, key_bits, b);
+            let kb_cd = _mm512_permutex2var_epi32(c, key_bits, d);
+            let vkeys = _mm512_permutex2var_epi32(kb_ab, low_halves, kb_cd);
+            let vbits = _mm512_permutex2var_epi32(kb_ab, high_halves, kb_cd);
+            let seq_ab = _mm512_permutex2var_epi64(a, seqs, b);
+            let seq_cd = _mm512_permutex2var_epi64(c, seqs, d);
+            bad_keys |= _mm512_mask_cmpge_epu32_mask(active, vkeys, vslots);
+            bad_seqs |= _mm512_mask_cmpneq_epu64_mask(active as u8, seq_ab, expect_lo)
+                | _mm512_mask_cmpneq_epu64_mask((active >> 8) as u8, seq_cd, expect_hi);
+            // SAFETY: `j < n`, and the mask selects only the `min(rem, 16)`
+            // column elements `j..` that exist.
+            unsafe {
+                _mm512_mask_storeu_epi32(keys.as_mut_ptr().add(j).cast(), active, vkeys);
+                _mm512_mask_storeu_epi32(bits.as_mut_ptr().add(j).cast(), active, vbits);
+            }
+            expect_lo = _mm512_add_epi64(expect_lo, sixteen);
+            expect_hi = _mm512_add_epi64(expect_hi, sixteen);
+            j += 16;
+        }
+        RecordVerdict { in_range: bad_keys == 0, contiguous: bad_seqs == 0 }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -740,7 +847,7 @@ pub use imp::{
     accumulate_max_i32, accumulate_min_f32, accumulate_min_i32, alg2_add_f32,
     conflict_free_subset_u16, conflict_i32, gather_f32, gather_i32, invec_add_arr_f32,
     invec_add_f32, invec_add_i32, invec_max_f32, invec_max_i32, invec_min_f32, invec_min_i32,
-    scatter_add_f32, scatter_f32, scatter_i32,
+    scatter_add_f32, scatter_f32, scatter_i32, split_records,
 };
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ pub mod arch;
 pub mod count;
 mod element;
 mod mask;
+pub mod records;
 pub mod trace;
 mod vector;
 

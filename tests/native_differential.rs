@@ -30,6 +30,9 @@ use invector::core::{
     adaptive_accumulate_n, adaptive_accumulate_with, invec_accumulate, invec_accumulate_n,
     invec_accumulate_with, AdaptiveReducer, ReduceOp,
 };
+use std::mem::MaybeUninit;
+
+use invector::simd::records::{self, RecordVerdict};
 use invector::simd::{arch, I32x16, Mask16, SimdVec};
 
 /// The native backends this host can actually execute; unavailable ones are
@@ -165,10 +168,14 @@ fn portable_reference_i32<Op: ReduceOp<i32>>(
 fn check_accumulate_f32<Op: ReduceOp<f32>>(backend: Backend, items: &[(i32, i32)]) {
     let idx: Vec<i32> = items.iter().map(|&(i, _)| i).collect();
     let vals: Vec<f32> = items.iter().map(|&(_, v)| v as f32 * 0.5).collect();
+    check_accumulate_f32_values::<Op>(backend, &idx, &vals);
+}
+
+fn check_accumulate_f32_values<Op: ReduceOp<f32>>(backend: Backend, idx: &[i32], vals: &[f32]) {
     let mut portable = init_f32(24);
     let mut nat = portable.clone();
-    let sp = portable_reference_f32::<Op>(backend.lanes(), &mut portable, &idx, &vals);
-    let sn = invec_accumulate_with::<f32, Op>(backend, &mut nat, &idx, &vals);
+    let sp = portable_reference_f32::<Op>(backend.lanes(), &mut portable, idx, vals);
+    let sn = invec_accumulate_with::<f32, Op>(backend, &mut nat, idx, vals);
     assert_eq!(sp, sn, "{}: vector count / depth histogram", backend.name());
     for (k, (a, b)) in portable.iter().zip(&nat).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{}: slot {k}", backend.name());
@@ -271,6 +278,28 @@ proptest! {
             check_accumulate_i32::<Sum>(backend, &items);
             check_accumulate_i32::<Min>(backend, &items);
             check_accumulate_i32::<Max>(backend, &items);
+        }
+    }
+
+    /// NaN updates to f32 min/max tables: quiet, signalling, negative and
+    /// payload NaNs, on a 6-slot domain so many land in conflicting lanes.
+    /// Like `f32::min`/`f32::max` in the portable driver, every native
+    /// commit must leave the slot unchanged rather than store the NaN.
+    #[test]
+    fn fused_min_max_ignore_nan_updates_like_the_portable_driver(
+        items in prop::collection::vec((0..6i32, 0usize..8, -100..100i32), 0..97),
+    ) {
+        const NANS: [u32; 6] =
+            [0x7fc0_0000, 0x7fc0_1234, 0x7f80_0001, 0x7fbf_ffff, 0xffc0_0007, 0xff80_0001];
+        let idx: Vec<i32> = items.iter().map(|&(i, _, _)| i).collect();
+        // Six of every eight draws pick a NaN pattern, the rest a number.
+        let vals: Vec<f32> = items
+            .iter()
+            .map(|&(_, pick, v)| NANS.get(pick).map_or(v as f32 * 0.5, |&b| f32::from_bits(b)))
+            .collect();
+        for backend in native_backends() {
+            check_accumulate_f32_values::<Min>(backend, &idx, &vals);
+            check_accumulate_f32_values::<Max>(backend, &idx, &vals);
         }
     }
 
@@ -435,6 +464,112 @@ fn simulation_policy_backends_agree_on_trajectory_and_stats() {
     let mp = simulate_with_policy(&initial, Variant::Masked, 8, &portable);
     let mn = simulate_with_policy(&initial, Variant::Masked, 8, &nat);
     assert_eq!(mp.utilization, mn.utilization, "utilization numbers");
+}
+
+/// A batch of wire records for the record-kernel differential: `len`
+/// records from `first` on, contiguous and in range unless a fault is
+/// placed, carrying arbitrary value bits (NaN payloads included).
+fn record_batch() -> impl Strategy<Value = (Vec<u8>, u32)> {
+    (0usize..3, any::<bool>(), 0usize..=80, 0usize..3, any::<u64>()).prop_map(
+        |(slots, wraps, len, faults, seed)| {
+            use rand::{Rng, SeedableRng, SmallRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let slots = [1, 4096, i32::MAX as u32][slots];
+            let first = if wraps { u64::MAX - rng.gen_range(0..64) } else { rng.gen() };
+            let mut updates: Vec<invector_serve::Update> = (0..len)
+                .map(|i| invector_serve::Update {
+                    seq: first.wrapping_add(i as u64),
+                    idx: rng.gen_range(0..slots),
+                    bits: if rng.gen_bool(0.25) {
+                        0x7f80_0001 | rng.gen::<u32>()
+                    } else {
+                        rng.gen()
+                    },
+                })
+                .collect();
+            for _ in 0..if len > 0 { faults } else { 0 } {
+                let u = &mut updates[rng.gen_range(0..len)];
+                match rng.gen_range(0u32..4) {
+                    // A key at or past the slot count.
+                    0 => u.idx = slots.saturating_add(rng.gen_range(0..3)),
+                    1 => u.idx = u32::MAX - rng.gen_range(0..3),
+                    // A seq break: a skip, or anywhere.
+                    2 => u.seq = u.seq.wrapping_add(rng.gen_range(1..3)),
+                    _ => u.seq = rng.gen(),
+                }
+            }
+            let mut bytes = Vec::new();
+            invector_serve::protocol::encode_updates(&mut bytes, &updates);
+            (bytes, slots)
+        },
+    )
+}
+
+/// The plain per-record loop the record kernels must agree with: decode
+/// each record, check it, copy its fields.
+fn record_reference(records: &[u8], slots: u32) -> (Vec<i32>, Vec<u32>, RecordVerdict) {
+    let view = invector_serve::UpdatesView::over(records).expect("whole records");
+    let mut verdict = RecordVerdict::CLEAN;
+    let (mut keys, mut bits) = (Vec::new(), Vec::new());
+    for (i, u) in view.iter().enumerate() {
+        if u.idx >= slots {
+            verdict.in_range = false;
+        }
+        if u.seq != view.get(0).seq.wrapping_add(i as u64) {
+            verdict.contiguous = false;
+        }
+        keys.push(u.idx as i32);
+        bits.push(u.bits);
+    }
+    (keys, bits, verdict)
+}
+
+/// Runs a record kernel into columns with 16 sentinel elements past the
+/// batch, and checks that it wrote every column element and none beyond.
+fn run_record_kernel(
+    records: &[u8],
+    kernel: impl FnOnce(&mut [MaybeUninit<i32>], &mut [MaybeUninit<u32>]) -> RecordVerdict,
+) -> (Vec<i32>, Vec<u32>, RecordVerdict) {
+    const KEY_SENTINEL: i32 = 0x5a5a_5a5a;
+    const BITS_SENTINEL: u32 = 0xa5a5_a5a5;
+    let n = records.len() / 16;
+    let mut keys = vec![MaybeUninit::new(KEY_SENTINEL); n + 16];
+    let mut bits = vec![MaybeUninit::new(BITS_SENTINEL); n + 16];
+    let verdict = kernel(&mut keys[..n], &mut bits[..n]);
+    // SAFETY: every element was initialized with a sentinel above, and a
+    // kernel only ever writes initialized values over them.
+    let keys: Vec<i32> = keys.into_iter().map(|k| unsafe { k.assume_init() }).collect();
+    let bits: Vec<u32> = bits.into_iter().map(|b| unsafe { b.assume_init() }).collect();
+    assert!(keys[n..].iter().all(|&k| k == KEY_SENTINEL), "key written past the batch");
+    assert!(bits[n..].iter().all(|&b| b == BITS_SENTINEL), "bits written past the batch");
+    (keys[..n].to_vec(), bits[..n].to_vec(), verdict)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The record-admission kernels — the portable fused loop, and the
+    /// AVX-512 pass where the CPU has it — against a per-record loop:
+    /// lengths 0..=80 cover every tail modulo 16; keys and seqs break at
+    /// random positions; slot counts reach `i32::MAX`; first seqs near
+    /// `u64::MAX` make positions wrap. Both columns and both verdicts must
+    /// match, and nothing may land past the batch's column elements.
+    #[test]
+    fn record_kernels_match_a_per_record_loop((records, slots) in record_batch()) {
+        let want = record_reference(&records, slots);
+        let portable =
+            run_record_kernel(&records, |k, b| records::split_records(&records, slots, k, b));
+        prop_assert_eq!(&portable, &want, "portable loop");
+        #[cfg(target_arch = "x86_64")]
+        if arch::avx512::available() {
+            // SAFETY: availability checked just above; the columns hold one
+            // element per 16-byte record.
+            let native = run_record_kernel(&records, |k, b| unsafe {
+                arch::avx512::split_records(&records, slots, k, b)
+            });
+            prop_assert_eq!(&native, &want, "avx512 kernel");
+        }
+    }
 }
 
 /// Raw-primitive differentials: only meaningful (and only compiled) on
