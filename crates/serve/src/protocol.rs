@@ -707,8 +707,9 @@ pub struct UpdatesView<'a> {
     bytes: &'a [u8],
 }
 
-/// Wire size of one encoded update (`seq:u64 idx:u32 bits:u32`).
-pub const UPDATE_WIRE_LEN: usize = 16;
+/// Wire size of one encoded update (`seq:u64 idx:u32 bits:u32`): the
+/// record the admission kernel splits, so the two cannot drift apart.
+pub const UPDATE_WIRE_LEN: usize = invector_simd::records::RECORD_LEN;
 
 /// Encodes a batch of updates in wire order (`seq:u64 idx:u32 bits:u32`
 /// per record) — the payload layout [`UpdatesView`] reads back. Shared by

@@ -768,7 +768,10 @@ impl ServerCore {
     /// verb). Endpoints are validated against the table's vertex range up
     /// front, then the batch goes through the ordinary all-or-prefix
     /// record admission — on the wire, in the WAL and in replication an
-    /// edge op *is* an update record.
+    /// edge op *is* an update record. The ops are converted into an owned
+    /// record batch first (one allocation per call); the reactor's
+    /// [`submit_edge_ops_view`](Self::submit_edge_ops_view) admits the
+    /// frame's records without one.
     pub fn submit_edge_ops(&self, table: u16, ops: &[EdgeOp]) -> SubmitOutcome {
         if let Err(refusal) = self.check_edges(table, ops.len(), ops.iter().copied()) {
             return refusal;

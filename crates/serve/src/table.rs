@@ -363,7 +363,9 @@ impl TableState {
     /// cut straight from the staging columns and never copied. The rest —
     /// the sub-quantum tail of such a run, and every run behind a gap, a
     /// repeat or held updates — enters the reorder buffer, whose cut then
-    /// follows, draining with `drain`.
+    /// follows, draining with `drain`. A tail an earlier epoch left in the
+    /// buffer therefore sends the next epoch's whole run through it: the
+    /// direct path serves epochs that stage whole quanta.
     ///
     /// Cut positions are what make snapshots reproducible: under a fixed
     /// schedule they depend only on the stream itself (and on explicitly

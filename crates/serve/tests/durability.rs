@@ -343,14 +343,25 @@ fn recovery_replays_the_log_under_the_replayed_policy_schedule() {
 }
 
 /// Where an epoch cuts must not depend on which path a slice took. One
-/// two-table stream goes to two WAL-backed cores: one admits it in order,
-/// so full quanta are cut straight from the staging columns; the other
-/// holds each phase's first batch back until the rest is staged, so every
-/// update waits in the reorder buffer. The decoded logs — `Batch` records
-/// (first seq, length, columns) and `Seal` records (watermark, crc) — and
-/// the final snapshots must be bitwise equal: with and without a
-/// mid-stream flush, under a fixed quantum and under a replayed trace whose
-/// quantum changes at a watermark that is not a multiple of the old one.
+/// two-table stream goes to four WAL-backed cores:
+/// - one admits it in order, so full quanta are cut straight from the
+///   staging columns;
+/// - one holds each phase's first batch back until the rest is staged, so
+///   every update waits in the reorder buffer;
+/// - one holds each phase's second batch back, so a direct cut of the
+///   first batch is followed by runs beyond a gap and then the gap fill;
+/// - one admits in order but runs an epoch after every batch, so each
+///   batch first tops up the sub-quantum tail the last epoch left in the
+///   reorder buffer.
+///
+/// The first three run the same epochs, so their decoded logs — `Batch`
+/// records (first seq, length, columns) and `Seal` records (watermark,
+/// crc) — and final snapshots must be bitwise equal. The fourth seals more
+/// epochs, so its `Batch` records, table by table, and its snapshots must
+/// equal theirs. All of it in one phase and with a mid-stream flush that
+/// drains a phase's staged runs itself, under a fixed quantum and under a
+/// replayed trace whose quantum changes at a watermark that is not a
+/// multiple of the old one.
 #[test]
 fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
     let quantum = 8usize;
@@ -363,13 +374,15 @@ fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
         policy: EpochPolicy::new(policy, 5),
         at: vec![20, 20],
     }]);
+    // (batch held back to the end of its phase, epoch after every batch)
+    let feeds = [(None, false), (Some(0), false), (Some(1), false), (None, true)];
     for (tune, phases) in [
         (TuneMode::Off, vec![0, len]),
         (TuneMode::Off, vec![0, 151, len]),
         (replay.clone(), vec![0, len]),
         (replay, vec![0, 151, len]),
     ] {
-        let [in_order, held] = [false, true].map(|hold| {
+        let [in_order, held_first, held_second, ticked] = feeds.map(|(hold, tick_each)| {
             let dir = temp_dir("cut-path");
             let config = ServeConfig {
                 tune: tune.clone(),
@@ -382,8 +395,9 @@ fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
                     for (t, stream) in streams.iter().enumerate() {
                         let mut batches: Vec<&[Update]> =
                             stream[phase[0]..phase[1]].chunks(13).collect();
-                        if hold {
-                            batches.rotate_left(1);
+                        if let Some(i) = hold {
+                            let held = batches.remove(i);
+                            batches.push(held);
                         }
                         for batch in batches {
                             let outcome = core.submit(t as u16, batch);
@@ -391,11 +405,15 @@ fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
                                 matches!(outcome, SubmitOutcome::Accepted { .. }),
                                 "{outcome:?}"
                             );
+                            if tick_each {
+                                core.tick(false);
+                            }
                         }
                     }
-                    core.tick(false);
                     if p + 2 < phases.len() {
                         core.flush();
+                    } else {
+                        core.tick(false);
                     }
                 }
                 core.flush();
@@ -412,7 +430,24 @@ fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
         });
         assert_eq!(in_order.1[0].0, len as u64, "the whole stream is applied");
         assert!(in_order.0.len() > 2 * (len / quantum), "{tune:?}: every slice is logged");
-        assert_eq!(in_order, held, "{tune:?}, phases {phases:?}: the cut path moved a cut");
+        let case = format!("{tune:?}, phases {phases:?}");
+        assert_eq!(in_order, held_first, "{case}: the direct cut moved a cut");
+        assert_eq!(held_second, held_first, "{case}: a direct cut before a gap moved a cut");
+        // Per table: epochs interleave the two tables' slices differently.
+        let batches = |records: &[WalRecord]| -> Vec<Vec<WalRecord>> {
+            (0..2u16)
+                .map(|t| {
+                    let ours =
+                        |r: &&WalRecord| matches!(r, WalRecord::Batch { table, .. } if *table == t);
+                    records.iter().filter(ours).cloned().collect()
+                })
+                .collect()
+        };
+        assert_eq!(
+            (batches(&ticked.0), &ticked.1),
+            (batches(&held_first.0), &held_first.1),
+            "{case}: a topped-up tail moved a cut"
+        );
     }
 }
 
