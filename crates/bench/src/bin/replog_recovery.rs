@@ -26,12 +26,12 @@
 
 use std::time::{Duration, Instant};
 
-use invector_agg::dist::{self, Distribution};
+use invector_agg::dist::Distribution;
 use invector_bench::arg_scale;
+use invector_harness::serving::{self, Fixture};
 use invector_serve::protocol::UPDATE_WIRE_LEN;
 use invector_serve::{
-    Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server, ServerCore, SyncPolicy,
-    TableSpec, Update, WalOptions,
+    Follower, LocalClient, ServeClient, ServeConfig, Server, ServerCore, SyncPolicy, WalOptions,
 };
 
 /// Epoch quantum for every cell: the serving workload's fixed batch size.
@@ -47,8 +47,6 @@ const CHECKPOINT_EPOCHS: u64 = 16;
 /// at that epoch, leaving an empty tail. An epoch cadence cannot promise
 /// either, since the epoch count follows the scale.
 const CHECKPOINT_SHARE: f64 = 0.6;
-/// Same stream seed the harness serving workload uses.
-const SEED: u64 = 0x1b_f2_9d;
 
 /// One measured row of the durability table.
 struct Row {
@@ -65,9 +63,8 @@ fn main() {
     let scale = arg_scale(1.0);
     let rows = ((100_000.0 * scale) as usize).max(10_000);
     let cardinality = 4_096.min(rows);
-    let input = dist::generate(Distribution::Zipf, rows, cardinality, SEED);
     let updates = 2 * rows as u64;
-    let streams = Streams::from(&input);
+    let streams = Fixture::new(Distribution::Zipf, rows, cardinality);
 
     let mut table = Vec::new();
 
@@ -80,7 +77,7 @@ fn main() {
     for (label, sync) in
         [("os", SyncPolicy::Os), ("epoch", SyncPolicy::Epoch), ("always", SyncPolicy::Always)]
     {
-        let dir = scratch("ingest", label);
+        let dir = scratch("replog-ingest");
         let wal = wal_options(&dir, sync, 0, 0);
         let (row, checksums) = ingest_cell(&streams, cardinality, Some(wal), label);
         assert_eq!(checksums, reference, "durable ingest diverged ({label})");
@@ -116,37 +113,8 @@ fn main() {
     print_json(scale, rows, cardinality, updates, &table);
 }
 
-/// The workload's two update streams, pregenerated once.
-struct Streams {
-    counts: Vec<Update>,
-    mins: Vec<Update>,
-}
-
-impl Streams {
-    fn from(input: &dist::Input) -> Streams {
-        let counts = input
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(seq, &k)| Update::i32(seq as u64, k as u32, 1))
-            .collect();
-        let mins = input
-            .keys
-            .iter()
-            .zip(&input.vals)
-            .enumerate()
-            .map(|(seq, (&k, &v))| Update::f32(seq as u64, k as u32, v))
-            .collect();
-        Streams { counts, mins }
-    }
-}
-
-fn scratch(phase: &str, tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("invector-replog-bench-{phase}-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).ok();
-    dir
+fn scratch(tag: &str) -> std::path::PathBuf {
+    serving::scratch_dir(tag).expect("scratch directory")
 }
 
 /// Log options with a checkpoint every `checkpoint_epochs` non-empty
@@ -166,10 +134,7 @@ fn wal_options(
 }
 
 fn config(cardinality: usize, wal: Option<WalOptions>) -> ServeConfig {
-    let mut config = ServeConfig::new(vec![
-        TableSpec::i32("counts", OpKind::Add, cardinality),
-        TableSpec::f32("mins", OpKind::Min, cardinality),
-    ]);
+    let mut config = ServeConfig::new(serving::tables(cardinality));
     config.quantum = QUANTUM;
     config.queue_capacity = QUANTUM * 4;
     config.wal = wal;
@@ -192,7 +157,7 @@ fn checksums_of(core: &std::sync::Arc<ServerCore>) -> Checksums {
 
 /// Stream both tables through a fresh core and time submit→flush.
 fn ingest_cell(
-    streams: &Streams,
+    streams: &Fixture,
     cardinality: usize,
     wal: Option<WalOptions>,
     sync: &'static str,
@@ -217,13 +182,13 @@ fn ingest_cell(
 /// checkpoint (recovery then loads it and replays the tail); without, it
 /// must have published none (recovery replays the whole log).
 fn recovery_cell(
-    streams: &Streams,
+    streams: &Fixture,
     cardinality: usize,
     reference: &Checksums,
     checkpoint_bytes: u64,
     mode: &'static str,
 ) -> Row {
-    let dir = scratch("recover", mode);
+    let dir = scratch("replog-recover");
     let build =
         || config(cardinality, Some(wal_options(&dir, SyncPolicy::Os, 0, checkpoint_bytes)));
     {
@@ -254,8 +219,8 @@ fn recovery_cell(
 
 /// Ingest on a durable leader, then time a cold follower from `start` to
 /// watermark parity: bootstrap snapshot transfer plus log tail.
-fn follower_cell(streams: &Streams, cardinality: usize, reference: &Checksums) -> Row {
-    let dir = scratch("follow", "leader");
+fn follower_cell(streams: &Fixture, cardinality: usize, reference: &Checksums) -> Row {
+    let dir = scratch("replog-follow");
     let wal = wal_options(&dir, SyncPolicy::Os, CHECKPOINT_EPOCHS, 0);
     let server =
         Server::bind(config(cardinality, Some(wal)), "127.0.0.1:0").expect("bind loopback");

@@ -7,7 +7,8 @@
 //! quantum: at quantum 1 every update pays a full kernel dispatch, which
 //! is exactly the degenerate case micro-batching exists to amortize — the
 //! paper-shaped result is throughput growing with batch size until the
-//! in-vector kernel saturates.
+//! in-vector kernel saturates. After each timed cell both tables must match
+//! the serial fold bitwise, or the run exits non-zero.
 //!
 //! Emits one JSON document on stdout (checked in as `BENCH_serve.json`)
 //! so results can be diffed across machines.
@@ -16,12 +17,13 @@
 //!       [--scale f | --full]`
 
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use invector_agg::dist::{self, Distribution};
+use invector_agg::dist::Distribution;
 use invector_bench::arg_scale;
 use invector_bench::autotune::{self, convergence_config};
 use invector_core::BackendChoice;
+use invector_harness::serving::{self, Fixture, SEED};
 use invector_serve::{
     LocalClient, OpKind, ServeClient, ServeConfig, Server, ServerCore, TableSpec, TcpClient, Update,
 };
@@ -35,8 +37,6 @@ const CHUNK: usize = 1024;
 /// Quantum-1 cells run seconds long and amortize interference on their
 /// own, so they are timed once.
 const REPEATS: usize = 3;
-/// Same stream seed the harness serving workload uses.
-const SEED: u64 = 0x1b_f2_9d;
 
 struct Cell {
     backend: &'static str,
@@ -54,7 +54,8 @@ fn main() {
     let scale = arg_scale(1.0);
     let rows = ((100_000.0 * scale) as usize).max(1_000);
     let cardinality = 4_096.min(rows);
-    let input = dist::generate(Distribution::Zipf, rows, cardinality, SEED);
+    let fixture = Fixture::new(Distribution::Zipf, rows, cardinality);
+    let reference = fixture.reference();
     // Two updates per row: one count increment, one min candidate.
     let updates = 2 * rows as u64;
 
@@ -66,7 +67,7 @@ fn main() {
     let mut cells = Vec::new();
     for &(label, backend) in &backends {
         for &quantum in &QUANTA {
-            let cell = run_cell(&input, backend, label, quantum);
+            let cell = run_cell(&fixture, &reference, backend, label, quantum);
             eprintln!(
                 "{label:>8} quantum={quantum:<5} {:>8.2} ms  {:>7.2} Mup/s",
                 cell.seconds * 1e3,
@@ -223,15 +224,7 @@ fn sweep_once(config: ServeConfig, conns: usize, total: usize, reference_sum: u6
             std::thread::spawn(move || {
                 let per_driver = conns / drivers;
                 let mut clients: Vec<TcpClient> = (0..per_driver)
-                    .map(|_| {
-                        for _ in 0..200 {
-                            if let Ok(c) = TcpClient::connect(addr) {
-                                return c;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        panic!("could not connect to {addr}");
-                    })
+                    .map(|_| serving::connect(addr).unwrap_or_else(|e| panic!("{e}")))
                     .collect();
                 connected.wait();
                 // Interleave chunk submission round-robin across this
@@ -290,7 +283,8 @@ fn fnv64(bits: &[u32]) -> u64 {
 /// One swept configuration, best of [`REPEATS`] timed runs (quantum-1
 /// cells are timed once; see [`REPEATS`]).
 fn run_cell(
-    input: &dist::Input,
+    fixture: &Fixture,
+    reference: &[Vec<u32>; 2],
     backend: BackendChoice,
     label: &'static str,
     quantum: usize,
@@ -298,7 +292,7 @@ fn run_cell(
     let repeats = if quantum == 1 { 1 } else { REPEATS };
     let mut best: Option<Cell> = None;
     for _ in 0..repeats {
-        let cell = run_cell_once(input, backend, label, quantum);
+        let cell = run_cell_once(fixture, reference, backend, label, quantum);
         if best.as_ref().is_none_or(|b| cell.seconds < b.seconds) {
             best = Some(cell);
         }
@@ -306,18 +300,16 @@ fn run_cell(
     best.expect("at least one repeat")
 }
 
-/// One timed run: fresh server, full stream, forced drain.
+/// One timed run: fresh server, full stream, forced drain; then both
+/// tables checked against the serial fold.
 fn run_cell_once(
-    input: &dist::Input,
+    fixture: &Fixture,
+    reference: &[Vec<u32>; 2],
     backend: BackendChoice,
     label: &'static str,
     quantum: usize,
 ) -> Cell {
-    let tables = vec![
-        TableSpec::i32("counts", OpKind::Add, input.cardinality),
-        TableSpec::f32("mins", OpKind::Min, input.cardinality),
-    ];
-    let mut config = ServeConfig::new(tables);
+    let mut config = ServeConfig::new(serving::tables(fixture.cardinality));
     config.backend = backend;
     config.quantum = quantum;
     // Enough queue headroom that backpressure retries measure the apply
@@ -326,28 +318,23 @@ fn run_cell_once(
     let core = ServerCore::new(config).expect("config is valid");
     let mut client = LocalClient::new(core.clone());
 
-    let counts: Vec<Update> = input
-        .keys
-        .iter()
-        .enumerate()
-        .map(|(seq, &k)| Update::i32(seq as u64, k as u32, 1))
-        .collect();
-    let mins: Vec<Update> = input
-        .keys
-        .iter()
-        .zip(&input.vals)
-        .enumerate()
-        .map(|(seq, (&k, &v))| Update::f32(seq as u64, k as u32, v))
-        .collect();
-
     let start = Instant::now();
     let mut retries = 0u32;
-    for (chunk_c, chunk_m) in counts.chunks(CHUNK).zip(mins.chunks(CHUNK)) {
+    for (chunk_c, chunk_m) in fixture.counts.chunks(CHUNK).zip(fixture.mins.chunks(CHUNK)) {
         retries += client.submit_all(0, chunk_c).expect("local submit");
         retries += client.submit_all(1, chunk_m).expect("local submit");
     }
     client.flush().expect("local flush");
     let seconds = start.elapsed().as_secs_f64();
+
+    for (table, expect) in (0u16..).zip(reference) {
+        if client.snapshot(table).expect("local snapshot").bits() != *expect {
+            eprintln!(
+                "error: {label} quantum {quantum}: table {table} diverged from the serial fold"
+            );
+            std::process::exit(1);
+        }
+    }
 
     let stats = core.stats_summary();
     let obs = invector_obs::json_snapshot(core.registry());

@@ -16,26 +16,33 @@ use std::time::Duration;
 
 pub mod autotune;
 
-/// Reads the experiment scale from `--scale <f>` / `--full` CLI arguments
-/// or the `INVECTOR_SCALE` environment variable, defaulting to `default`.
+/// Reads the experiment scale from the `--scale <f>` / `--full` CLI
+/// arguments, defaulting to `default`.
 ///
-/// `--full` selects scale 1.0 (the paper's dataset sizes).
+/// `--full` selects scale 1.0 (the paper's dataset sizes). A `--scale`
+/// with a missing, unparsable, non-finite or non-positive value exits with
+/// status 2 and an error naming the argument, as the `invector` CLI does.
 pub fn arg_scale(default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--full") {
-        return 1.0;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-            return v;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    scale_from(&args, default).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg_scale`] over an explicit argument list.
+fn scale_from(args: &[String], default: f64) -> Result<f64, String> {
+    let scale = match args.iter().position(|a| a == "--scale") {
+        None => default,
+        Some(i) => {
+            let value = args.get(i + 1).ok_or("--scale needs a value")?;
+            match value.parse::<f64>() {
+                Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+                _ => return Err(format!("--scale expects a positive number, got '{value}'")),
+            }
         }
-    }
-    if let Ok(v) = std::env::var("INVECTOR_SCALE") {
-        if let Ok(v) = v.parse::<f64>() {
-            return v;
-        }
-    }
-    default
+    };
+    Ok(if args.iter().any(|a| a == "--full") { 1.0 } else { scale })
 }
 
 /// Formats a duration as engineering-friendly milliseconds.
@@ -241,6 +248,22 @@ mod tests {
     fn ratio_handles_zero() {
         assert!(ratio(1.0, 0.0).is_nan());
         assert_eq!(ratio(6.0, 2.0), 3.0);
+    }
+
+    #[test]
+    fn scale_comes_from_the_arguments_or_the_default() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(scale_from(&args(""), 0.25), Ok(0.25));
+        assert_eq!(scale_from(&args("--scale 0.05"), 1.0), Ok(0.05));
+        assert_eq!(scale_from(&args("--smoke --scale 2"), 1.0), Ok(2.0));
+        assert_eq!(scale_from(&args("--full"), 0.1), Ok(1.0));
+        assert_eq!(scale_from(&args("--scale 0.5 --full"), 0.1), Ok(1.0));
+        for bad in ["--scale", "--scale x", "--scale 0", "--scale -1", "--scale NaN", "--scale inf"]
+        {
+            let err = scale_from(&args(bad), 1.0).expect_err(bad);
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
+        assert!(scale_from(&args("--scale --full"), 1.0).is_err(), "a flag is not a value");
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! [`BackendChoice`] (usually inside an `ExecPolicy`), call
 //! [`BackendChoice::resolve`] at the top of the kernel, and thread the
 //! resulting [`Backend`] through the hot loop. Code paths without a policy
-//! use the process-wide [`current`] default, which honors the
-//! `INVECTOR_BACKEND` environment variable (`auto` / `portable` / `native`
-//! / `avx512` / `avx2` / `neon`) and is detected once.
+//! use the process-wide [`current`] default: [`BackendChoice::Auto`],
+//! detected once.
 
 use std::sync::OnceLock;
 
@@ -155,7 +154,7 @@ impl BackendChoice {
             assert!(
                 b.available(),
                 "{} backend requested but this host lacks {}; use `auto` to \
-                 fall back to the portable model, or unset INVECTOR_BACKEND",
+                 fall back to the portable model",
                 b.name(),
                 b.required_features(),
             );
@@ -168,8 +167,7 @@ impl BackendChoice {
                 panic!(
                     "native backend requested but this host supports no native \
                      ISA (needs avx512f + avx512cd, avx2, or aarch64 NEON); use \
-                     `auto` to fall back to the portable model, or unset \
-                     INVECTOR_BACKEND"
+                     `auto` to fall back to the portable model"
                 )
             }),
             BackendChoice::Avx512 => require(Backend::Avx512),
@@ -178,8 +176,8 @@ impl BackendChoice {
         }
     }
 
-    /// Parses a backend name as accepted by `INVECTOR_BACKEND` and the CLI
-    /// `--backend` option (case-insensitive).
+    /// Parses a backend name as accepted by the CLI `--backend` option
+    /// (case-insensitive).
     ///
     /// # Errors
     ///
@@ -209,27 +207,11 @@ impl BackendChoice {
 }
 
 /// The process-wide default backend, for call sites that do not carry an
-/// `ExecPolicy`. Resolved once from the `INVECTOR_BACKEND` environment
-/// variable (`auto` when unset) and cached.
-///
-/// # Panics
-///
-/// First call panics if `INVECTOR_BACKEND` is set to an unrecognized
-/// value, or to an ISA the host does not support.
+/// `ExecPolicy`: [`BackendChoice::Auto`], resolved once and cached.
 #[must_use]
 pub fn current() -> Backend {
     static CURRENT: OnceLock<Backend> = OnceLock::new();
-    *CURRENT.get_or_init(|| choice_from_env().resolve())
-}
-
-fn choice_from_env() -> BackendChoice {
-    match std::env::var("INVECTOR_BACKEND") {
-        Ok(v) => match BackendChoice::parse(&v) {
-            Ok(choice) => choice,
-            Err(msg) => panic!("INVECTOR_BACKEND: {msg}"),
-        },
-        Err(_) => BackendChoice::Auto,
-    }
+    *CURRENT.get_or_init(|| BackendChoice::Auto.resolve())
 }
 
 #[cfg(test)]
@@ -305,6 +287,7 @@ mod tests {
     #[test]
     fn current_is_stable_across_calls() {
         assert_eq!(current(), current());
+        assert_eq!(current(), BackendChoice::Auto.resolve());
     }
 
     #[test]

@@ -14,11 +14,12 @@ use invector_moldyn::input::{fcc_lattice, Molecules};
 use invector_moldyn::sim::simulate_with_policy;
 
 use crate::kernel::{Kernel, RunRecord, Workload};
+use crate::serving::{self, Fixture};
 use crate::spec::RunSpec;
 
 /// Deterministic seed for synthesized inputs (moldyn lattice jitter, the
 /// aggregation key stream) — fixed so golden checksums are reproducible.
-const INPUT_SEED: u64 = 0x1b_f2_9d;
+pub(crate) const INPUT_SEED: u64 = 0x1b_f2_9d;
 
 /// Explicit-Euler step size; small enough that the tiny/small meshes stay
 /// numerically tame over the spec's iteration budget.
@@ -574,7 +575,7 @@ const SERVE_CHUNK: usize = 512;
 pub struct ServeApp;
 
 struct ServeWorkload {
-    input: agg::Input,
+    fixture: Fixture,
     dist: agg::Distribution,
 }
 
@@ -601,67 +602,45 @@ impl Kernel for ServeApp {
         if spec.rows == 0 || spec.cardinality == 0 {
             return Err("serving needs rows >= 1 and cardinality >= 1".into());
         }
-        let input = agg::dist::generate(spec.dist, spec.rows, spec.cardinality, INPUT_SEED);
-        Ok(Box::new(ServeWorkload { input, dist: spec.dist }))
+        Ok(Box::new(ServeWorkload::new(spec)))
     }
 }
 
 impl ServeWorkload {
-    /// The logical update streams: each input row becomes one count
-    /// increment and one min relaxation, keyed by the row's group.
-    fn streams(&self) -> (Vec<invector_serve::Update>, Vec<invector_serve::Update>) {
-        let counts = self
-            .input
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(seq, &k)| invector_serve::Update::i32(seq as u64, k as u32, 1))
-            .collect();
-        let mins = self
-            .input
-            .keys
-            .iter()
-            .zip(&self.input.vals)
-            .enumerate()
-            .map(|(seq, (&k, &v))| invector_serve::Update::f32(seq as u64, k as u32, v))
-            .collect();
-        (counts, mins)
+    /// The serving fixture at the spec's size and distribution.
+    fn new(spec: &RunSpec) -> ServeWorkload {
+        ServeWorkload {
+            fixture: Fixture::new(spec.dist, spec.rows, spec.cardinality),
+            dist: spec.dist,
+        }
     }
 
     /// Serial reference: fold both streams directly, no service involved.
     fn run_serial(&self) -> Vec<f64> {
-        let card = self.input.cardinality;
-        let mut counts = vec![0i32; card];
-        let mut mins = vec![f32::INFINITY; card];
-        for (&k, &v) in self.input.keys.iter().zip(&self.input.vals) {
-            counts[k as usize] += 1;
-            if v < mins[k as usize] {
-                mins[k as usize] = v;
-            }
-        }
-        let mut values: Vec<f64> = counts.into_iter().map(f64::from).collect();
-        values.extend(mins.into_iter().map(f64::from));
+        let [counts, mins] = self.fixture.reference();
+        let mut values: Vec<f64> = counts.into_iter().map(|b| f64::from(b as i32)).collect();
+        values.extend(mins.into_iter().map(|b| f64::from(f32::from_bits(b))));
         values
+    }
+
+    /// The serving config both served paths start from.
+    fn config(&self, policy: &ExecPolicy) -> invector_serve::ServeConfig {
+        let mut config =
+            invector_serve::ServeConfig::new(serving::tables(self.fixture.cardinality));
+        config.quantum = SERVE_QUANTUM;
+        config.threads = policy.threads.max(1);
+        config.backend = policy.backend;
+        config
     }
 
     /// Served path: stand up an in-process core, stream the updates
     /// through batched submissions, drain, and snapshot.
     fn run_served(&self, policy: &ExecPolicy) -> Result<Vec<f64>, String> {
-        use invector_serve::{
-            LocalClient, OpKind, ServeClient, ServeConfig, ServerCore, TableSpec,
-        };
-        let card = self.input.cardinality;
-        let mut config = ServeConfig::new(vec![
-            TableSpec::i32("counts", OpKind::Add, card),
-            TableSpec::f32("mins", OpKind::Min, card),
-        ]);
-        config.quantum = SERVE_QUANTUM;
-        config.threads = policy.threads.max(1);
-        config.backend = policy.backend;
-        let core = ServerCore::new(config)?;
+        use invector_serve::{LocalClient, ServeClient, ServerCore};
+        let core = ServerCore::new(self.config(policy))?;
         let mut client = LocalClient::new(core);
-        let (counts, mins) = self.streams();
-        for (table, stream) in [(0u16, &counts), (1u16, &mins)] {
+        let Fixture { counts, mins, .. } = &self.fixture;
+        for (table, stream) in [(0u16, counts), (1u16, mins)] {
             for chunk in stream.chunks(SERVE_CHUNK) {
                 client.submit_all(table, chunk)?;
             }
@@ -677,9 +656,9 @@ impl Workload for ServeWorkload {
     fn describe(&self) -> String {
         format!(
             "{} rows -> 2x{} update stream, {} keys, {} distribution",
-            self.input.len(),
-            self.input.len(),
-            self.input.cardinality,
+            self.fixture.rows(),
+            self.fixture.rows(),
+            self.fixture.cardinality,
             self.dist.label()
         )
     }
@@ -703,7 +682,7 @@ impl Workload for ServeWorkload {
             depth: None,
             threads: policy.threads.max(1),
             backend: policy.backend.resolve(),
-            updates: 2 * self.input.len() as u64,
+            updates: 2 * self.fixture.rows() as u64,
         }
     }
 }
@@ -742,45 +721,20 @@ impl Kernel for ServeRecoverApp {
         if spec.rows == 0 || spec.cardinality == 0 {
             return Err("recovery drill needs rows >= 1 and cardinality >= 1".into());
         }
-        let input = agg::dist::generate(spec.dist, spec.rows, spec.cardinality, INPUT_SEED);
-        Ok(Box::new(ServeRecoverWorkload { inner: ServeWorkload { input, dist: spec.dist } }))
+        Ok(Box::new(ServeRecoverWorkload { inner: ServeWorkload::new(spec) }))
     }
 }
 
 impl ServeRecoverWorkload {
-    /// A fresh scratch directory for one recovery run. Each call gets its
-    /// own path so repeated runs (bench iterations) never replay a stale log.
-    fn scratch_dir() -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "invector-harness-recover-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).ok();
-        dir
-    }
-
     /// Durable served path with a simulated crash: ingest the first half of
     /// each stream, flush, drop the core (the WAL is all that survives),
     /// recover a fresh core over the same directory, finish the streams on
     /// it, and snapshot.
     fn run_recovered(&self, policy: &ExecPolicy) -> Result<Vec<f64>, String> {
-        use invector_serve::{
-            LocalClient, OpKind, ServeClient, ServeConfig, ServerCore, SyncPolicy, TableSpec,
-            WalOptions,
-        };
-        let card = self.inner.input.cardinality;
-        let dir = Self::scratch_dir();
+        use invector_serve::{LocalClient, ServeClient, ServerCore, SyncPolicy, WalOptions};
+        let dir = serving::scratch_dir("harness-recover")?;
         let config = || {
-            let mut config = ServeConfig::new(vec![
-                TableSpec::i32("counts", OpKind::Add, card),
-                TableSpec::f32("mins", OpKind::Min, card),
-            ]);
-            config.quantum = SERVE_QUANTUM;
-            config.threads = policy.threads.max(1);
-            config.backend = policy.backend;
+            let mut config = self.inner.config(policy);
             let mut wal = WalOptions::new(&dir);
             wal.sync = SyncPolicy::Os;
             // A short cadence so larger scales exercise checkpoint +
@@ -789,12 +743,12 @@ impl ServeRecoverWorkload {
             config.wal = Some(wal);
             config
         };
-        let (counts, mins) = self.inner.streams();
+        let Fixture { counts, mins, .. } = &self.inner.fixture;
         let result = (|| {
             // Phase one: ingest the first half of both streams, then crash.
             let core = ServerCore::new(config())?;
             let mut client = LocalClient::new(core);
-            for (table, stream) in [(0u16, &counts), (1u16, &mins)] {
+            for (table, stream) in [(0u16, counts), (1u16, mins)] {
                 for chunk in stream[..stream.len() / 2].chunks(SERVE_CHUNK) {
                     client.submit_all(table, chunk)?;
                 }
@@ -805,7 +759,7 @@ impl ServeRecoverWorkload {
             // Phase two: recover over the log and finish the streams.
             let core = ServerCore::new(config())?;
             let mut client = LocalClient::new(core);
-            for (table, stream) in [(0u16, &counts), (1u16, &mins)] {
+            for (table, stream) in [(0u16, counts), (1u16, mins)] {
                 for chunk in stream[stream.len() / 2..].chunks(SERVE_CHUNK) {
                     client.submit_all(table, chunk)?;
                 }
@@ -846,7 +800,7 @@ impl Workload for ServeRecoverWorkload {
             depth: None,
             threads: policy.threads.max(1),
             backend: policy.backend.resolve(),
-            updates: 2 * self.inner.input.len() as u64,
+            updates: 2 * self.inner.fixture.rows() as u64,
         }
     }
 }

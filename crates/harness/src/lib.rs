@@ -25,6 +25,7 @@ pub mod apps;
 pub mod driver;
 mod kernel;
 pub mod registry;
+pub mod serving;
 mod spec;
 
 pub use driver::{backend_matrix, run_all, run_all_apps, run_all_matrix, CellReport, SmokeReport};

@@ -89,10 +89,28 @@ pub const SNAPSHOT_CHUNK_VALUES: usize = 1 << 20;
 /// in slot order, little-endian — the integrity check carried by
 /// `Reply::Snapshot` and verified chunk-assembled transfers.
 pub fn snapshot_checksum(values: &[u32]) -> u32 {
+    slot_crc(values.iter().copied())
+}
+
+/// CRC-32 over a slot image: the slots' bit patterns in slot order,
+/// little-endian. The one state checksum behind snapshots, WAL seals
+/// ([`TableState::checksum`](crate::table::TableState::checksum)) and
+/// checkpoint loads.
+pub(crate) fn slot_crc(slots: impl IntoIterator<Item = u32>) -> u32 {
+    // Stage slots through a fixed buffer so the CRC core sees long runs of
+    // bytes (its slicing-by-8 fast path) instead of 4-byte calls.
     let mut crc = invector_replog::Crc32::new();
-    for &v in values {
-        crc.update(&v.to_le_bytes());
+    let mut buf = [0u8; 4096];
+    let mut fill = 0;
+    for bits in slots {
+        buf[fill..fill + 4].copy_from_slice(&bits.to_le_bytes());
+        fill += 4;
+        if fill == buf.len() {
+            crc.update(&buf);
+            fill = 0;
+        }
     }
+    crc.update(&buf[..fill]);
     crc.finish()
 }
 
@@ -244,6 +262,17 @@ impl Update {
         Update { seq, idx, bits: value as u32 }
     }
 
+    /// The update's wire record: `seq:u64 idx:u32 bits:u32`, little-endian.
+    /// The one per-record encoder, for batches that are not already a
+    /// `[Update]` in memory (edge ops) and for big-endian targets.
+    fn wire_record(self) -> [u8; UPDATE_WIRE_LEN] {
+        let mut record = [0u8; UPDATE_WIRE_LEN];
+        record[..8].copy_from_slice(&self.seq.to_le_bytes());
+        record[8..12].copy_from_slice(&self.idx.to_le_bytes());
+        record[12..].copy_from_slice(&self.bits.to_le_bytes());
+        record
+    }
+
     /// The batch as wire records (the [`encode_updates`] layout). On
     /// little-endian targets that is the slice's own memory, borrowed;
     /// elsewhere an encoded copy.
@@ -272,9 +301,7 @@ impl Update {
         }
         #[cfg(not(target_endian = "little"))]
         {
-            let mut out = Vec::new();
-            encode_updates(&mut out, updates);
-            Cow::Owned(out)
+            Cow::Owned(updates.iter().flat_map(|u| u.wire_record()).collect())
         }
     }
 }
@@ -640,6 +667,23 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Writes a slot image, `count:u32 count x bits:u32` — the layout of the
+/// `Snapshot`, `SnapshotChunk` and `Window` replies and of checkpoint
+/// table records; [`Cursor::slots`] reads it back.
+pub(crate) fn put_slots(out: &mut Vec<u8>, values: &[u32]) {
+    put_u32(out, values.len() as u32);
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// A 4-byte little-endian `u32`.
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
 /// Bounds-checked little-endian reader over one frame body (also used by
 /// the serve WAL record codec, which shares this module's wire layouts).
 pub(crate) struct Cursor<'a> {
@@ -653,7 +697,7 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(ProtoError::Malformed(format!(
                 "frame truncated: wanted {n} bytes at offset {}, body is {}",
                 self.pos,
@@ -674,7 +718,7 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.take(4).map(le_u32)
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
@@ -683,6 +727,27 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn f64(&mut self) -> Result<f64, ProtoError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// Takes a counted region: `count:u32`, then `count` items of `width`
+    /// bytes. The whole region is taken before any item is read, so a count
+    /// the body cannot carry fails before anything is allocated for it.
+    fn counted(&mut self, width: usize) -> Result<&'a [u8], ProtoError> {
+        let count = self.u32()? as usize;
+        self.take(count.checked_mul(width).ok_or_else(|| {
+            ProtoError::Malformed(format!("count {count} overflows the address space"))
+        })?)
+    }
+
+    /// Reads an update batch (`count:u32`, then `count` wire records) as a
+    /// borrowed view.
+    pub(crate) fn updates(&mut self) -> Result<UpdatesView<'a>, ProtoError> {
+        self.counted(UPDATE_WIRE_LEN).map(UpdatesView::new)
+    }
+
+    /// Reads a slot image ([`put_slots`]).
+    pub(crate) fn slots(&mut self) -> Result<Vec<u32>, ProtoError> {
+        Ok(self.counted(4)?.chunks_exact(4).map(le_u32).collect())
     }
 
     pub(crate) fn finish(self) -> Result<(), ProtoError> {
@@ -714,14 +779,10 @@ pub const UPDATE_WIRE_LEN: usize = invector_simd::records::RECORD_LEN;
 /// Encodes a batch of updates in wire order (`seq:u64 idx:u32 bits:u32`
 /// per record) — the payload layout [`UpdatesView`] reads back. Shared by
 /// the `Update` request codec and the WAL batch-record codec, so log
-/// replay and wire replay decode through the same bytes.
+/// replay and wire replay decode through the same bytes. A copy of
+/// [`Update::wire_bytes`]: one `memcpy` on little-endian targets.
 pub fn encode_updates(out: &mut Vec<u8>, updates: &[Update]) {
-    out.reserve(UPDATE_WIRE_LEN * updates.len());
-    for u in updates {
-        put_u64(out, u.seq);
-        put_u32(out, u.idx);
-        put_u32(out, u.bits);
-    }
+    out.extend_from_slice(&Update::wire_bytes(updates));
 }
 
 impl<'a> UpdatesView<'a> {
@@ -772,8 +833,8 @@ impl<'a> UpdatesView<'a> {
         let r = &self.bytes[i * UPDATE_WIRE_LEN..(i + 1) * UPDATE_WIRE_LEN];
         Update {
             seq: u64::from_le_bytes(r[0..8].try_into().expect("8 bytes")),
-            idx: u32::from_le_bytes(r[8..12].try_into().expect("4 bytes")),
-            bits: u32::from_le_bytes(r[12..16].try_into().expect("4 bytes")),
+            idx: le_u32(&r[8..12]),
+            bits: le_u32(&r[12..16]),
         }
     }
 
@@ -872,17 +933,7 @@ impl<'a> RequestView<'a> {
         let mut c = Cursor::new(body);
         let req = match c.u8()? {
             0x01 => RequestView::Hello { version: c.u16()? },
-            0x02 => {
-                let table = c.u16()?;
-                let count = c.u32()? as usize;
-                if count > body.len() / UPDATE_WIRE_LEN + 1 {
-                    return Err(ProtoError::Malformed(format!(
-                        "update count {count} exceeds frame size"
-                    )));
-                }
-                let payload = c.take(count * UPDATE_WIRE_LEN)?;
-                RequestView::Update { table, updates: UpdatesView::new(payload) }
-            }
+            0x02 => RequestView::Update { table: c.u16()?, updates: c.updates()? },
             0x03 => RequestView::Flush,
             0x04 => RequestView::Snapshot { table: c.u16()? },
             0x05 => RequestView::Stats,
@@ -893,17 +944,7 @@ impl<'a> RequestView<'a> {
             0x0A => {
                 RequestView::LogTail { checkpoint: c.u64()?, index: c.u64()?, max_bytes: c.u32()? }
             }
-            0x0B => {
-                let table = c.u16()?;
-                let count = c.u32()? as usize;
-                if count > body.len() / UPDATE_WIRE_LEN + 1 {
-                    return Err(ProtoError::Malformed(format!(
-                        "edge op count {count} exceeds frame size"
-                    )));
-                }
-                let payload = c.take(count * UPDATE_WIRE_LEN)?;
-                RequestView::EdgeOps { table, ops: UpdatesView::new(payload) }
-            }
+            0x0B => RequestView::EdgeOps { table: c.u16()?, ops: c.updates()? },
             0x0C => RequestView::WindowQuery { table: c.u16()?, bucket: c.u64()? },
             0x0D => RequestView::TopK { table: c.u16()?, k: c.u32()? },
             op => return Err(ProtoError::Malformed(format!("unknown request opcode {op:#04x}"))),
@@ -980,10 +1021,7 @@ impl Request {
                 put_u16(&mut out, *table);
                 put_u32(&mut out, ops.len() as u32);
                 for op in ops {
-                    let u = op.to_update();
-                    put_u64(&mut out, u.seq);
-                    put_u32(&mut out, u.idx);
-                    put_u32(&mut out, u.bits);
+                    out.extend_from_slice(&op.to_update().wire_record());
                 }
             }
             Request::WindowQuery { table, bucket } => {
@@ -1111,10 +1149,7 @@ impl Reply {
                 put_u16(&mut out, *table);
                 put_u64(&mut out, *watermark);
                 put_u32(&mut out, *checksum);
-                put_u32(&mut out, values.len() as u32);
-                for &v in values {
-                    put_u32(&mut out, v);
-                }
+                put_slots(&mut out, values);
             }
             Reply::Stats(s) => {
                 out.push(0x85);
@@ -1161,10 +1196,7 @@ impl Reply {
                 out.push(0x89);
                 put_u16(&mut out, *table);
                 put_u32(&mut out, *chunk);
-                put_u32(&mut out, values.len() as u32);
-                for &v in values {
-                    put_u32(&mut out, v);
-                }
+                put_slots(&mut out, values);
             }
             Reply::LogRecords { checkpoint, next_index, head, reset, records } => {
                 out.push(0x8A);
@@ -1185,10 +1217,7 @@ impl Reply {
                 put_u64(&mut out, *watermark);
                 put_u64(&mut out, *bucket);
                 put_u64(&mut out, *expired);
-                put_u32(&mut out, values.len() as u32);
-                for &v in values {
-                    put_u32(&mut out, v);
-                }
+                put_slots(&mut out, values);
             }
             Reply::TopK { table, watermark, entries } => {
                 out.reserve(15 + 8 * entries.len());
@@ -1238,22 +1267,12 @@ impl Reply {
                 retry_after_ms: c.u32()?,
                 reason: RejectReason::from_byte(c.u8()?)?,
             },
-            0x84 => {
-                let table = c.u16()?;
-                let watermark = c.u64()?;
-                let checksum = c.u32()?;
-                let len = c.u32()? as usize;
-                if len > body.len() / 4 + 1 {
-                    return Err(ProtoError::Malformed(format!(
-                        "snapshot length {len} exceeds frame size"
-                    )));
-                }
-                let mut values = Vec::with_capacity(len);
-                for _ in 0..len {
-                    values.push(c.u32()?);
-                }
-                Reply::Snapshot { table, watermark, checksum, values }
-            }
+            0x84 => Reply::Snapshot {
+                table: c.u16()?,
+                watermark: c.u64()?,
+                checksum: c.u32()?,
+                values: c.slots()?,
+            },
             0x85 => Reply::Stats(StatsSummary {
                 epochs: c.u64()?,
                 slices: c.u64()?,
@@ -1297,21 +1316,7 @@ impl Reply {
                 }
                 Reply::SnapshotMeta { checkpoint, index, chunk_values, tables }
             }
-            0x89 => {
-                let table = c.u16()?;
-                let chunk = c.u32()?;
-                let count = c.u32()? as usize;
-                if count > body.len() / 4 + 1 {
-                    return Err(ProtoError::Malformed(format!(
-                        "chunk length {count} exceeds frame size"
-                    )));
-                }
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(c.u32()?);
-                }
-                Reply::SnapshotChunk { table, chunk, values }
-            }
+            0x89 => Reply::SnapshotChunk { table: c.u16()?, chunk: c.u32()?, values: c.slots()? },
             0x8A => {
                 let checkpoint = c.u64()?;
                 let next_index = c.u64()?;
@@ -1334,38 +1339,22 @@ impl Reply {
                 }
                 Reply::LogRecords { checkpoint, next_index, head, reset, records }
             }
-            0x8B => {
-                let table = c.u16()?;
-                let watermark = c.u64()?;
-                let bucket = c.u64()?;
-                let expired = c.u64()?;
-                let count = c.u32()? as usize;
-                if count > body.len() / 4 + 1 {
-                    return Err(ProtoError::Malformed(format!(
-                        "window value count {count} exceeds frame size"
-                    )));
-                }
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(c.u32()?);
-                }
-                Reply::Window { table, watermark, bucket, expired, values }
-            }
-            0x8C => {
-                let table = c.u16()?;
-                let watermark = c.u64()?;
-                let count = c.u32()? as usize;
-                if count > body.len() / 8 + 1 {
-                    return Err(ProtoError::Malformed(format!(
-                        "top-k entry count {count} exceeds frame size"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push((c.u32()?, c.u32()?));
-                }
-                Reply::TopK { table, watermark, entries }
-            }
+            0x8B => Reply::Window {
+                table: c.u16()?,
+                watermark: c.u64()?,
+                bucket: c.u64()?,
+                expired: c.u64()?,
+                values: c.slots()?,
+            },
+            0x8C => Reply::TopK {
+                table: c.u16()?,
+                watermark: c.u64()?,
+                entries: c
+                    .counted(8)?
+                    .chunks_exact(8)
+                    .map(|e| (le_u32(&e[..4]), le_u32(&e[4..])))
+                    .collect(),
+            },
             0xFF => {
                 let n = c.u16()? as usize;
                 let msg = std::str::from_utf8(c.take(n)?)

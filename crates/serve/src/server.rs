@@ -317,10 +317,10 @@ pub struct ServerCore {
     watermarks: Vec<AtomicU64>,
     /// Updates sitting in staging buffers (not yet taken by an epoch).
     queued: AtomicUsize,
-    /// Serializes epoch execution. It guards each table's spare staging
-    /// buffer (empty, capacity kept), which an epoch swaps in for the
-    /// staged batch.
-    tick_lock: Mutex<Vec<Staging>>,
+    /// Serializes epoch execution and guards the state only an epoch
+    /// writes: the spare staging buffers, the WAL and the tuning state.
+    /// Lock order: tick lock → table locks.
+    tick_lock: Mutex<EpochState>,
     /// Per-core metric registry the stats handles point into (also the
     /// scrape source for the `Metrics` verb).
     registry: Registry,
@@ -328,9 +328,6 @@ pub struct ServerCore {
     /// lock-free, so admission and the epoch executor never serialize on
     /// a stats mutex.
     stats: ServeStats,
-    /// Durability state, present when the config names a WAL directory.
-    /// Lock order: tick lock → WAL → table locks.
-    wal: Option<Mutex<WalState>>,
     /// A read-only core (follower mode) fails every submit; epochs are
     /// driven by replica application instead of the ingest path.
     read_only: AtomicBool,
@@ -340,13 +337,24 @@ pub struct ServerCore {
     /// Whether a wake is pending: set (and signalled) only on its flip
     /// from `false`, consumed by the epoch loop before it waits.
     wake_lock: Mutex<bool>,
-    /// Tuning state: the policy in effect, the optional controller, and
-    /// the recorded decision trace. Written only under the tick lock, so
-    /// the admission path never sees it.
-    tuning: Mutex<TuneState>,
 }
 
-/// The core's tuning state, behind one mutex.
+/// What the tick lock guards: every piece of core state that only epochs
+/// (and the installs and replays that stand in for them) write.
+#[derive(Debug)]
+struct EpochState {
+    /// Each table's spare staging buffer (empty, capacity kept), which an
+    /// epoch swaps in for the staged batch.
+    spares: Vec<Staging>,
+    /// Durability state, present when the config names a WAL directory.
+    /// Held across a whole cut, so a log fetch never sees half an epoch.
+    wal: Option<WalState>,
+    /// Tuning state. The admission path never sees it.
+    tuning: TuneState,
+}
+
+/// The core's tuning state: the policy in effect, the optional controller,
+/// and the recorded decision trace.
 #[derive(Debug, Default)]
 struct TuneState {
     /// The policy in effect: the initial policy, then each installed
@@ -427,7 +435,7 @@ impl ServerCore {
             None => (None, None),
             Some(options) => {
                 let (state, recovery) = WalState::open(options, &config.tables)?;
-                (Some(Mutex::new(state)), Some(recovery))
+                (Some(state), Some(recovery))
             }
         };
         let watermarks = tables.iter().map(|_| AtomicU64::new(0)).collect();
@@ -442,15 +450,17 @@ impl ServerCore {
             tables,
             watermarks,
             queued: AtomicUsize::new(0),
-            tick_lock: Mutex::new(spares),
+            tick_lock: Mutex::new(EpochState {
+                spares,
+                wal,
+                tuning: TuneState { policy: initial, controller, ..TuneState::default() },
+            }),
             registry,
             stats,
-            wal,
             read_only: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             wake: Condvar::new(),
             wake_lock: Mutex::new(false),
-            tuning: Mutex::new(TuneState { policy: initial, controller, ..TuneState::default() }),
         });
         // Durable mode: install the latest checkpoint and replay the log
         // tail through the follower's record path (under any replayed
@@ -585,7 +595,8 @@ impl ServerCore {
     /// any thread — tests and the in-process client drive it directly,
     /// the background epoch thread drives it in a live server.
     pub fn tick(&self, drain: bool) -> EpochReport {
-        let mut batches = self.tick_lock.lock().expect("tick lock");
+        let mut epoch = self.tick_lock.lock().expect("tick lock");
+        let EpochState { spares: batches, wal, tuning } = &mut *epoch;
         let start = Instant::now();
 
         // Take every table's staged batch in O(1) before cutting any: swap
@@ -603,18 +614,16 @@ impl ServerCore {
 
         // Buffer and cut batches, one table at a time. Each table cuts
         // under its own watermark-keyed policy schedule.
-        // With a WAL, the log is held across the whole cut (lock order:
-        // tick → WAL → table) and every slice is appended *before* it is
-        // applied — the write-ahead point. A WAL I/O failure is a
-        // deliberate panic: continuing would apply unlogged slices, and a
-        // crash here is exactly what recovery is built for.
-        let mut wal = self.wal.as_ref().map(|w| w.lock().expect("wal lock"));
+        // With a WAL, every slice is appended *before* it is applied — the
+        // write-ahead point. A WAL I/O failure is a deliberate panic:
+        // continuing would apply unlogged slices, and a crash here is
+        // exactly what recovery is built for.
         let mut report = EpochReport::default();
         let mut depth = DepthHistogram::new();
         for (t, (table, batch)) in self.tables.iter().zip(batches.iter_mut()).enumerate() {
             let mut state = table.lock().expect("table lock");
             let before = state.watermark();
-            let slices = match wal.as_deref_mut() {
+            let slices = match wal.as_mut() {
                 None => state.cut_staged(batch.runs(), drain, &mut |_| {}),
                 Some(wal) => state.cut_staged(batch.runs(), drain, &mut |run| {
                     let record =
@@ -632,7 +641,7 @@ impl ServerCore {
                 report.vectors += slice.vectors;
                 depth.merge(&slice.depth);
             }
-            if let Some(wal) = wal.as_deref_mut() {
+            if let Some(wal) = wal.as_mut() {
                 if state.watermark() != before {
                     // Seal the table's epoch: watermark + post-apply state
                     // CRC, the per-epoch checksum recovery verifies and
@@ -648,7 +657,7 @@ impl ServerCore {
             }
             self.watermarks[t].store(state.watermark(), Ordering::Release);
         }
-        if let Some(wal) = wal.as_deref_mut() {
+        if let Some(wal) = wal.as_mut() {
             if report.slices > 0 {
                 if wal.sync_epoch().expect("WAL sync failed") {
                     self.stats.record_wal_fsync();
@@ -658,16 +667,15 @@ impl ServerCore {
                 }
             }
         }
-        drop(wal);
         report.elapsed = start.elapsed();
         self.stats.record_epoch(&report, &depth);
-        self.tune_observe(&report);
+        self.tune_observe(tuning, &report);
         report
     }
 
-    /// Publishes a snapshot checkpoint (caller holds the tick lock and the
-    /// WAL lock): every table's state goes to the snapshot store under a
-    /// manifest of per-table checksums, then the log truncates.
+    /// Publishes a snapshot checkpoint (caller holds the tick lock): every
+    /// table's state goes to the snapshot store under a manifest of
+    /// per-table checksums, then the log truncates.
     fn checkpoint_locked(&self, wal: &mut WalState) {
         let mut entries = Vec::with_capacity(self.tables.len());
         let mut records = Vec::with_capacity(self.tables.len());
@@ -700,12 +708,8 @@ impl ServerCore {
     /// therefore depend only on completed-epoch metrics and take effect
     /// only at recorded boundaries, which is what keeps tuned snapshots
     /// replayable bitwise from the trace.
-    fn tune_observe(&self, report: &EpochReport) {
-        if report.slices == 0 {
-            return;
-        }
-        let mut tuning = self.tuning.lock().expect("tune lock");
-        if tuning.controller.is_none() {
+    fn tune_observe(&self, tuning: &mut TuneState, report: &EpochReport) {
+        if report.slices == 0 || tuning.controller.is_none() {
             return;
         }
         tuning.epochs += 1;
@@ -911,9 +915,8 @@ impl ServerCore {
     /// correspond to (generation 0, index 0 without a WAL). Runs under
     /// the tick lock so no epoch can interleave between tables.
     pub fn pin_state(&self) -> Arc<PinnedState> {
-        let _epoch = self.tick_lock.lock().expect("tick lock");
-        let wal = self.wal.as_ref().map(|w| w.lock().expect("wal lock"));
-        let (checkpoint, index) = wal.as_ref().map_or((0, 0), |w| (w.checkpoint(), w.head()));
+        let epoch = self.tick_lock.lock().expect("tick lock");
+        let (checkpoint, index) = epoch.wal.as_ref().map_or((0, 0), |w| (w.checkpoint(), w.head()));
         let tables = self
             .tables
             .iter()
@@ -940,12 +943,11 @@ impl ServerCore {
         index: u64,
         max_bytes: u32,
     ) -> Result<LogTailPage, String> {
-        let wal = self
+        let epoch = self.tick_lock.lock().expect("tick lock");
+        let wal = epoch
             .wal
             .as_ref()
-            .ok_or("server has no WAL; start the leader with --wal-dir to replicate")?
-            .lock()
-            .expect("wal lock");
+            .ok_or("server has no WAL; start the leader with --wal-dir to replicate")?;
         if checkpoint != wal.checkpoint() {
             // The requested generation was truncated by a checkpoint (or
             // never existed): the follower must re-bootstrap.
@@ -1098,14 +1100,14 @@ impl ServerCore {
 
     /// The active epoch policy (the tuned values under `TuneMode::Auto`).
     pub fn current_policy(&self) -> EpochPolicy {
-        self.tuning.lock().expect("tune lock").policy
+        self.tick_lock.lock().expect("tick lock").tuning.policy
     }
 
     /// Every policy install so far, keyed by per-table watermarks —
     /// feed it to `TuneMode::Replay` to reproduce this run's snapshots
     /// bitwise without a controller.
     pub fn policy_trace(&self) -> PolicyTrace {
-        self.tuning.lock().expect("tune lock").trace.clone()
+        self.tick_lock.lock().expect("tick lock").tuning.trace.clone()
     }
 
     /// Applied watermark per table, in id order.

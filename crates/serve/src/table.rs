@@ -15,7 +15,7 @@ use invector_simd::SimdElement;
 use invector_streamkit::{AggOp, Engine, StreamKind};
 
 use crate::epoch::{ReorderBuffer, RunView};
-use crate::protocol::Update;
+use crate::protocol::{slot_crc, Update};
 
 /// Element type of a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -526,8 +526,9 @@ impl TableState {
 
     /// CRC-32 over the current slot bit patterns, little-endian — the
     /// per-epoch state checksum sealed into the WAL and compared across
-    /// leader/follower. Matches [`crate::protocol::snapshot_checksum`]
-    /// without materializing the bit vector.
+    /// leader/follower. The same slot CRC as
+    /// [`crate::protocol::snapshot_checksum`], computed without
+    /// materializing the bit vector.
     ///
     /// Memoized per watermark: state only changes when updates apply, and
     /// every apply advances the watermark, so a hit is always exact.
@@ -538,27 +539,10 @@ impl TableState {
                 return crc;
             }
         }
-        // Stage slots through a fixed buffer so the CRC core sees long runs
-        // of bytes (its slicing-by-8 fast path) instead of 4-byte calls.
-        fn fold(crc: &mut invector_replog::Crc32, slots: impl Iterator<Item = u32>) {
-            let mut buf = [0u8; 4096];
-            let mut fill = 0;
-            for bits in slots {
-                buf[fill..fill + 4].copy_from_slice(&bits.to_le_bytes());
-                fill += 4;
-                if fill == buf.len() {
-                    crc.update(&buf);
-                    fill = 0;
-                }
-            }
-            crc.update(&buf[..fill]);
-        }
-        let mut crc = invector_replog::Crc32::new();
-        match &self.data {
-            TableData::F32(v) => fold(&mut crc, v.iter().map(|x| x.to_bits())),
-            TableData::I32(v) => fold(&mut crc, v.iter().map(|&x| x as u32)),
-        }
-        let out = crc.finish();
+        let out = match &self.data {
+            TableData::F32(v) => slot_crc(v.iter().map(|x| x.to_bits())),
+            TableData::I32(v) => slot_crc(v.iter().map(|&x| x as u32)),
+        };
         self.checksum_cache.set(Some((wm, out)));
         out
     }

@@ -33,9 +33,9 @@
 
 use std::path::PathBuf;
 
-use invector_replog::{crc32, SnapshotStore, SyncPolicy, Wal};
+use invector_replog::{SnapshotStore, SyncPolicy, Wal};
 
-use crate::protocol::{encode_updates, ProtoError, Update, UpdatesView};
+use crate::protocol::{encode_updates, put_slots, slot_crc, Cursor, ProtoError, Update};
 use crate::table::{OpKind, TableData, TableSpec, ValueKind};
 
 /// Durability configuration: where the log lives and how hard it syncs.
@@ -118,37 +118,16 @@ impl WalRecord {
     /// Returns [`ProtoError::Malformed`] for unknown kinds, truncated
     /// payloads, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, ProtoError> {
-        let (&kind, rest) = payload
-            .split_first()
-            .ok_or_else(|| ProtoError::Malformed("empty WAL record".into()))?;
-        match kind {
-            0x01 => {
-                if rest.len() < 6 {
-                    return Err(ProtoError::Malformed("truncated WAL batch header".into()));
-                }
-                let table = u16::from_le_bytes([rest[0], rest[1]]);
-                let count = u32::from_le_bytes([rest[2], rest[3], rest[4], rest[5]]) as usize;
-                let body = &rest[6..];
-                let view = UpdatesView::over(body)?;
-                if view.len() != count {
-                    return Err(ProtoError::Malformed(format!(
-                        "WAL batch claims {count} updates, carries {}",
-                        view.len()
-                    )));
-                }
-                Ok(WalRecord::Batch { table, updates: view.iter().collect() })
+        let mut c = Cursor::new(payload);
+        let record = match c.u8()? {
+            0x01 => WalRecord::Batch { table: c.u16()?, updates: c.updates()?.to_vec() },
+            0x02 => WalRecord::Seal { table: c.u16()?, watermark: c.u64()?, crc: c.u32()? },
+            other => {
+                return Err(ProtoError::Malformed(format!("unknown WAL record kind {other:#04x}")))
             }
-            0x02 => {
-                if rest.len() != 14 {
-                    return Err(ProtoError::Malformed("WAL seal is 14 payload bytes".into()));
-                }
-                let table = u16::from_le_bytes([rest[0], rest[1]]);
-                let watermark = u64::from_le_bytes(rest[2..10].try_into().expect("8 bytes"));
-                let crc = u32::from_le_bytes(rest[10..14].try_into().expect("4 bytes"));
-                Ok(WalRecord::Seal { table, watermark, crc })
-            }
-            other => Err(ProtoError::Malformed(format!("unknown WAL record kind {other:#04x}"))),
-        }
+        };
+        c.finish()?;
+        Ok(record)
     }
 }
 
@@ -240,20 +219,19 @@ pub fn decode_manifest(payload: &[u8]) -> Result<(u64, Vec<ManifestEntry>), Prot
     Ok((checkpoint, entries))
 }
 
-/// Encodes one table's checkpoint record (`table watermark count bits…`).
+/// Encodes one table's checkpoint record (`table watermark` plus the
+/// table's slot image).
 pub fn encode_checkpoint_table(table: u16, watermark: u64, data: &TableData) -> Vec<u8> {
     let bits = data.to_bits();
     let mut out = Vec::with_capacity(14 + 4 * bits.len());
     out.extend_from_slice(&table.to_le_bytes());
     out.extend_from_slice(&watermark.to_le_bytes());
-    out.extend_from_slice(&(bits.len() as u32).to_le_bytes());
-    for b in bits {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
+    put_slots(&mut out, &bits);
     out
 }
 
-/// Decodes one table's checkpoint record into typed data under `spec`.
+/// Decodes one table's checkpoint record into typed data under `spec`,
+/// with the state checksum of its slot image.
 ///
 /// # Errors
 ///
@@ -263,37 +241,29 @@ pub fn decode_checkpoint_table(
     payload: &[u8],
     spec: &TableSpec,
 ) -> Result<(u16, u64, TableData, u32), ProtoError> {
-    if payload.len() < 14 {
-        return Err(ProtoError::Malformed("truncated checkpoint table record".into()));
-    }
-    let table = u16::from_le_bytes([payload[0], payload[1]]);
-    let watermark = u64::from_le_bytes(payload[2..10].try_into().expect("8 bytes"));
-    let count = u32::from_le_bytes(payload[10..14].try_into().expect("4 bytes")) as usize;
-    let body = &payload[14..];
-    if body.len() != 4 * count {
+    let mut c = Cursor::new(payload);
+    let table = c.u16()?;
+    let watermark = c.u64()?;
+    let bits = c.slots()?;
+    c.finish()?;
+    if bits.len() != spec.len {
         return Err(ProtoError::Malformed(format!(
-            "checkpoint table record claims {count} slots, carries {} bytes",
-            body.len()
+            "checkpoint of {} slots for table '{}' of {} slots",
+            bits.len(),
+            spec.name,
+            spec.len
         )));
     }
-    if count != spec.len {
-        return Err(ProtoError::Malformed(format!(
-            "checkpoint of {count} slots for table '{}' of {} slots",
-            spec.name, spec.len
-        )));
-    }
-    // The state checksum is over exactly these little-endian bytes.
-    let checksum = crc32(body);
-    let bits = body.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
+    let checksum = slot_crc(bits.iter().copied());
     let data = match spec.kind {
-        ValueKind::F32 => TableData::F32(bits.map(f32::from_bits).collect()),
-        ValueKind::I32 => TableData::I32(bits.map(|b| b as i32).collect()),
+        ValueKind::F32 => TableData::F32(bits.into_iter().map(f32::from_bits).collect()),
+        ValueKind::I32 => TableData::I32(bits.into_iter().map(|b| b as i32).collect()),
     };
     Ok((table, watermark, data, checksum))
 }
 
-/// The server's live durability state, locked as one unit (lock order:
-/// tick lock → WAL → table locks).
+/// The server's live durability state. The core keeps it under its tick
+/// lock, with the rest of the state only epochs write.
 #[derive(Debug)]
 pub struct WalState {
     options: WalOptions,

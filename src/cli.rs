@@ -9,12 +9,12 @@ use std::time::Instant;
 
 use invector_agg::dist::Distribution;
 use invector_core::BackendChoice;
+use invector_harness::serving::{self, Fixture};
 use invector_harness::{driver, registry, RunRecord, RunSpec};
 use invector_kernels::{ExecPolicy, Variant};
 use invector_serve::{
-    FollowStatus, Follower, LocalClient, OpKind, ReactorKind, ServeClient, ServeConfig, Server,
-    ServerCore, SubmitOutcome, SyncPolicy, TableSpec, TcpClient, TuneConfig, TuneMode, Update,
-    WalOptions,
+    FollowStatus, Follower, LocalClient, ReactorKind, ServeClient, ServeConfig, Server, ServerCore,
+    SubmitOutcome, SyncPolicy, TcpClient, TuneConfig, TuneMode, Update, WalOptions,
 };
 
 /// Reactor front-end knobs shared by `serve` and `bench-serve`.
@@ -728,61 +728,10 @@ fn run_metrics(addr: &str) -> Result<(), String> {
 // Serving
 // ---------------------------------------------------------------------------
 
-/// Seed for synthesized serving streams; matches the harness input seed so
-/// `serve --smoke` and `run --app serve` fold the same data.
-const SERVE_SEED: u64 = 0x1b_f2_9d;
-
-/// The service's table registry for CLI-started servers: a count table and
-/// a min table over the spec's key cardinality. Both operators are exact,
-/// so every check below can demand bitwise agreement.
-fn serve_tables(cardinality: usize) -> Vec<TableSpec> {
-    vec![
-        TableSpec::i32("counts", OpKind::Add, cardinality),
-        TableSpec::f32("mins", OpKind::Min, cardinality),
-    ]
-}
-
-/// Synthesizes the two logical update streams from the spec's distribution.
-fn serve_streams(spec: &RunSpec) -> (Vec<Update>, Vec<Update>) {
-    let input = invector_agg::dist::generate(
-        spec.dist,
-        spec.rows.max(1),
-        spec.cardinality.max(1),
-        SERVE_SEED,
-    );
-    let counts = input
-        .keys
-        .iter()
-        .enumerate()
-        .map(|(seq, &k)| Update::i32(seq as u64, k as u32, 1))
-        .collect();
-    let mins = input
-        .keys
-        .iter()
-        .zip(&input.vals)
-        .enumerate()
-        .map(|(seq, (&k, &v))| Update::f32(seq as u64, k as u32, v))
-        .collect();
-    (counts, mins)
-}
-
-/// Serial reference fold of both streams, as bit patterns.
-fn serve_reference(counts: &[Update], mins: &[Update], cardinality: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut count_slots = vec![0i32; cardinality];
-    for u in counts {
-        count_slots[u.idx as usize] += u.bits as i32;
-    }
-    let mut min_slots = vec![f32::INFINITY; cardinality];
-    for u in mins {
-        let v = f32::from_bits(u.bits);
-        if v < min_slots[u.idx as usize] {
-            min_slots[u.idx as usize] = v;
-        }
-    }
-    (
-        count_slots.into_iter().map(|v| v as u32).collect(),
-        min_slots.into_iter().map(f32::to_bits).collect(),
-    )
+/// The serving fixture ([`serving::Fixture`]) at the spec's size and
+/// distribution: CLI-started servers host its two tables.
+fn serve_fixture(spec: &RunSpec) -> Fixture {
+    Fixture::new(spec.dist, spec.rows.max(1), spec.cardinality.max(1))
 }
 
 /// Parsed `--wal-dir` / `--wal-sync`: the serve command's durability
@@ -804,7 +753,7 @@ impl Durability {
 }
 
 fn serve_config(spec: &RunSpec, exec: ExecOpts, net: NetOpts) -> ServeConfig {
-    let mut config = ServeConfig::new(serve_tables(spec.cardinality.max(1)));
+    let mut config = ServeConfig::new(serving::tables(spec.cardinality.max(1)));
     config.quantum = exec.quantum;
     config.threads = exec.threads;
     config.backend = exec.backend;
@@ -863,7 +812,6 @@ fn run_serve(
 /// snapshots must match the serial fold bitwise, and shutdown must drain
 /// cleanly.
 fn serve_smoke(spec: &RunSpec, exec: ExecOpts, net: NetOpts, clients: usize) -> Result<(), String> {
-    let cardinality = spec.cardinality.max(1);
     let config = serve_config(spec, exec, net);
     let server = Server::bind(config, "127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
     let addr = server.local_addr();
@@ -878,8 +826,9 @@ fn serve_smoke(spec: &RunSpec, exec: ExecOpts, net: NetOpts, clients: usize) -> 
         exec.backend.resolve().name()
     );
 
-    let (counts, mins) = serve_streams(spec);
-    let (expect_counts, expect_mins) = serve_reference(&counts, &mins, cardinality);
+    let fixture = serve_fixture(spec);
+    let [expect_counts, expect_mins] = fixture.reference();
+    let Fixture { counts, mins, .. } = &fixture;
 
     // Split the count stream across `clients` TCP connections on real
     // threads (their submissions genuinely race), keep the min stream in
@@ -893,19 +842,7 @@ fn serve_smoke(spec: &RunSpec, exec: ExecOpts, net: NetOpts, clients: usize) -> 
         .into_iter()
         .map(|updates| {
             std::thread::spawn(move || {
-                // A large client storm can outrun the listen backlog;
-                // refused connects just need another try.
-                let mut client = None;
-                for _ in 0..200 {
-                    match TcpClient::connect(addr) {
-                        Ok(c) => {
-                            client = Some(c);
-                            break;
-                        }
-                        Err(_) => std::thread::sleep(std::time::Duration::from_millis(2)),
-                    }
-                }
-                let mut client = client.ok_or_else(|| format!("could not connect to {addr}"))?;
+                let mut client = serving::connect(addr)?;
                 for chunk in updates.chunks(CHUNK) {
                     client.submit_all(0, chunk)?;
                 }
@@ -1016,13 +953,6 @@ fn run_follow(addr: &str, leader: &str, exec: ExecOpts, net: NetOpts) -> Result<
     }
 }
 
-/// A scratch directory under the system tmpdir, unique per process.
-fn smoke_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("invector-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok();
-    dir
-}
-
 /// Crash-recovery smoke: run a durable child server, SIGKILL it mid-epoch,
 /// restart over its WAL directory, and demand bitwise agreement with an
 /// uninterrupted reference at the recovered watermark.
@@ -1036,8 +966,7 @@ fn serve_smoke_recover(
     let dir = durability
         .wal_dir
         .clone()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| smoke_dir("smoke-recover"));
+        .map_or_else(|| serving::scratch_dir("smoke-recover"), |d| Ok(d.into()))?;
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     println!(
@@ -1093,7 +1022,7 @@ fn serve_smoke_recover(
 
     // Stream updates and kill the child mid-flight — between a submit and
     // the epoch that would apply it, with slices already logged.
-    let (counts, mins) = serve_streams(spec);
+    let Fixture { counts, mins, .. } = serve_fixture(spec);
     let mut client = TcpClient::connect(&addr)?;
     let kill_at = counts.len() / 2;
     let mut sent = 0usize;
@@ -1160,8 +1089,7 @@ fn serve_smoke_follow(
     let dir = durability
         .wal_dir
         .clone()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| smoke_dir("smoke-follow"));
+        .map_or_else(|| serving::scratch_dir("smoke-follow"), |d| Ok(d.into()))?;
     let mut config = serve_config(spec, exec, net);
     let mut wal = durability.options().unwrap_or_else(|| WalOptions::new(&dir));
     wal.dir = dir.clone();
@@ -1180,7 +1108,7 @@ fn serve_smoke_follow(
 
     // Concurrent ingest: epoch-sized submissions with explicit flushes so
     // the run crosses many sealed epochs.
-    let (counts, mins) = serve_streams(spec);
+    let Fixture { counts, mins, .. } = serve_fixture(spec);
     let mut ingest = TcpClient::connect(&leader_addr)?;
     let quantum = exec.quantum.max(1);
     let mut epochs = 0usize;
@@ -1244,9 +1172,12 @@ fn serve_smoke_follow(
 /// In-process throughput sweep: the same stream folded under increasing
 /// epoch quanta, showing what micro-batching buys over per-update epochs.
 /// With `--tune`, a final row starts the controller at the worst quantum
-/// and reports where it converges.
+/// and reports where it converges. Every row's count table must match the
+/// serial fold bitwise.
 fn run_bench_serve(spec: &RunSpec, exec: ExecOpts, net: NetOpts) -> Result<(), String> {
-    let (counts, _) = serve_streams(spec);
+    let fixture = serve_fixture(spec);
+    let [expect_counts, _] = fixture.reference();
+    let counts = &fixture.counts;
     println!(
         "bench-serve: {} updates, {} slots, threads {}, backend {}",
         counts.len(),
@@ -1265,6 +1196,9 @@ fn run_bench_serve(spec: &RunSpec, exec: ExecOpts, net: NetOpts) -> Result<(), S
         }
         client.flush()?;
         let elapsed = start.elapsed().as_secs_f64();
+        if client.snapshot(0)?.bits() != expect_counts {
+            return Err("bench-serve: count table diverged from the serial fold".into());
+        }
         let slices = client.stats()?.slices;
         Ok((elapsed, slices, core))
     };
