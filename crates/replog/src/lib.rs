@@ -17,16 +17,19 @@
 //!
 //! The log (`wal.log`) is append-only; a crash can leave a torn final
 //! record, so [`recover`] accepts the longest valid prefix and truncates
-//! the file at the first bad length or CRC. Checkpoint files
-//! (`checkpoint-<id>.snap`) and the manifest (`MANIFEST`) are written to a
-//! temporary name, fsynced, then renamed, so they are either absent or
-//! complete — any framing error inside them is a hard error, never a
-//! silent truncation.
+//! the file at the first bad length or CRC. The writer indexes every
+//! frame's byte offset, so readers of the log (followers) are served from
+//! the file with positioned, CRC-checked reads instead of an in-memory copy.
+//! Checkpoint files (`checkpoint-<id>.snap`) and the manifest (`MANIFEST`)
+//! are written to a temporary name, fsynced, then renamed, so they are
+//! either absent or complete — any framing error inside them is a hard
+//! error, never a silent truncation. A checkpoint streams its records into
+//! the temporary file one at a time ([`CheckpointWriter`]).
 
 #![warn(missing_docs)]
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -121,6 +124,19 @@ impl Crc32 {
     /// The checksum of everything folded in so far.
     pub fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
+    }
+}
+
+/// A CRC is also a byte sink, so a checksum can sit behind the same
+/// writers that produce the bytes. Writes never fail.
+impl Write for Crc32 {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -261,30 +277,44 @@ pub fn recover(path: &Path) -> std::io::Result<Recovered> {
     Ok(Recovered { records, valid_bytes: valid as u64, torn })
 }
 
-/// The append-only log writer.
+/// The append-only log writer, and the reader of what it wrote.
 ///
 /// One record per [`append`](Wal::append); durability timing is the
-/// caller's via [`sync`](Wal::sync) (see [`SyncPolicy`]). The writer
-/// assumes the file ends at a record boundary — run [`recover`] first
-/// after a crash.
+/// caller's via [`sync`](Wal::sync) (see [`SyncPolicy`]). [`open`](Wal::open)
+/// recovers the file first, so appends start at a record boundary. The
+/// writer keeps each frame's byte offset — recovered frames included — and
+/// nothing else per record: [`records_from`](Wal::records_from) reads
+/// payloads back from the file.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     buf: Vec<u8>,
+    /// Byte offset of each frame in the file, in append order; record `i`
+    /// ends where record `i + 1` starts, the last one at `bytes`.
+    offsets: Vec<u64>,
     bytes: u64,
-    records: u64,
+    appended: u64,
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log at `path` for appending.
+    /// Opens (creating if absent) the log at `path` for appending, after
+    /// [`recover`]ing it. Returns the writer, with every recovered frame
+    /// indexed, and the recovered records.
     ///
     /// # Errors
     ///
-    /// Propagates open/seek failures.
-    pub fn open(path: &Path) -> std::io::Result<Wal> {
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        let bytes = file.seek(SeekFrom::End(0))?;
-        Ok(Wal { file, buf: Vec::new(), bytes, records: 0 })
+    /// Propagates recovery and open failures.
+    pub fn open(path: &Path) -> std::io::Result<(Wal, Recovered)> {
+        let recovered = recover(path)?;
+        let mut offsets = Vec::with_capacity(recovered.records.len());
+        let mut bytes = 0u64;
+        for record in &recovered.records {
+            offsets.push(bytes);
+            bytes += (RECORD_HEADER_LEN + record.len()) as u64;
+        }
+        debug_assert_eq!(bytes, recovered.valid_bytes);
+        let file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
+        Ok((Wal { file, buf: Vec::new(), offsets, bytes, appended: 0 }, recovered))
     }
 
     /// Appends one framed record and writes it through to the OS.
@@ -297,8 +327,9 @@ impl Wal {
         self.buf.clear();
         frame_into(&mut self.buf, payload);
         self.file.write_all(&self.buf)?;
+        self.offsets.push(self.bytes);
         self.bytes += self.buf.len() as u64;
-        self.records += 1;
+        self.appended += 1;
         Ok(())
     }
 
@@ -319,8 +350,8 @@ impl Wal {
     /// Propagates truncate/`fsync` failures.
     pub fn reset(&mut self) -> std::io::Result<()> {
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
+        self.offsets.clear();
         self.bytes = 0;
         Ok(())
     }
@@ -330,20 +361,85 @@ impl Wal {
         self.bytes
     }
 
+    /// Records in the log, recovered and appended.
+    pub fn records(&self) -> u64 {
+        self.offsets.len() as u64
+    }
+
     /// Records appended through this writer (not counting pre-existing
     /// records recovered from disk).
     pub fn records_appended(&self) -> u64 {
-        self.records
+        self.appended
     }
+
+    /// The payloads of records `index..`, at most `max_bytes` of payload
+    /// (always at least one record if any remain). The page is chosen
+    /// from the offset index alone, then read from the file in one
+    /// positioned read, and every frame's length and CRC is checked
+    /// against it. `index` at or past the end returns no records.
+    ///
+    /// # Errors
+    ///
+    /// A read failure, or a frame that no longer matches the index or its
+    /// CRC (the file changed behind the writer), is an error.
+    pub fn records_from(&self, index: u64, max_bytes: u32) -> std::io::Result<Vec<Vec<u8>>> {
+        let start = usize::try_from(index).unwrap_or(usize::MAX).min(self.offsets.len());
+        let frame_end = |i: usize| self.offsets.get(i + 1).copied().unwrap_or(self.bytes);
+        let mut end = start;
+        let mut budget = u64::from(max_bytes);
+        while end < self.offsets.len() {
+            let len = frame_end(end) - self.offsets[end] - RECORD_HEADER_LEN as u64;
+            if end > start && len > budget {
+                break;
+            }
+            budget = budget.saturating_sub(len);
+            end += 1;
+        }
+        if end == start {
+            return Ok(Vec::new());
+        }
+        let from = self.offsets[start];
+        let mut bytes = vec![0u8; (frame_end(end - 1) - from) as usize];
+        read_exact_at(&self.file, &mut bytes, from)?;
+        let mut records = Vec::with_capacity(end - start);
+        let (_, torn) = walk_records(&bytes, &mut records);
+        match torn {
+            None if records.len() == end - start => Ok(records),
+            reason => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "log records {start}..{end} at byte {from}: {}",
+                    reason.unwrap_or_else(|| "frame lengths disagree with the index".into())
+                ),
+            )),
+        }
+    }
+}
+
+/// Fills `buf` from `file` at byte `offset`, leaving the file's cursor (and
+/// so the writer's appends) alone.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fills `buf` from `file` at byte `offset`. The log is opened in append
+/// mode, so moving the cursor here cannot move where the writer appends.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
 }
 
 // --- the snapshot store -----------------------------------------------------
 
 /// Checkpoint files plus the manifest, under one directory.
 ///
-/// The store holds at most one *current* checkpoint: `write_checkpoint`
-/// publishes atomically (temp + fsync + rename, manifest last), then
-/// best-effort deletes older checkpoint files. The manifest payload is
+/// The store holds at most one *current* checkpoint: a checkpoint streams
+/// into a temporary file ([`begin_checkpoint`](SnapshotStore::begin_checkpoint)),
+/// and [`commit_checkpoint`](SnapshotStore::commit_checkpoint) publishes it
+/// atomically (fsync + rename, manifest last), then best-effort deletes
+/// older checkpoint files. The manifest payload is
 /// caller-defined; by convention it names the checkpoint id and the
 /// per-table checksums recovery verifies against.
 #[derive(Debug)]
@@ -425,30 +521,43 @@ impl SnapshotStore {
         Ok(records)
     }
 
-    /// Publishes checkpoint `id` atomically: the checkpoint file first
-    /// (temp + fsync + rename), then the manifest the same way, then a
-    /// best-effort sweep of older checkpoint files. A crash between the
-    /// two renames leaves the previous manifest pointing at the previous
-    /// (still present) checkpoint — never a manifest naming a missing or
-    /// partial file.
+    /// Starts checkpoint `id`: creates (or truncates a stale) temporary
+    /// file for its records to stream into.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the create failure.
+    pub fn begin_checkpoint(&self, id: u64) -> std::io::Result<CheckpointWriter> {
+        let tmp = self.checkpoint_path(id).with_extension("tmp");
+        let out = BufWriter::with_capacity(CHECKPOINT_BUFFER, File::create(&tmp)?);
+        Ok(CheckpointWriter { id, tmp, out, pos: 0 })
+    }
+
+    /// Publishes a checkpoint atomically: its file first (flush + fsync +
+    /// rename), then the manifest the same way, then a best-effort sweep
+    /// of older checkpoint files. A crash before the checkpoint's rename
+    /// leaves only a temporary file, which the next checkpoint of that id
+    /// overwrites; a crash between the two renames leaves the previous
+    /// manifest pointing at the previous (still present) checkpoint —
+    /// never a manifest naming a missing or partial file.
     ///
     /// # Errors
     ///
     /// Propagates write/rename/`fsync` failures.
-    pub fn write_checkpoint<'a>(
+    pub fn commit_checkpoint(
         &self,
-        id: u64,
-        records: impl IntoIterator<Item = &'a [u8]>,
+        checkpoint: CheckpointWriter,
         manifest: &[u8],
     ) -> std::io::Result<()> {
-        let mut body = Vec::new();
-        for r in records {
-            frame_into(&mut body, r);
-        }
-        self.publish(&self.checkpoint_path(id), &body)?;
+        let CheckpointWriter { id, tmp, out, .. } = checkpoint;
+        let file = out.into_inner().map_err(std::io::IntoInnerError::into_error)?;
+        self.install(file, &tmp, &self.checkpoint_path(id))?;
         let mut framed = Vec::with_capacity(manifest.len() + RECORD_HEADER_LEN);
         frame_into(&mut framed, manifest);
-        self.publish(&self.manifest_path(), &framed)?;
+        let tmp = self.manifest_path().with_extension("tmp");
+        let mut file = File::create(&tmp)?;
+        file.write_all(&framed)?;
+        self.install(file, &tmp, &self.manifest_path())?;
         // Older checkpoints are garbage now; failure to unlink only wastes
         // disk, so ignore errors.
         if let Ok(entries) = std::fs::read_dir(&self.dir) {
@@ -468,21 +577,98 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Temp-write, fsync, rename — the all-or-nothing publish step.
-    fn publish(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
+    /// Fsync, rename over `path`, fsync the directory — the all-or-nothing
+    /// publish step for a fully written temporary file.
+    fn install(&self, file: File, tmp: &Path, path: &Path) -> std::io::Result<()> {
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(tmp, path)?;
         // Persist the rename itself where the platform allows directory
         // fsync; not supported everywhere, so best effort.
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
         Ok(())
+    }
+}
+
+/// Write buffer of a checkpoint being streamed: fixed, whatever the size
+/// of the records.
+const CHECKPOINT_BUFFER: usize = 64 << 10;
+
+/// A checkpoint being written ([`SnapshotStore::begin_checkpoint`]): each
+/// [`record`](CheckpointWriter::record) streams one framed record into the
+/// temporary file, and [`SnapshotStore::commit_checkpoint`] publishes it.
+/// Dropped uncommitted, it leaves only the temporary file.
+#[derive(Debug)]
+pub struct CheckpointWriter {
+    id: u64,
+    tmp: PathBuf,
+    out: BufWriter<File>,
+    /// Bytes written so far: where the next record's header goes.
+    pos: u64,
+}
+
+impl CheckpointWriter {
+    /// Streams one framed record of exactly `len` payload bytes: a header
+    /// placeholder, then whatever `payload` writes (folded into the
+    /// record's CRC on the way through), then the 8-byte header written in
+    /// place. The payload is never held in memory.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write and seek failures and `payload`'s own errors;
+    /// `InvalidInput` for a `len` over [`MAX_RECORD_LEN`] or a payload
+    /// that wrote other than `len` bytes. After an error the checkpoint
+    /// must not be committed.
+    pub fn record(
+        &mut self,
+        len: usize,
+        payload: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, m);
+        if len > MAX_RECORD_LEN {
+            return Err(invalid(format!("record length {len} exceeds {MAX_RECORD_LEN}")));
+        }
+        let mut header = [0u8; RECORD_HEADER_LEN];
+        header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.out.write_all(&header)?;
+        let mut sink = RecordSink { out: &mut self.out, crc: Crc32::new(), written: 0 };
+        payload(&mut sink)?;
+        if sink.written != len as u64 {
+            return Err(invalid(format!(
+                "record payload of {} bytes, framed as {len}",
+                sink.written
+            )));
+        }
+        header[4..].copy_from_slice(&sink.crc.finish().to_le_bytes());
+        // `BufWriter` writes out its buffer before it seeks.
+        self.out.seek(SeekFrom::Start(self.pos))?;
+        self.out.write_all(&header)?;
+        self.pos += (RECORD_HEADER_LEN + len) as u64;
+        self.out.seek(SeekFrom::Start(self.pos))?;
+        Ok(())
+    }
+}
+
+/// Where a streamed record's payload goes: on to the checkpoint file, into
+/// the record's CRC, and into the count checked against its framed length.
+struct RecordSink<'a> {
+    out: &'a mut BufWriter<File>,
+    crc: Crc32,
+    written: u64,
+}
+
+impl Write for RecordSink<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.out.write(bytes)?;
+        self.crc.update(&bytes[..n]);
+        self.written += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
     }
 }
 
@@ -525,23 +711,95 @@ mod tests {
         let path = dir.join("wal.log");
         let payloads: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![0xFF; 100]];
         {
-            let mut wal = Wal::open(&path).unwrap();
+            let (mut wal, rec) = Wal::open(&path).unwrap();
+            assert!(rec.records.is_empty());
             for p in &payloads {
                 wal.append(p).unwrap();
             }
             wal.sync().unwrap();
-            assert_eq!(wal.records_appended(), 3);
+            assert_eq!((wal.records(), wal.records_appended()), (3, 3));
         }
         let rec = recover(&path).unwrap();
         assert_eq!(rec.records, payloads);
         assert!(rec.torn.is_none());
-        // Reopening appends after the existing records.
-        let mut wal = Wal::open(&path).unwrap();
+        // Reopening recovers the records and appends after them.
+        let (mut wal, rec) = Wal::open(&path).unwrap();
+        assert_eq!(rec.records, payloads);
+        assert_eq!((wal.records(), wal.records_appended()), (3, 0));
         wal.append(b"tail").unwrap();
         drop(wal);
         let rec = recover(&path).unwrap();
         assert_eq!(rec.records.len(), 4);
         assert_eq!(rec.records[3], b"tail");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What `records_from` must return: the records from `index` that fit
+    /// `max_bytes` of payload, and at least one.
+    fn page(payloads: &[Vec<u8>], index: usize, max_bytes: u32) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut budget = max_bytes as usize;
+        for p in payloads.iter().skip(index) {
+            if !out.is_empty() && p.len() > budget {
+                break;
+            }
+            budget = budget.saturating_sub(p.len());
+            out.push(p.clone());
+        }
+        out
+    }
+
+    #[test]
+    fn records_are_read_back_from_the_file_across_reopen_and_reset() {
+        let dir = temp_dir("readback");
+        let path = dir.join("wal.log");
+        let payloads: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 3 * usize::from(i)]).collect();
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        for p in &payloads[..5] {
+            wal.append(p).unwrap();
+        }
+        drop(wal);
+        // The reopened writer indexes the recovered frames and keeps
+        // appending after them.
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        for p in &payloads[5..] {
+            wal.append(p).unwrap();
+        }
+        for index in 0..=payloads.len() + 1 {
+            for max_bytes in [0, 1, 12, 40, u32::MAX] {
+                assert_eq!(
+                    wal.records_from(index as u64, max_bytes).unwrap(),
+                    page(&payloads, index, max_bytes),
+                    "index {index}, budget {max_bytes}"
+                );
+            }
+        }
+        wal.reset().unwrap();
+        assert!(wal.records_from(0, u32::MAX).unwrap().is_empty());
+        wal.append(b"after").unwrap();
+        assert_eq!(wal.records_from(0, 0).unwrap(), vec![b"after".to_vec()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_log_changed_behind_the_writer_is_a_read_error() {
+        let dir = temp_dir("behind");
+        let path = dir.join("wal.log");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        for p in [b"first".as_slice(), b"second", b"third"] {
+            wal.append(p).unwrap();
+        }
+        // A flipped payload byte fails that frame's CRC.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(wal.records_from(0, 5).unwrap(), vec![b"first".to_vec()]);
+        let err = wal.records_from(1, u32::MAX).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A truncated file fails the read itself.
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(10).unwrap();
+        assert!(wal.records_from(0, u32::MAX).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -558,7 +816,7 @@ mod tests {
     fn reset_truncates_for_the_next_checkpoint_interval() {
         let dir = temp_dir("reset");
         let path = dir.join("wal.log");
-        let mut wal = Wal::open(&path).unwrap();
+        let (mut wal, _) = Wal::open(&path).unwrap();
         wal.append(b"before").unwrap();
         wal.reset().unwrap();
         wal.append(b"after").unwrap();
@@ -585,18 +843,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Streams `records` into checkpoint `id` and commits it.
+    fn write_checkpoint(store: &SnapshotStore, id: u64, records: &[&[u8]], manifest: &[u8]) {
+        let mut checkpoint = store.begin_checkpoint(id).unwrap();
+        for r in records {
+            checkpoint.record(r.len(), |out| out.write_all(r)).unwrap();
+        }
+        store.commit_checkpoint(checkpoint, manifest).unwrap();
+    }
+
     #[test]
     fn snapshot_store_publishes_and_reads_back() {
         let dir = temp_dir("store");
         let store = SnapshotStore::open(&dir).unwrap();
         assert!(store.manifest().unwrap().is_none(), "fresh store has no manifest");
-        store
-            .write_checkpoint(1, [b"table0".as_slice(), b"table1".as_slice()], b"manifest-1")
-            .unwrap();
+        write_checkpoint(&store, 1, &[b"table0", b"table1"], b"manifest-1");
         assert_eq!(store.manifest().unwrap().unwrap(), b"manifest-1");
         assert_eq!(store.read_checkpoint(1).unwrap(), vec![b"table0".to_vec(), b"table1".to_vec()]);
         // Publishing checkpoint 2 supersedes and sweeps checkpoint 1.
-        store.write_checkpoint(2, [b"t0v2".as_slice()], b"manifest-2").unwrap();
+        write_checkpoint(&store, 2, &[b"t0v2"], b"manifest-2");
         assert_eq!(store.manifest().unwrap().unwrap(), b"manifest-2");
         assert!(store.read_checkpoint(1).is_err(), "old checkpoint swept");
         assert_eq!(store.read_checkpoint(2).unwrap(), vec![b"t0v2".to_vec()]);
@@ -604,10 +869,44 @@ mod tests {
     }
 
     #[test]
+    fn streamed_records_are_framed_like_appended_ones() {
+        let dir = temp_dir("streamed");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let big: Vec<u8> = (0..3 * CHECKPOINT_BUFFER + 5).map(|i| (i * 7) as u8).collect();
+        let mut checkpoint = store.begin_checkpoint(4).unwrap();
+        checkpoint.record(0, |_| Ok(())).unwrap();
+        // Written in uneven pieces, across several buffer flushes.
+        checkpoint
+            .record(big.len(), |out| big.chunks(1000).try_for_each(|c| out.write_all(c)))
+            .unwrap();
+        checkpoint.record(3, |out| out.write_all(b"end")).unwrap();
+        store.commit_checkpoint(checkpoint, b"m").unwrap();
+        let mut expect = Vec::new();
+        for r in [&[][..], &big, b"end"] {
+            frame_into(&mut expect, r);
+        }
+        assert_eq!(std::fs::read(dir.join("checkpoint-4.snap")).unwrap(), expect);
+        assert!(!dir.join("checkpoint-4.tmp").exists(), "temporary file renamed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_streamed_record_must_write_its_framed_length() {
+        let dir = temp_dir("shortrecord");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let mut checkpoint = store.begin_checkpoint(1).unwrap();
+        let err = checkpoint.record(4, |out| out.write_all(b"abc")).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let err = checkpoint.record(MAX_RECORD_LEN + 1, |_| Ok(())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_manifest_is_an_error_not_a_fresh_start() {
         let dir = temp_dir("badmanifest");
         let store = SnapshotStore::open(&dir).unwrap();
-        store.write_checkpoint(1, [b"x".as_slice()], b"m").unwrap();
+        write_checkpoint(&store, 1, &[b"x"], b"m");
         // Flip one byte of the manifest payload on disk.
         let path = dir.join("MANIFEST");
         let mut bytes = std::fs::read(&path).unwrap();

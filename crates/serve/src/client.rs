@@ -476,11 +476,14 @@ impl ServeClient for TcpClient {
                     .tables
                     .get(table as usize)
                     .ok_or_else(|| format!("snapshot for unannounced table {table}"))?;
+                // In place: the decoded bit vector's allocation is reused.
                 let data = match spec.kind {
                     ValueKind::F32 => {
-                        TableData::F32(values.iter().map(|&b| f32::from_bits(b)).collect())
+                        TableData::F32(values.into_iter().map(f32::from_bits).collect())
                     }
-                    ValueKind::I32 => TableData::I32(values.iter().map(|&b| b as i32).collect()),
+                    ValueKind::I32 => {
+                        TableData::I32(values.into_iter().map(|b| b as i32).collect())
+                    }
                 };
                 Ok(Snapshot { table, watermark, checksum, data })
             }

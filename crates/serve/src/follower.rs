@@ -157,9 +157,10 @@ fn bootstrap(client: &mut TcpClient, core: &ServerCore) -> Result<(u64, u64), St
         let meta = plan.tables[t];
         // The assembler verifies chunk order, total length, and checksum.
         let bits = client.fetch_pinned_table(&plan, t as u16)?;
+        // In place: the assembled bit vector's allocation is reused.
         let data = match spec.kind {
-            ValueKind::F32 => TableData::F32(bits.iter().map(|&b| f32::from_bits(b)).collect()),
-            ValueKind::I32 => TableData::I32(bits.iter().map(|&b| b as i32).collect()),
+            ValueKind::F32 => TableData::F32(bits.into_iter().map(f32::from_bits).collect()),
+            ValueKind::I32 => TableData::I32(bits.into_iter().map(|b| b as i32).collect()),
         };
         installs.push((data, meta.watermark));
     }

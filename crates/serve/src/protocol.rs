@@ -89,29 +89,92 @@ pub const SNAPSHOT_CHUNK_VALUES: usize = 1 << 20;
 /// in slot order, little-endian — the integrity check carried by
 /// `Reply::Snapshot` and verified chunk-assembled transfers.
 pub fn snapshot_checksum(values: &[u32]) -> u32 {
-    slot_crc(values.iter().copied())
+    slot_crc(values)
+}
+
+/// A 32-bit slot value. Its bit pattern is what goes on the wire, into
+/// checkpoints and into the slot CRC.
+pub(crate) trait Slot: Copy {
+    /// The slot's bit pattern.
+    fn bits(self) -> u32;
+}
+
+impl Slot for u32 {
+    fn bits(self) -> u32 {
+        self
+    }
+}
+
+impl Slot for i32 {
+    fn bits(self) -> u32 {
+        self as u32
+    }
+}
+
+impl Slot for f32 {
+    fn bits(self) -> u32 {
+        self.to_bits()
+    }
+}
+
+/// Writes each slot's bit pattern, little-endian, in slot order. Slots are
+/// staged through a fixed buffer, so the sink sees long runs (the CRC's
+/// slicing-by-8 fast path, a file's buffered writes) and nothing the size
+/// of the table is allocated.
+fn write_slot_bits<S: Slot, W: Write + ?Sized>(out: &mut W, slots: &[S]) -> std::io::Result<()> {
+    let mut buf = [0u8; 4096];
+    for chunk in slots.chunks(buf.len() / 4) {
+        let bytes = &mut buf[..4 * chunk.len()];
+        for (dst, &slot) in bytes.chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&slot.bits().to_le_bytes());
+        }
+        out.write_all(bytes)?;
+    }
+    Ok(())
+}
+
+/// Writes a slot image, `count:u32 count x bits:u32` — the layout of the
+/// `Snapshot`, `SnapshotChunk` and `Window` replies and of checkpoint
+/// table records; [`Cursor::slots`] reads it back. The one slot writer.
+pub(crate) fn write_slots<S: Slot, W: Write + ?Sized>(
+    out: &mut W,
+    slots: &[S],
+) -> std::io::Result<()> {
+    out.write_all(&(slots.len() as u32).to_le_bytes())?;
+    write_slot_bits(out, slots)
 }
 
 /// CRC-32 over a slot image: the slots' bit patterns in slot order,
 /// little-endian. The one state checksum behind snapshots, WAL seals
 /// ([`TableState::checksum`](crate::table::TableState::checksum)) and
 /// checkpoint loads.
-pub(crate) fn slot_crc(slots: impl IntoIterator<Item = u32>) -> u32 {
-    // Stage slots through a fixed buffer so the CRC core sees long runs of
-    // bytes (its slicing-by-8 fast path) instead of 4-byte calls.
+pub(crate) fn slot_crc<S: Slot>(slots: &[S]) -> u32 {
     let mut crc = invector_replog::Crc32::new();
-    let mut buf = [0u8; 4096];
-    let mut fill = 0;
-    for bits in slots {
-        buf[fill..fill + 4].copy_from_slice(&bits.to_le_bytes());
-        fill += 4;
-        if fill == buf.len() {
-            crc.update(&buf);
-            fill = 0;
-        }
-    }
-    crc.update(&buf[..fill]);
+    write_slot_bits(&mut crc, slots).expect("a CRC sink accepts every write");
     crc.finish()
+}
+
+/// Body length of a `Snapshot` reply over `slots` slots: opcode, table,
+/// watermark, checksum and slot count, then 4 bytes a slot.
+pub(crate) fn snapshot_reply_len(slots: usize) -> usize {
+    1 + 2 + 8 + 4 + 4 + 4 * slots
+}
+
+/// Writes a `Snapshot` reply body: header, then the slot image. The one
+/// writer behind [`Reply::encode`] and the reactor's reply written
+/// straight from a locked table.
+pub(crate) fn write_snapshot_reply<S: Slot, W: Write + ?Sized>(
+    out: &mut W,
+    table: u16,
+    watermark: u64,
+    checksum: u32,
+    slots: &[S],
+) -> std::io::Result<()> {
+    out.write_all(&[0x84])?;
+    out.write_all(&table.to_le_bytes())?;
+    out.write_all(&watermark.to_le_bytes())?;
+    out.write_all(&checksum.to_le_bytes())?;
+    write_slots(out, slots)
 }
 
 /// Reassembles one table's value stream from `SnapshotChunk` replies.
@@ -667,16 +730,9 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Writes a slot image, `count:u32 count x bits:u32` — the layout of the
-/// `Snapshot`, `SnapshotChunk` and `Window` replies and of checkpoint
-/// table records; [`Cursor::slots`] reads it back.
-pub(crate) fn put_slots(out: &mut Vec<u8>, values: &[u32]) {
-    put_u32(out, values.len() as u32);
-    let start = out.len();
-    out.resize(start + 4 * values.len(), 0);
-    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
+/// Appends a slot image ([`write_slots`]) to an encoded body.
+fn put_slots(out: &mut Vec<u8>, values: &[u32]) {
+    write_slots(out, values).expect("a Vec<u8> accepts every write");
 }
 
 /// A 4-byte little-endian `u32`.
@@ -745,7 +801,7 @@ impl<'a> Cursor<'a> {
         self.counted(UPDATE_WIRE_LEN).map(UpdatesView::new)
     }
 
-    /// Reads a slot image ([`put_slots`]).
+    /// Reads a slot image ([`write_slots`]).
     pub(crate) fn slots(&mut self) -> Result<Vec<u32>, ProtoError> {
         Ok(self.counted(4)?.chunks_exact(4).map(le_u32).collect())
     }
@@ -1144,12 +1200,9 @@ impl Reply {
                 out.push(reason.to_byte());
             }
             Reply::Snapshot { table, watermark, checksum, values } => {
-                out.reserve(19 + 4 * values.len());
-                out.push(0x84);
-                put_u16(&mut out, *table);
-                put_u64(&mut out, *watermark);
-                put_u32(&mut out, *checksum);
-                put_slots(&mut out, values);
+                out.reserve(snapshot_reply_len(values.len()));
+                write_snapshot_reply(&mut out, *table, *watermark, *checksum, values)
+                    .expect("a Vec<u8> accepts every write");
             }
             Reply::Stats(s) => {
                 out.push(0x85);

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 use invector_obs::{Counter, Registry};
 
 use crate::protocol::{
-    ProtoError, Reply, RequestView, SnapshotMetaTable, MAX_FRAME_LEN, PROTOCOL_VERSION,
-    SNAPSHOT_CHUNK_VALUES,
+    snapshot_reply_len, ProtoError, Reply, RequestView, SnapshotMetaTable, MAX_FRAME_LEN,
+    PROTOCOL_VERSION, SNAPSHOT_CHUNK_VALUES,
 };
 use crate::server::{PinnedState, ServerCore, SubmitOutcome};
 
@@ -185,6 +185,32 @@ impl Ring {
         self.len += bytes.len();
     }
 
+    /// Appends one length-prefixed frame of a `len`-byte body that `body`
+    /// writes into the ring. Room for the whole frame is made first, so
+    /// `body` never grows the ring. A failed `body`, or one that writes
+    /// other than `len` bytes, leaves nothing of the frame buffered.
+    ///
+    /// # Errors
+    ///
+    /// Returns `body`'s error, or a message for a body of the wrong length.
+    pub fn push_frame(
+        &mut self,
+        len: usize,
+        body: impl FnOnce(&mut Ring) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.reserve(4 + len);
+        let start = self.len;
+        self.push(&(len as u32).to_le_bytes());
+        let result = body(self).and_then(|()| match self.len - start - 4 {
+            n if n == len => Ok(()),
+            n => Err(format!("frame body of {n} bytes, sized as {len}")),
+        });
+        if result.is_err() {
+            self.len = start;
+        }
+        result
+    }
+
     /// Drops `n` bytes from the head.
     pub fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.len);
@@ -278,6 +304,19 @@ impl Ring {
 impl Default for Ring {
     fn default() -> Ring {
         Ring::new()
+    }
+}
+
+/// Replies can be written straight into the ring ([`Ring::push_frame`]).
+/// Writes never fail.
+impl Write for Ring {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.push(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -1124,14 +1163,16 @@ fn respond(
                 watermark: core.watermarks().iter().sum(),
             }
         }
-        (true, RequestView::Snapshot { table }) => match core.snapshot(table) {
-            Ok(s) => Reply::Snapshot {
-                table,
-                watermark: s.watermark,
-                checksum: s.checksum,
-                values: s.bits(),
+        (true, RequestView::Snapshot { table }) => match core.config().tables.get(table as usize) {
+            None => Reply::Error(format!("unknown table {table}")),
+            // Sized from the spec and reserved before the table lock is
+            // taken, so the lock covers only the copy out of the table.
+            Some(spec) => match wbuf
+                .push_frame(snapshot_reply_len(spec.len), |w| core.write_snapshot_reply(table, w))
+            {
+                Ok(()) => return,
+                Err(m) => Reply::Error(m),
             },
-            Err(m) => Reply::Error(m),
         },
         (true, RequestView::SnapshotBegin) => {
             let pin = core.pin_state();

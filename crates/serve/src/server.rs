@@ -13,6 +13,7 @@
 //! threads, zero-copy frame decode) and a background epoch thread cutting
 //! batches on a timer (or as soon as a full quantum is queued).
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -27,10 +28,14 @@ use invector_obs::Registry;
 use invector_streamkit::{StreamKind, ValueRepr};
 
 use crate::epoch::{Admitted, EpochReport, ServeStats, Staging};
-use crate::protocol::{EdgeOp, RejectReason, StatsSummary, Update, UpdatesView};
+use crate::protocol::{
+    write_snapshot_reply, EdgeOp, RejectReason, StatsSummary, Update, UpdatesView,
+};
 use crate::reactor::{self, ReactorKind};
 use crate::table::{TableData, TableSpec, TableState, ValueKind};
-use crate::wal::{ManifestEntry, WalOptions, WalRecord, WalState};
+use crate::wal::{
+    checkpoint_table_len, encode_checkpoint_table, ManifestEntry, WalOptions, WalRecord, WalState,
+};
 
 /// Server configuration: the resident tables plus sizing/batching knobs.
 #[derive(Debug, Clone)]
@@ -663,7 +668,8 @@ impl ServerCore {
                     self.stats.record_wal_fsync();
                 }
                 if wal.note_epoch() {
-                    self.checkpoint_locked(wal);
+                    self.checkpoint_locked(wal).expect("WAL checkpoint publish failed");
+                    self.stats.record_wal_checkpoint();
                 }
             }
         }
@@ -673,30 +679,30 @@ impl ServerCore {
         report
     }
 
-    /// Publishes a snapshot checkpoint (caller holds the tick lock): every
-    /// table's state goes to the snapshot store under a manifest of
-    /// per-table checksums, then the log truncates.
-    fn checkpoint_locked(&self, wal: &mut WalState) {
+    /// Publishes a snapshot checkpoint (caller holds the tick lock): each
+    /// table's record streams from its slots into the checkpoint file under
+    /// that table's lock alone; then, with no table lock held, the file is
+    /// fsynced and published under a manifest of per-table checksums, and
+    /// the log truncates.
+    fn checkpoint_locked(&self, wal: &mut WalState) -> std::io::Result<()> {
+        let mut checkpoint = wal.begin_checkpoint()?;
         let mut entries = Vec::with_capacity(self.tables.len());
-        let mut records = Vec::with_capacity(self.tables.len());
-        for (t, (table, spec)) in self.tables.iter().zip(&self.config.tables).enumerate() {
+        for (t, table) in self.tables.iter().enumerate() {
             let state = table.lock().expect("table lock");
+            let (spec, watermark, data) = (state.spec(), state.watermark(), state.data());
+            checkpoint.record(checkpoint_table_len(data.len()), |out| {
+                encode_checkpoint_table(t as u16, watermark, data, out)
+            })?;
             entries.push(ManifestEntry {
                 table: t as u16,
                 kind: spec.kind,
                 op: spec.op,
                 len: spec.len as u64,
-                watermark: state.watermark(),
+                watermark,
                 checksum: state.checksum(),
             });
-            records.push(crate::wal::encode_checkpoint_table(
-                t as u16,
-                state.watermark(),
-                state.data(),
-            ));
         }
-        wal.publish_checkpoint(&entries, &records).expect("WAL checkpoint publish failed");
-        self.stats.record_wal_checkpoint();
+        wal.publish_checkpoint(checkpoint, &entries)
     }
 
     /// The epoch-boundary tuning hook, still under the tick lock.
@@ -766,6 +772,30 @@ impl ServerCore {
         let data = state.data().clone();
         let checksum = state.checksum();
         Ok(Snapshot { table, watermark: state.watermark(), checksum, data })
+    }
+
+    /// Writes one table's `Snapshot` reply body — header, then slot image —
+    /// into `out`, straight from the locked table: the slots are read once
+    /// and never copied into a buffer of their own. The body is as long as
+    /// the table's spec says (`19 + 4 * len` bytes), so a caller can make
+    /// room for it before the lock is taken.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for unknown table ids and for write failures.
+    pub fn write_snapshot_reply(&self, table: u16, out: &mut impl Write) -> Result<(), String> {
+        let state = self
+            .tables
+            .get(table as usize)
+            .ok_or_else(|| format!("unknown table {table}"))?
+            .lock()
+            .expect("table lock");
+        let (watermark, checksum) = (state.watermark(), state.checksum());
+        match state.data() {
+            TableData::F32(v) => write_snapshot_reply(out, table, watermark, checksum, v),
+            TableData::I32(v) => write_snapshot_reply(out, table, watermark, checksum, v),
+        }
+        .map_err(|e| format!("write snapshot of table {table}: {e}"))
     }
 
     /// Admits a batch of edge ops for a graph stream table (the `EdgeOps`
@@ -932,11 +962,13 @@ impl ServerCore {
         Arc::new(PinnedState { checkpoint, index, tables })
     }
 
-    /// Serves a follower's log fetch from `index` within `checkpoint`.
+    /// Serves a follower's log fetch from `index` within `checkpoint`. The
+    /// records are read back from the log file.
     ///
     /// # Errors
     ///
-    /// Fails when the server has no WAL, or `index` is beyond the head.
+    /// Fails when the server has no WAL, `index` is beyond the head, or
+    /// the log file cannot be read back intact.
     pub fn log_tail(
         &self,
         checkpoint: u64,
@@ -962,7 +994,9 @@ impl ServerCore {
         if index > wal.head() {
             return Err(format!("log index {index} beyond head {}", wal.head()));
         }
-        let records = wal.records_from(index, max_bytes);
+        let records = wal
+            .records_from(index, max_bytes)
+            .map_err(|e| format!("read log from index {index}: {e}"))?;
         Ok(LogTailPage {
             checkpoint: wal.checkpoint(),
             next_index: index + records.len() as u64,

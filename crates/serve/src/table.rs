@@ -540,8 +540,8 @@ impl TableState {
             }
         }
         let out = match &self.data {
-            TableData::F32(v) => slot_crc(v.iter().map(|x| x.to_bits())),
-            TableData::I32(v) => slot_crc(v.iter().map(|&x| x as u32)),
+            TableData::F32(v) => slot_crc(v),
+            TableData::I32(v) => slot_crc(v),
         };
         self.checksum_cache.set(Some((wm, out)));
         out

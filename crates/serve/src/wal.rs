@@ -21,9 +21,14 @@
 //! replays fine: the batch was admitted, its bits are deterministic, only
 //! the verification point is missing.
 //!
+//! Followers read the log back from the file ([`WalState::records_from`]):
+//! the state keeps each record's offset, never its payload.
+//!
 //! Checkpoints bound replay: every table's full state is published to the
 //! [`SnapshotStore`] under a manifest carrying per-table checksums, then
-//! the log is reset. The manifest is a single framed record:
+//! the log is reset. Each table's record streams from its slots into the
+//! checkpoint file ([`encode_checkpoint_table`]). The manifest is a single
+//! framed record:
 //!
 //! ```text
 //! manifest := version:u16 checkpoint:u64 count:u16
@@ -31,11 +36,12 @@
 //! checkpoint-table := table:u16 watermark:u64 count:u32 count x bits:u32
 //! ```
 
+use std::io::Write;
 use std::path::PathBuf;
 
-use invector_replog::{SnapshotStore, SyncPolicy, Wal};
+use invector_replog::{CheckpointWriter, SnapshotStore, SyncPolicy, Wal};
 
-use crate::protocol::{encode_updates, put_slots, slot_crc, Cursor, ProtoError, Update};
+use crate::protocol::{encode_updates, slot_crc, write_slots, Cursor, ProtoError, Update};
 use crate::table::{OpKind, TableData, TableSpec, ValueKind};
 
 /// Durability configuration: where the log lives and how hard it syncs.
@@ -219,15 +225,31 @@ pub fn decode_manifest(payload: &[u8]) -> Result<(u64, Vec<ManifestEntry>), Prot
     Ok((checkpoint, entries))
 }
 
-/// Encodes one table's checkpoint record (`table watermark` plus the
-/// table's slot image).
-pub fn encode_checkpoint_table(table: u16, watermark: u64, data: &TableData) -> Vec<u8> {
-    let bits = data.to_bits();
-    let mut out = Vec::with_capacity(14 + 4 * bits.len());
-    out.extend_from_slice(&table.to_le_bytes());
-    out.extend_from_slice(&watermark.to_le_bytes());
-    put_slots(&mut out, &bits);
-    out
+/// Length of a checkpoint table record over `slots` slots.
+pub fn checkpoint_table_len(slots: usize) -> usize {
+    2 + 8 + 4 + 4 * slots
+}
+
+/// Writes one table's checkpoint record (`table watermark` plus the
+/// table's slot image) into `out`, straight from the slots: one read of
+/// each slot, and nothing the size of the table allocated. The record is
+/// [`checkpoint_table_len`] bytes long.
+///
+/// # Errors
+///
+/// Propagates the sink's write failures.
+pub fn encode_checkpoint_table<W: Write + ?Sized>(
+    table: u16,
+    watermark: u64,
+    data: &TableData,
+    out: &mut W,
+) -> std::io::Result<()> {
+    out.write_all(&table.to_le_bytes())?;
+    out.write_all(&watermark.to_le_bytes())?;
+    match data {
+        TableData::F32(v) => write_slots(out, v),
+        TableData::I32(v) => write_slots(out, v),
+    }
 }
 
 /// Decodes one table's checkpoint record into typed data under `spec`,
@@ -254,7 +276,7 @@ pub fn decode_checkpoint_table(
             spec.len
         )));
     }
-    let checksum = slot_crc(bits.iter().copied());
+    let checksum = slot_crc(&bits);
     let data = match spec.kind {
         ValueKind::F32 => TableData::F32(bits.into_iter().map(f32::from_bits).collect()),
         ValueKind::I32 => TableData::I32(bits.into_iter().map(|b| b as i32).collect()),
@@ -268,12 +290,9 @@ pub fn decode_checkpoint_table(
 pub struct WalState {
     options: WalOptions,
     store: SnapshotStore,
+    /// The log of the current checkpoint generation: its log index `i` is
+    /// the file's record `i`.
     wal: Wal,
-    /// Framed record payloads appended since the last checkpoint, kept in
-    /// memory so followers can tail without the server re-reading its own
-    /// log file. Index `i` of this vector is log index `i` of the current
-    /// checkpoint generation.
-    tail: Vec<Vec<u8>>,
     /// Checkpoint generation: starts at 0, bumps on every published
     /// checkpoint. A follower at a different generation re-bootstraps.
     checkpoint: u64,
@@ -375,16 +394,13 @@ impl WalState {
                 (checkpoint, installed)
             }
         };
-        let recovered = invector_replog::recover(&store.wal_path())
+        let (wal, recovered) = Wal::open(&store.wal_path())
             .map_err(|e| format!("recover WAL {}: {e}", store.wal_path().display()))?;
         let mut replay = Vec::with_capacity(recovered.records.len());
         for (i, payload) in recovered.records.iter().enumerate() {
             replay.push(WalRecord::decode(payload).map_err(|e| format!("WAL record {i}: {e}"))?);
         }
-        let tail = recovered.records;
-        let wal = Wal::open(&store.wal_path())
-            .map_err(|e| format!("open WAL {}: {e}", store.wal_path().display()))?;
-        let state = WalState { options, store, wal, tail, checkpoint, epochs_since: 0 };
+        let state = WalState { options, store, wal, checkpoint, epochs_since: 0 };
         let recovery = WalRecovery { installed, replay, torn: recovered.torn };
         Ok((state, recovery))
     }
@@ -402,27 +418,22 @@ impl WalState {
     /// Log records in the current generation (the head index a follower
     /// catches up to).
     pub fn head(&self) -> u64 {
-        self.tail.len() as u64
+        self.wal.records()
     }
 
-    /// The framed payloads from log index `index`, at most `max_bytes`
-    /// worth (always at least one record if any remain).
-    pub fn records_from(&self, index: u64, max_bytes: u32) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut budget = max_bytes as usize;
-        for payload in self.tail.iter().skip(index as usize) {
-            if !out.is_empty() && payload.len() > budget {
-                break;
-            }
-            budget = budget.saturating_sub(payload.len());
-            out.push(payload.clone());
-        }
-        out
+    /// The record payloads from log index `index`, at most `max_bytes`
+    /// worth (always at least one record if any remain), read back from
+    /// the log file with every frame's CRC checked.
+    ///
+    /// # Errors
+    ///
+    /// Propagates read failures and frames that fail their check.
+    pub fn records_from(&self, index: u64, max_bytes: u32) -> std::io::Result<Vec<Vec<u8>>> {
+        self.wal.records_from(index, max_bytes)
     }
 
-    /// Appends one record: to the on-disk log and to the in-memory tail.
-    /// Returns the framed byte count. Syncs immediately only under
-    /// `SyncPolicy::Always`.
+    /// Appends one record to the log. Returns the framed byte count.
+    /// Syncs immediately only under `SyncPolicy::Always`.
     ///
     /// # Errors
     ///
@@ -434,7 +445,6 @@ impl WalState {
         if self.options.sync == SyncPolicy::Always {
             self.wal.sync()?;
         }
-        self.tail.push(payload);
         Ok(self.wal.bytes() - before)
     }
 
@@ -467,8 +477,20 @@ impl WalState {
         by_epochs || by_bytes
     }
 
-    /// Publishes a checkpoint — `entries` (the manifest rows, id order)
-    /// and `records` (the matching encoded table states) — then bumps the
+    /// Starts the next checkpoint: its table records stream into the
+    /// returned writer, in id order, and
+    /// [`publish_checkpoint`](Self::publish_checkpoint) publishes it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store I/O failures.
+    pub fn begin_checkpoint(&self) -> std::io::Result<CheckpointWriter> {
+        self.store.begin_checkpoint(self.checkpoint + 1)
+    }
+
+    /// Publishes a checkpoint begun with
+    /// [`begin_checkpoint`](Self::begin_checkpoint) under the manifest rows
+    /// `entries` (id order, one per record written), then bumps the
     /// generation and truncates the log.
     ///
     /// # Errors
@@ -477,15 +499,13 @@ impl WalState {
     /// authoritative if publish fails before the manifest swap.
     pub fn publish_checkpoint(
         &mut self,
+        checkpoint: CheckpointWriter,
         entries: &[ManifestEntry],
-        records: &[Vec<u8>],
     ) -> std::io::Result<()> {
-        debug_assert_eq!(entries.len(), records.len());
         let next = self.checkpoint + 1;
         let manifest = encode_manifest(next, entries);
-        self.store.write_checkpoint(next, records.iter().map(Vec::as_slice), &manifest)?;
+        self.store.commit_checkpoint(checkpoint, &manifest)?;
         self.wal.reset()?;
-        self.tail.clear();
         self.checkpoint = next;
         self.epochs_since = 0;
         Ok(())
@@ -508,6 +528,124 @@ mod tests {
     fn batch(table: u16, start: u64, count: u32) -> WalRecord {
         let updates = (0..count).map(|i| Update::i32(start + u64::from(i), i, i as i32)).collect();
         WalRecord::Batch { table, updates }
+    }
+
+    /// One table's checkpoint record, streamed into memory.
+    fn checkpoint_record(table: u16, watermark: u64, data: &TableData) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_checkpoint_table(table, watermark, data, &mut out).expect("in-memory write");
+        assert_eq!(out.len(), checkpoint_table_len(data.len()));
+        out
+    }
+
+    /// Publishes `tables` (id order, each with its watermark) as the next
+    /// checkpoint, the way the core does.
+    fn publish(state: &mut WalState, specs: &[TableSpec], tables: &[(TableData, u64)]) {
+        let mut checkpoint = state.begin_checkpoint().expect("begin checkpoint");
+        let mut entries = Vec::new();
+        for (t, ((data, watermark), spec)) in tables.iter().zip(specs).enumerate() {
+            checkpoint
+                .record(checkpoint_table_len(data.len()), |out| {
+                    encode_checkpoint_table(t as u16, *watermark, data, out)
+                })
+                .expect("stream table");
+            entries.push(ManifestEntry {
+                table: t as u16,
+                kind: spec.kind,
+                op: spec.op,
+                len: spec.len as u64,
+                watermark: *watermark,
+                checksum: crate::protocol::snapshot_checksum(&data.to_bits()),
+            });
+        }
+        state.publish_checkpoint(checkpoint, &entries).expect("checkpoint");
+    }
+
+    /// What a log fetch must return: the encoded records from the start
+    /// of `rest` that fit `max_bytes` of payload, and at least one.
+    fn expected_page(rest: &[Vec<u8>], max_bytes: u32) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut budget = max_bytes as usize;
+        for payload in rest {
+            if !out.is_empty() && payload.len() > budget {
+                break;
+            }
+            budget = budget.saturating_sub(payload.len());
+            out.push(payload.clone());
+        }
+        out
+    }
+
+    /// Checks every fetch from every start index against `payloads`, the
+    /// generation's records as [`WalRecord::encode`] produced them: budgets
+    /// of 0 and 1, every exact fit, one byte short of the first record,
+    /// and unbounded.
+    fn check_pages(state: &WalState, payloads: &[Vec<u8>]) {
+        assert_eq!(state.head(), payloads.len() as u64);
+        for index in 0..=payloads.len() {
+            let rest = &payloads[index..];
+            let fetch = |budget: u32| state.records_from(index as u64, budget).expect("read page");
+            for budget in [0, 1, u32::MAX] {
+                assert_eq!(fetch(budget), expected_page(rest, budget), "index {index}, {budget}");
+            }
+            let mut fit = 0;
+            for (k, payload) in rest.iter().enumerate() {
+                fit += payload.len() as u32;
+                let page = fetch(fit);
+                assert_eq!(page, rest[..=k], "index {index}: exact fit of {} records", k + 1);
+            }
+            if let Some(first) = rest.first() {
+                let short = first.len() as u32 - 1;
+                assert_eq!(fetch(short), rest[..1], "index {index}: one record over budget");
+            }
+        }
+    }
+
+    #[test]
+    fn log_fetches_read_exactly_the_encoded_records_back_from_the_file() {
+        use rand::{Rng, SeedableRng, SmallRng};
+        let dir = temp_dir("pages");
+        let specs = vec![TableSpec::i32("t", OpKind::Add, 8)];
+        let options = WalOptions::new(&dir);
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut random_record = |i: u64| {
+            if rng.gen_bool(0.6) {
+                batch(rng.gen_range(0u16..3), i * 64, rng.gen_range(1u32..40))
+            } else {
+                WalRecord::Seal { table: rng.gen_range(0u16..3), watermark: i, crc: rng.gen() }
+            }
+        };
+        let records: Vec<WalRecord> = (0..20).map(&mut random_record).collect();
+        let mut payloads: Vec<Vec<u8>> = records.iter().map(WalRecord::encode).collect();
+
+        let (mut state, _) = WalState::open(options.clone(), &specs).expect("fresh open");
+        for r in &records {
+            state.append(r).expect("append");
+        }
+        check_pages(&state, &payloads);
+
+        // Reopened with no checkpoint: the offsets are rebuilt from
+        // recovery, and appends continue the same index.
+        drop(state);
+        let (mut state, recovery) = WalState::open(options.clone(), &specs).expect("reopen");
+        assert_eq!(recovery.replay, records);
+        check_pages(&state, &payloads);
+        for i in 20..26 {
+            let r = random_record(i);
+            state.append(&r).expect("append after reopen");
+            payloads.push(r.encode());
+        }
+        check_pages(&state, &payloads);
+
+        // A checkpoint starts a new generation at head 0.
+        publish(&mut state, &specs, &[(TableData::I32(vec![3; 8]), 64)]);
+        check_pages(&state, &[]);
+        let after: Vec<Vec<u8>> = (26..30).map(|i| random_record(i).encode()).collect();
+        for payload in &after {
+            state.append(&WalRecord::decode(payload).expect("decode")).expect("append");
+        }
+        check_pages(&state, &after);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -573,7 +711,7 @@ mod tests {
     fn checkpoint_table_codec_round_trips_under_spec() {
         let spec = TableSpec::i32("t", OpKind::Add, 6);
         let data = TableData::I32(vec![1, -2, 3, -4, 5, -6]);
-        let bytes = encode_checkpoint_table(4, 99, &data);
+        let bytes = checkpoint_record(4, 99, &data);
         let (table, watermark, back, checksum) =
             decode_checkpoint_table(&bytes, &spec).expect("decode");
         assert_eq!((table, watermark), (4, 99));
@@ -609,16 +747,7 @@ mod tests {
         // Publish a checkpoint: generation bumps, log truncates, and a
         // third open installs the checkpointed state with no replay.
         let data = TableData::I32(vec![5; 8]);
-        let entry = ManifestEntry {
-            table: 0,
-            kind: ValueKind::I32,
-            op: OpKind::Add,
-            len: 8,
-            watermark: 4,
-            checksum: crate::protocol::snapshot_checksum(&data.to_bits()),
-        };
-        let record = encode_checkpoint_table(0, 4, &data);
-        state.publish_checkpoint(&[entry], &[record]).expect("checkpoint");
+        publish(&mut state, &specs, &[(data.clone(), 4)]);
         assert_eq!(state.checkpoint(), 1);
         assert_eq!(state.head(), 0);
         drop(state);
@@ -663,18 +792,7 @@ mod tests {
         let specs = vec![TableSpec::i32("t", OpKind::Add, 4)];
         let options = WalOptions::new(&dir);
         let (mut state, _) = WalState::open(options.clone(), &specs).expect("open");
-        let data = TableData::I32(vec![0; 4]);
-        let entry = ManifestEntry {
-            table: 0,
-            kind: ValueKind::I32,
-            op: OpKind::Add,
-            len: 4,
-            watermark: 0,
-            checksum: crate::protocol::snapshot_checksum(&data.to_bits()),
-        };
-        state
-            .publish_checkpoint(&[entry], &[encode_checkpoint_table(0, 0, &data)])
-            .expect("checkpoint");
+        publish(&mut state, &specs, &[(TableData::I32(vec![0; 4]), 0)]);
         drop(state);
 
         let two = vec![TableSpec::i32("t", OpKind::Add, 4), TableSpec::i32("u", OpKind::Add, 4)];

@@ -5,15 +5,28 @@
 //!
 //! Every expected encoding below is written out by hand, byte by byte, so a
 //! codec change that moves any byte fails here no matter how the encoder
-//! and decoder agree with each other. The slot-image decoders must also
-//! refuse a count that overruns the body without allocating it, and the
-//! four ways of checksumming a slot image must agree.
+//! and decoder agree with each other. Checkpoint records are written by the
+//! streamed writer the core uses, and `Snapshot` replies are also written
+//! straight from a table, by the core and through a live server. The
+//! slot-image decoders must also refuse a count that overruns the body
+//! without allocating it, and the four ways of checksumming a slot image
+//! must agree.
+
+use std::io::{BufReader, BufWriter};
+use std::net::TcpStream;
+use std::path::PathBuf;
 
 use invector_core::exec::ExecPolicy;
-use invector_serve::protocol::{EdgeOp, ProtoError, Reply, Request, RequestView, Update};
+use invector_serve::protocol::{
+    read_frame, write_frame, EdgeOp, ProtoError, Reply, Request, RequestView, Update,
+    PROTOCOL_VERSION,
+};
 use invector_serve::table::TableState;
-use invector_serve::wal::{decode_checkpoint_table, encode_checkpoint_table};
-use invector_serve::{snapshot_checksum, EpochPolicy, OpKind, TableData, TableSpec, WalRecord};
+use invector_serve::wal::{checkpoint_table_len, decode_checkpoint_table, encode_checkpoint_table};
+use invector_serve::{
+    snapshot_checksum, EpochPolicy, OpKind, ServeConfig, Server, ServerCore, SubmitOutcome,
+    SyncPolicy, TableData, TableSpec, WalOptions, WalRecord,
+};
 
 /// Parses a hand-written hex string (whitespace ignored) into bytes.
 fn hex(s: &str) -> Vec<u8> {
@@ -23,6 +36,14 @@ fn hex(s: &str) -> Vec<u8> {
         .chunks(2)
         .map(|p| u8::from_str_radix(std::str::from_utf8(p).expect("ascii"), 16).expect("hex"))
         .collect()
+}
+
+/// One table's checkpoint record, as the streamed writer writes it.
+fn checkpoint_record(table: u16, watermark: u64, data: &TableData) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_checkpoint_table(table, watermark, data, &mut out).expect("in-memory write");
+    assert_eq!(out.len(), checkpoint_table_len(data.len()), "record of its announced length");
+    out
 }
 
 /// Three records covering a `u64::MAX` seq, a NaN payload, `i32::MIN`
@@ -89,7 +110,7 @@ const SLOT_IMAGE: &str = "06000000 0100c07f 0200a07f 00000080 00000000 01000000 
 fn checkpoint_table_records_match_hand_written_bytes() {
     let f32s = TableData::F32(SLOTS.iter().map(|&b| f32::from_bits(b)).collect());
     let expect = hex(&format!("0300 ffffffffffffffff {SLOT_IMAGE}"));
-    assert_eq!(encode_checkpoint_table(3, u64::MAX, &f32s), expect);
+    assert_eq!(checkpoint_record(3, u64::MAX, &f32s), expect);
     let spec = TableSpec::f32("t", OpKind::Min, SLOTS.len());
     let (table, watermark, back, _) = decode_checkpoint_table(&expect, &spec).expect("decode");
     assert_eq!((table, watermark), (3, u64::MAX));
@@ -97,7 +118,7 @@ fn checkpoint_table_records_match_hand_written_bytes() {
 
     let i32s = TableData::I32(vec![i32::MIN, -1, i32::MAX]);
     let expect = hex("0000 0100000000000000 03000000 00000080 ffffffff ffffff7f");
-    assert_eq!(encode_checkpoint_table(0, 1, &i32s), expect);
+    assert_eq!(checkpoint_record(0, 1, &i32s), expect);
     let spec = TableSpec::i32("t", OpKind::Add, 3);
     let (_, _, back, _) = decode_checkpoint_table(&expect, &spec).expect("decode");
     assert_eq!(back, i32s);
@@ -140,6 +161,123 @@ fn slot_image_replies_match_hand_written_bytes() {
     assert_eq!(empty.encode(), hex("89 0000 00000000 00000000"));
 }
 
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("invector-serve-codec-bytes-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+#[test]
+fn a_core_checkpoint_file_matches_hand_written_frames() {
+    // Two tables installed with the pinned contents above, and a third
+    // whose one applied update makes the epoch that checkpoints.
+    let specs = vec![
+        TableSpec::f32("f", OpKind::Min, SLOTS.len()),
+        TableSpec::i32("i", OpKind::Add, 3),
+        TableSpec::i32("tick", OpKind::Add, 1),
+    ];
+    let dir = temp_dir("checkpoint");
+    let mut config = ServeConfig::new(specs);
+    config.wal = Some(WalOptions {
+        sync: SyncPolicy::Os,
+        checkpoint_epochs: 1,
+        checkpoint_bytes: 0,
+        ..WalOptions::new(&dir)
+    });
+    let core = ServerCore::new(config).expect("core");
+    core.install_snapshot(vec![
+        (TableData::F32(SLOTS.iter().map(|&b| f32::from_bits(b)).collect()), u64::MAX),
+        (TableData::I32(vec![i32::MIN, -1, i32::MAX]), 1),
+        (TableData::I32(vec![0]), 0),
+    ])
+    .expect("install");
+    let outcome = core.submit(2, &[Update::i32(0, 0, 0)]);
+    assert!(matches!(outcome, SubmitOutcome::Accepted { accepted: 1, .. }), "{outcome:?}");
+    core.tick(true);
+
+    // Each record framed as `len:u32 crc:u32 payload`, the CRCs from zlib.
+    let expect = hex(&format!(
+        "26000000 fbc88a9c 0000 ffffffffffffffff {SLOT_IMAGE}
+         1a000000 6a4a972f 0100 0100000000000000 03000000 00000080 ffffffff ffffff7f
+         12000000 c1350d00 0200 0100000000000000 01000000 00000000"
+    ));
+    let file = std::fs::read(dir.join("checkpoint-1.snap")).expect("checkpoint published");
+    assert_eq!(file, expect);
+    assert!(!dir.join("checkpoint-1.tmp").exists(), "temporary file renamed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A served table's `Snapshot` reply over `n` slots of the cycled
+/// [`SLOTS`], written by the core and sent by the reactor, must equal
+/// `expect(table)`.
+fn check_served_snapshots(n: usize, expect: impl Fn(u16) -> Vec<u8>) {
+    let bits: Vec<u32> = (0..n).map(|i| SLOTS[i % SLOTS.len()]).collect();
+    let specs = vec![TableSpec::f32("f", OpKind::Max, n), TableSpec::i32("i", OpKind::Min, n)];
+    let core = ServerCore::new(ServeConfig::new(specs)).expect("core");
+    core.install_snapshot(vec![
+        (TableData::F32(bits.iter().map(|&b| f32::from_bits(b)).collect()), SNAPSHOT_WATERMARK),
+        (TableData::I32(bits.iter().map(|&b| b as i32).collect()), SNAPSHOT_WATERMARK),
+    ])
+    .expect("install");
+    let server = Server::serve_core(core.clone(), "127.0.0.1:0").expect("serve");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    let mut round_trip = |request: Request| {
+        write_frame(&mut writer, &request.encode()).expect("send");
+        read_frame(&mut reader).expect("receive").expect("a reply frame")
+    };
+    round_trip(Request::Hello { version: PROTOCOL_VERSION });
+    for table in 0..2u16 {
+        let mut written = Vec::new();
+        core.write_snapshot_reply(table, &mut written).expect("write from the table");
+        assert_eq!(written, expect(table), "{n} slots of table {table}, written by the core");
+        let sent = round_trip(Request::Snapshot { table });
+        assert_eq!(sent, expect(table), "{n} slots of table {table}, sent by the reactor");
+    }
+    let unknown = Reply::decode(&round_trip(Request::Snapshot { table: 2 })).expect("decode");
+    assert!(matches!(unknown, Reply::Error(_)), "unknown table: {unknown:?}");
+    server.shutdown();
+    server.join();
+}
+
+/// Watermark of the snapshot pins.
+const SNAPSHOT_WATERMARK: u64 = 0x0102_0304_0506_0708;
+
+#[test]
+fn snapshot_replies_written_from_a_table_match_hand_written_bytes() {
+    // The slot values of SLOT_IMAGE, cycled; the CRC of each image from zlib.
+    let words: Vec<&str> = SLOT_IMAGE.split_whitespace().skip(1).collect();
+    let cases = [
+        (0usize, "00000000", "00000000"),
+        (1, "9a03b892", "01000000"),
+        (1025, "edcc35ff", "01040000"),
+    ];
+    for (n, crc, count) in cases {
+        let slots = words.iter().cycle().take(n).copied().collect::<Vec<_>>().join(" ");
+        let expect =
+            |table: u16| hex(&format!("84 {table:02x}00 0807060504030201 {crc} {count} {slots}"));
+        let bits: Vec<u32> = (0..n).map(|i| SLOTS[i % SLOTS.len()]).collect();
+        for table in 0..2u16 {
+            let reply = Reply::Snapshot {
+                table,
+                watermark: SNAPSHOT_WATERMARK,
+                checksum: snapshot_checksum(&bits),
+                values: bits.clone(),
+            };
+            assert_eq!(reply.encode(), expect(table), "{n} slots of table {table}, encoded");
+            assert_eq!(Reply::decode(&expect(table)).expect("decode"), reply);
+        }
+        // A server refuses zero-slot tables; the empty image is pinned
+        // above through the same writer.
+        if n > 0 {
+            check_served_snapshots(n, expect);
+        }
+    }
+}
+
 /// `body` with the `u32` count at `at` replaced by `count`.
 fn with_count(body: &[u8], at: usize, count: u32) -> Vec<u8> {
     let mut bad = body.to_vec();
@@ -172,7 +310,7 @@ fn slot_image_decoders_refuse_overrunning_counts_without_allocating() {
     }
 
     let data = TableData::F32(SLOTS.iter().map(|&b| f32::from_bits(b)).collect());
-    let body = encode_checkpoint_table(0, 1, &data);
+    let body = checkpoint_record(0, 1, &data);
     let spec = TableSpec::f32("t", OpKind::Add, SLOTS.len());
     for count in [n + 1, u32::MAX] {
         match decode_checkpoint_table(&with_count(&body, 10, count), &spec) {
@@ -235,7 +373,7 @@ fn every_slot_checksum_agrees_across_the_staging_buffer_boundaries() {
 
             let snapshot = snapshot_checksum(&state.data().to_bits());
 
-            let record = encode_checkpoint_table(0, 7, &data);
+            let record = checkpoint_record(0, 7, &data);
             let (_, _, back, loaded) = decode_checkpoint_table(&record, &spec).expect("decode");
             assert_eq!(back.to_bits(), bits, "{} slots of {}", n, spec.name);
 

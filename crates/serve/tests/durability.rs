@@ -14,7 +14,14 @@
 //! 4. **Follower convergence.** A follower tailing a leader over loopback
 //!    TCP verifies every epoch seal and converges bitwise, through
 //!    checkpoint resets; a tampered record parks it in `Diverged`.
+//! 5. **Interrupted publishes and a log cut behind a live leader.** A
+//!    checkpoint publish cut off halfway leaves a partial temporary file
+//!    that recovery ignores and the next publish replaces; a log file cut
+//!    behind a live leader fails log fetches with an error reply while the
+//!    leader keeps serving.
 
+use std::io::{BufReader, BufWriter};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
@@ -22,6 +29,7 @@ use rand::{Rng, SeedableRng, SmallRng};
 
 use invector_core::exec::ExecVariant;
 use invector_replog::recover;
+use invector_serve::protocol::{read_frame, write_frame, Reply, Request, PROTOCOL_VERSION};
 use invector_serve::{
     EpochPolicy, FollowStatus, Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server,
     ServerCore, SubmitOutcome, SyncPolicy, TableSpec, TcpClient, TraceEntry, TuneMode, Update,
@@ -204,7 +212,7 @@ fn logged_run(dir: &PathBuf, quantum: usize, n: u64) -> Vec<WalRecord> {
 fn rewrite_log(dir: &Path, records: &[WalRecord]) {
     let wal_path = dir.join("wal.log");
     std::fs::remove_file(&wal_path).expect("drop log");
-    let mut wal = invector_replog::Wal::open(&wal_path).expect("fresh log");
+    let (mut wal, _) = invector_replog::Wal::open(&wal_path).expect("fresh log");
     for r in records {
         wal.append(&r.encode()).expect("append");
     }
@@ -580,5 +588,110 @@ fn follower_detects_single_bit_divergence_exactly() {
     assert!(tampered_once, "log must contain a batch");
     let message = outcome.expect_err("tampered replication must fail the seal check");
     assert!(message.contains("divergence"), "error must name the divergence: {message}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Streaming spreads one checkpoint over many writes, so a crash can stop a
+/// publish partway through its temporary file. Recovery must come back from
+/// the previous checkpoint plus the log, bitwise, and the next publish must
+/// replace the stale temporary file.
+#[test]
+fn an_interrupted_checkpoint_publish_recovers_from_the_previous_checkpoint() {
+    let quantum = 8usize;
+    let dir = temp_dir("interrupted");
+    let mut config = config_with_wal(&dir, quantum);
+    if let Some(wal) = config.wal.as_mut() {
+        wal.checkpoint_epochs = 4;
+    }
+    let streams = generate_streams(&mut SmallRng::seed_from_u64(0xC4EC), 120);
+    // One quantum per table per epoch, epochs `from..to`.
+    let run_epochs = |core: &std::sync::Arc<ServerCore>, from: usize, to: usize| {
+        let mut client = LocalClient::new(core.clone());
+        for epoch in from..to {
+            for (t, stream) in streams.iter().enumerate() {
+                client.submit_all(t as u16, &stream[epoch * quantum..][..quantum]).expect("submit");
+            }
+            core.tick(false);
+        }
+    };
+    let check = |core: &ServerCore, checkpoint: u64, watermark: u64| {
+        assert_eq!(core.pin_state().checkpoint, checkpoint);
+        let expect = reference_at(&streams, quantum, &[watermark; 2]);
+        for (t, want) in expect.iter().enumerate() {
+            let got = core.snapshot(t as u16).expect("snapshot");
+            assert_eq!(got.watermark, watermark, "table {t}");
+            assert_eq!(&got.bits(), want, "table {t} diverged after recovery");
+        }
+    };
+
+    // Checkpoint 1 after four epochs, then two more epochs in the log.
+    {
+        let core = ServerCore::new(config.clone()).expect("core");
+        run_epochs(&core, 0, 6);
+        assert_eq!(core.pin_state().checkpoint, 1);
+    }
+    // The crash: checkpoint 2 was being streamed when the process died.
+    let published = std::fs::read(dir.join("checkpoint-1.snap")).expect("checkpoint 1");
+    let stale = dir.join("checkpoint-2.tmp");
+    std::fs::write(&stale, &published[..published.len() / 2]).expect("partial checkpoint");
+
+    let core = ServerCore::new(config.clone()).expect("recovery ignores the partial file");
+    check(&core, 1, 6 * quantum as u64);
+    // Four more epochs publish checkpoint 2 over the stale temporary file.
+    run_epochs(&core, 6, 10);
+    assert!(!stale.exists(), "the stale temporary file was replaced and renamed");
+    assert!(dir.join("checkpoint-2.snap").exists());
+    assert!(!dir.join("checkpoint-1.snap").exists(), "the old checkpoint is swept");
+    drop(core);
+
+    let core = ServerCore::new(config).expect("recovery from checkpoint 2");
+    check(&core, 2, 10 * quantum as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Log fetches read the leader's log file back. A file cut behind a live
+/// leader fails them with an error, not a panic: `log_tail` returns `Err`,
+/// the reactor answers `Reply::Error`, and the connection keeps serving.
+#[test]
+fn a_log_cut_behind_a_live_leader_fails_fetches_and_keeps_serving() {
+    let dir = temp_dir("cut-behind");
+    let server = Server::bind(config_with_wal(&dir, 8), "127.0.0.1:0").expect("bind");
+    let core = server.core();
+    let mut client = LocalClient::new(core.clone());
+    let updates: Vec<Update> =
+        (0..32u64).map(|seq| Update::i32(seq, (seq % TABLE_LEN as u64) as u32, 1)).collect();
+    client.submit_all(0, &updates).expect("submit");
+    client.flush().expect("flush");
+    let page = core.log_tail(0, 0, u32::MAX).expect("the intact log reads back");
+    assert!(!page.records.is_empty());
+
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("wal.log"))
+        .and_then(|f| f.set_len(5))
+        .expect("cut the log");
+    let err = core.log_tail(0, 0, u32::MAX).expect_err("a cut log cannot be read back");
+    assert!(err.contains("read log"), "{err}");
+
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    let mut round_trip = |request: Request| {
+        write_frame(&mut writer, &request.encode()).expect("send");
+        let body = read_frame(&mut reader).expect("receive").expect("a reply frame");
+        Reply::decode(&body).expect("decode")
+    };
+    assert!(matches!(
+        round_trip(Request::Hello { version: PROTOCOL_VERSION }),
+        Reply::Hello { .. }
+    ));
+    let reply = round_trip(Request::LogTail { checkpoint: 0, index: 0, max_bytes: u32::MAX });
+    assert!(matches!(&reply, Reply::Error(m) if m.contains("read log")), "{reply:?}");
+    match round_trip(Request::Snapshot { table: 0 }) {
+        Reply::Snapshot { watermark, .. } => assert_eq!(watermark, 32),
+        other => panic!("the connection stopped serving: {other:?}"),
+    }
+    server.shutdown();
+    server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
