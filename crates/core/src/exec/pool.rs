@@ -9,14 +9,35 @@
 //! can assert the pool really is reused.
 //!
 //! The pool deliberately has no concept of task priorities, cancellation, or
-//! futures: the only operation is [`ThreadPool::run`] — execute `tasks`
-//! closures `f(0..tasks)` and block until all finished. Blocking until batch
-//! completion is what makes the lifetime erasure below sound: borrowed data
-//! captured by `f` cannot be freed while any worker can still touch it.
+//! futures. It has two operations:
+//!
+//! - [`ThreadPool::run`] executes `tasks` closures `f(0..tasks)` and blocks
+//!   until all finished. Blocking until batch completion is what makes the
+//!   lifetime erasure below sound: borrowed data captured by `f` cannot be
+//!   freed while any worker can still touch it.
+//! - [`ThreadPool::spawn`] queues one `'static` job and returns at once. The
+//!   job owns everything it touches, so nothing has to outlive the call.
+//!
+//! A worker that runs out of jobs polls the queue, yielding, for
+//! [`SPIN_WINDOW`] before it parks, so a job queued within the window
+//! starts without a wake-up. At most one worker polls at a time; the others
+//! park at once.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
+
+/// How long an idle worker polls the queue, yielding, before it parks.
+///
+/// Sized for the serving layer's epoch hand-off (`ServerCore::tick`). On
+/// the 2-vCPU KVM guest it was measured on, a job handed to a parked
+/// worker started 60–90 µs later (futex wake plus vCPU wake-up), while an
+/// in-process client's ticks arrived 250–550 µs apart across the host's
+/// speed phases. One millisecond covers the widest of those gaps about
+/// twice over, so a steady stream of hand-offs never waits for a wake-up,
+/// and an idle pool still parks within a millisecond of its last job.
+pub const SPIN_WINDOW: Duration = Duration::from_millis(1);
 
 /// How many workers the global pool starts (the host's available
 /// parallelism, at least one).
@@ -29,6 +50,12 @@ pub fn default_workers() -> usize {
 /// engine's tests assert it stays at 1 across repeated engine calls.
 pub fn pool_initializations() -> usize {
     POOL_INITIALIZATIONS.load(Ordering::SeqCst)
+}
+
+/// `true` on a pool worker thread while it runs a job. Work that would
+/// hand itself to the pool runs inline there instead.
+pub fn on_worker() -> bool {
+    IN_POOL_WORKER.with(|w| w.get())
 }
 
 /// The process-wide pool, created on first use.
@@ -55,6 +82,8 @@ struct PoolMetrics {
     batches: invector_obs::Counter,
     jobs: invector_obs::Counter,
     inline_batches: invector_obs::Counter,
+    spawns: invector_obs::Counter,
+    parks: invector_obs::Counter,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -70,6 +99,12 @@ fn pool_metrics() -> &'static PoolMetrics {
                 "invector_exec_pool_inline_batches_total",
                 "batches run inline (single task or nested call from a worker)",
             ),
+            spawns: registry
+                .counter("invector_exec_pool_spawns_total", "'static jobs spawned on the pool"),
+            parks: registry.counter(
+                "invector_exec_pool_parks_total",
+                "hand-offs that had to wake a parked worker (no worker was polling)",
+            ),
         }
     })
 }
@@ -77,16 +112,18 @@ fn pool_metrics() -> &'static PoolMetrics {
 static POOL_INITIALIZATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set while a pool worker executes a task, so nested [`ThreadPool::run`]
+    /// Set while a pool worker executes a job, so nested [`ThreadPool::run`]
     /// calls degrade to inline execution instead of risking a deadlock where
     /// every worker waits for a batch no one is left to run.
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// One enqueued task: its batch plus the task index within the batch.
-struct Job {
-    batch: Arc<Batch>,
-    index: usize,
+/// One enqueued job.
+enum Job {
+    /// Task `index` of a [`ThreadPool::run`] batch.
+    Task { batch: Arc<Batch>, index: usize },
+    /// A [`ThreadPool::spawn`] job.
+    Spawned(Box<dyn FnOnce() + Send>),
 }
 
 /// Shared state of one `run` call. The `'static` on `task` is a lie told
@@ -104,7 +141,8 @@ struct BatchState {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// A fixed set of parked worker threads executing batches of indexed tasks.
+/// A fixed set of worker threads executing batches of indexed tasks and
+/// spawned jobs.
 pub struct ThreadPool {
     queue: Arc<PoolQueue>,
     workers: usize,
@@ -117,16 +155,49 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 struct PoolQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    state: Mutex<QueueState>,
     available: Condvar,
+    /// `state.jobs.len()`, readable without the lock by a polling worker.
+    queued: AtomicUsize,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Workers waiting on `available`.
+    parked: usize,
+    /// Workers polling `queued` inside their spin window (0 or 1).
+    polling: usize,
+}
+
+impl PoolQueue {
+    /// Queues `jobs` and wakes parked workers for the ones no polling
+    /// worker will take: all of them for a batch (`wake_all`), one for a
+    /// spawned job.
+    fn push(&self, jobs: impl Iterator<Item = Job>, wake_all: bool) {
+        let mut state = self.state.lock().expect("pool queue poisoned");
+        state.jobs.extend(jobs);
+        self.queued.store(state.jobs.len(), Ordering::Release);
+        if state.parked == 0 || (state.polling > 0 && !wake_all) {
+            return;
+        }
+        pool_metrics().parks.inc();
+        if wake_all {
+            self.available.notify_all();
+        } else {
+            self.available.notify_one();
+        }
+    }
 }
 
 impl ThreadPool {
-    /// Starts a pool with `workers` parked threads (at least one).
+    /// Starts a pool with `workers` threads (at least one).
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let queue =
-            Arc::new(PoolQueue { jobs: Mutex::new(VecDeque::new()), available: Condvar::new() });
+        let queue = Arc::new(PoolQueue {
+            state: Mutex::new(QueueState { jobs: VecDeque::new(), parked: 0, polling: 0 }),
+            available: Condvar::new(),
+            queued: AtomicUsize::new(0),
+        });
         for id in 0..workers {
             let queue = Arc::clone(&queue);
             std::thread::Builder::new()
@@ -152,7 +223,7 @@ impl ThreadPool {
         if tasks == 0 {
             return;
         }
-        if tasks == 1 || IN_POOL_WORKER.with(|w| w.get()) {
+        if tasks == 1 || on_worker() {
             pool_metrics().inline_batches.inc();
             for index in 0..tasks {
                 f(index);
@@ -171,13 +242,8 @@ impl ThreadPool {
             state: Mutex::new(BatchState { remaining: tasks, panic: None }),
             done: Condvar::new(),
         });
-        {
-            let mut jobs = self.queue.jobs.lock().expect("pool queue poisoned");
-            for index in 0..tasks {
-                jobs.push_back(Job { batch: Arc::clone(&batch), index });
-            }
-        }
-        self.queue.available.notify_all();
+        self.queue
+            .push((0..tasks).map(|index| Job::Task { batch: Arc::clone(&batch), index }), true);
         let mut state = batch.state.lock().expect("batch state poisoned");
         while state.remaining > 0 {
             state = batch.done.wait(state).expect("batch state poisoned");
@@ -187,34 +253,78 @@ impl ThreadPool {
             std::panic::resume_unwind(payload);
         }
     }
+
+    /// Queues `job` to run on a worker and returns at once.
+    ///
+    /// The job owns what it touches (`'static`), so it may outlive the
+    /// caller's stack frame. A panic inside it is caught on the worker and
+    /// dropped, so a job that has a result or a failure to report passes it
+    /// on itself.
+    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        pool_metrics().spawns.inc();
+        pool_metrics().jobs.inc();
+        self.queue.push(std::iter::once(Job::Spawned(Box::new(job))), false);
+    }
+}
+
+/// Takes the next job: polls inside the spin window when no other worker
+/// is polling, then parks until one is queued.
+fn next_job(queue: &PoolQueue) -> Job {
+    let mut state = queue.state.lock().expect("pool queue poisoned");
+    if state.jobs.is_empty() && state.polling == 0 {
+        state.polling = 1;
+        drop(state);
+        let until = Instant::now() + SPIN_WINDOW;
+        while queue.queued.load(Ordering::Acquire) == 0 && Instant::now() < until {
+            std::thread::yield_now();
+        }
+        state = queue.state.lock().expect("pool queue poisoned");
+        state.polling = 0;
+    }
+    loop {
+        if let Some(job) = state.jobs.pop_front() {
+            queue.queued.store(state.jobs.len(), Ordering::Release);
+            // A spawn that found this worker polling woke no one; pass any
+            // job queued behind it on to a parked worker.
+            if !state.jobs.is_empty() && state.parked > 0 && state.polling == 0 {
+                pool_metrics().parks.inc();
+                queue.available.notify_one();
+            }
+            return job;
+        }
+        state.parked += 1;
+        state = queue.available.wait(state).expect("pool queue poisoned");
+        state.parked -= 1;
+    }
 }
 
 fn worker_loop(queue: &PoolQueue) {
     loop {
-        let job = {
-            let mut jobs = queue.jobs.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                jobs = queue.available.wait(jobs).expect("pool queue poisoned");
-            }
-        };
-        let task = job.batch.task;
+        let job = next_job(queue);
         IN_POOL_WORKER.with(|w| w.set(true));
-        let outcome = {
-            let _span = invector_obs::span!("exec.pool.job");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(job.index)))
-        };
+        match job {
+            Job::Task { batch, index } => {
+                let task = batch.task;
+                let outcome = {
+                    let _span = invector_obs::span!("exec.pool.job");
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(index)))
+                };
+                let mut state = batch.state.lock().expect("batch state poisoned");
+                if let Err(payload) = outcome {
+                    state.panic.get_or_insert(payload);
+                }
+                state.remaining -= 1;
+                if state.remaining == 0 {
+                    batch.done.notify_all();
+                }
+            }
+            Job::Spawned(job) => {
+                let _span = invector_obs::span!("exec.pool.spawned");
+                // The job reports its own failures; the worker survives it.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            }
+        }
         IN_POOL_WORKER.with(|w| w.set(false));
-        let mut state = job.batch.state.lock().expect("batch state poisoned");
-        if let Err(payload) = outcome {
-            state.panic.get_or_insert(payload);
-        }
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            job.batch.done.notify_all();
-        }
     }
 }
 
@@ -286,6 +396,27 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::SeqCst), 6);
+    }
+
+    /// Spawned jobs run on a worker, after the call returned, whether a
+    /// worker was polling or parked when they were queued; a panicking job
+    /// leaves the worker serving.
+    #[test]
+    fn spawned_jobs_run_on_a_worker_and_survive_panics() {
+        let pool = ThreadPool::new(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for round in 0..3u32 {
+            if round == 2 {
+                // Past the spin window: the worker has parked.
+                std::thread::sleep(SPIN_WINDOW * 5);
+            }
+            pool.spawn(|| panic!("job exploded"));
+            let tx = tx.clone();
+            pool.spawn(move || tx.send((round, on_worker())).expect("receiver"));
+            let got = rx.recv_timeout(Duration::from_secs(10)).expect("spawned job ran");
+            assert_eq!(got, (round, true));
+        }
+        assert!(!on_worker(), "the caller is not a worker");
     }
 
     #[test]

@@ -93,8 +93,9 @@ pub(crate) struct Admitted {
     /// Records appended: a prefix of the batch.
     pub(crate) accepted: usize,
     /// The first record the per-record rule refuses (key out of range, or
-    /// seq at or past the window limit), with its position; `None` when
-    /// every record passes. Records before it that were not accepted
+    /// seq at or past the window limit), with its position, searched up to
+    /// the first record the buffer had no room for; `None` when every
+    /// record searched passes. Records before it that were not accepted
     /// found the buffer full.
     pub(crate) refused: Option<(usize, Update)>,
 }
@@ -125,6 +126,8 @@ impl Staging {
     /// without wrapping — a client's in-order batch — commits as one run
     /// on that alone. Otherwise the per-record search finds the refusal
     /// point and the accepted prefix commits record by record into runs.
+    /// The search reads at most `fits + 1` records: the refusal point
+    /// decides the outcome only up to the first record that found no room.
     pub(crate) fn admit(
         &mut self,
         records: &UpdatesView<'_>,
@@ -152,8 +155,13 @@ impl Staging {
         let (accepted, refused) = if clean {
             (n, None)
         } else {
-            let refused =
-                records.iter().enumerate().find(|(_, u)| u.idx >= slots || u.seq >= limit);
+            // A refusal past position `fits` cannot change the outcome: the
+            // buffer fills first either way. So the search stops there.
+            let refused = records
+                .iter()
+                .enumerate()
+                .take(fits + 1)
+                .find(|(_, u)| u.idx >= slots || u.seq >= limit);
             (refused.map_or(n, |(i, _)| i).min(fits), refused)
         };
         // SAFETY: the spare capacity held at least `fits` elements per
@@ -183,6 +191,12 @@ impl Staging {
             Some((from, n)) if from.wrapping_add(*n as u64) == first => *n += len,
             _ => self.runs.push((first, len)),
         }
+    }
+
+    /// The key and value-bits columns, every run back to back in
+    /// admission order.
+    pub(crate) fn columns(&self) -> (&[i32], &[u32]) {
+        (&self.keys, &self.bits)
     }
 
     /// The staged runs, in admission order.
@@ -245,7 +259,7 @@ fn split_records(
 /// appended with one `extend_from_slice` per column; positions behind the
 /// tail (duplicates, stale positions, gap fills) take the per-update
 /// [`insert`](Self::insert) path. A cut consumes the front of the run in
-/// place (`take_run`) and hands the kernel a borrowed view; the consumed
+/// place (`take`) and hands the kernel a borrowed view of it; the consumed
 /// prefix is reclaimed by moving the live tail to the front once it is no
 /// longer than the prefix, which is amortized O(1) per update.
 #[derive(Debug, Default)]
@@ -362,8 +376,8 @@ impl ReorderBuffer {
     }
 
     /// Consumes the first `n` updates of the contiguous run, advancing the
-    /// watermark, and returns them as a borrowed column view — the slice
-    /// an epoch cut hands the kernel without copying.
+    /// watermark, and returns them as a borrowed column view: a
+    /// [`take`](Self::take) read back at once.
     ///
     /// # Panics
     ///
@@ -371,13 +385,34 @@ impl ReorderBuffer {
     /// size `n` from [`contiguous_len`](Self::contiguous_len) under the
     /// same lock.
     pub(crate) fn take_run(&mut self, n: usize) -> RunView<'_> {
-        assert!(n <= self.run, "take_run of {n} past the contiguous run of {}", self.run);
-        let (from, first) = (self.head, self.watermark);
+        let first = self.watermark;
+        let at = self.take(n);
+        self.consumed(at, first, n)
+    }
+
+    /// Consumes the first `n` updates of the contiguous run, advancing the
+    /// watermark, and returns the column index they start at. They stay
+    /// readable there through [`consumed`](Self::consumed) until the next
+    /// insert, which may compact them away.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` contiguous updates are available.
+    pub(crate) fn take(&mut self, n: usize) -> usize {
+        assert!(n <= self.run, "take of {n} past the contiguous run of {}", self.run);
+        let at = self.head;
         self.head += n;
         self.len -= n;
         self.run -= n;
         self.watermark += n as u64;
-        RunView { first, keys: &self.keys[from..from + n], bits: &self.bits[from..from + n] }
+        at
+    }
+
+    /// The `n` updates a [`take`](Self::take) consumed from column `at`, as
+    /// the run from stream position `first` they were.
+    pub(crate) fn consumed(&self, at: usize, first: u64, n: usize) -> RunView<'_> {
+        debug_assert!(at + n <= self.head, "columns {at}..{} not consumed", at + n);
+        RunView { first, keys: &self.keys[at..at + n], bits: &self.bits[at..at + n] }
     }
 
     /// Removes exactly `n` updates from the contiguous run into `out`
@@ -450,21 +485,29 @@ impl ReorderBuffer {
 }
 
 /// One epoch's outcome: what [`tick`](crate::server::ServerCore::tick)
-/// applied.
+/// cut and applied.
+///
+/// A tick that handed its epoch to the worker pool returns at the cut, so
+/// its report carries the cut alone: `applied`, `slices` and `offered`
+/// are the epoch's, `vectors` reads 0 and `elapsed` is the wait for the
+/// cut. The fold's own figures (vectors, conflict depth, epoch wall time)
+/// reach [`ServeStats`] when the epoch completes.
 #[derive(Debug, Clone, Default)]
 pub struct EpochReport {
-    /// Updates applied across all tables.
+    /// Updates cut (and applied, once the epoch completes) across all
+    /// tables.
     pub applied: usize,
-    /// Batch slices executed.
+    /// Batch slices cut.
     pub slices: usize,
     /// Slice capacity offered (Σ per-slice quantum) — the occupancy
     /// denominator. Tracked per slice because the quantum may change
     /// between epochs under tuning.
     pub offered: usize,
     /// SIMD vector iterations the slices ran (16 lane slots each), for
-    /// utilization accounting.
+    /// utilization accounting; 0 in a report returned at the cut.
     pub vectors: u64,
-    /// Wall time of the tick.
+    /// Wall time of the epoch, or of the wait for its cut in a report
+    /// returned at the cut.
     pub elapsed: Duration,
 }
 
@@ -512,6 +555,9 @@ pub struct ServeStats {
     depth: Histogram,
     /// `invector_serve_epoch_latency_us`: epoch wall time.
     latency_us: Histogram,
+    /// `invector_serve_epoch_cut_wait_us`: how long a requester waited for
+    /// the cut of an epoch it handed to the pool.
+    cut_wait_us: Histogram,
     /// `invector_serve_wal_appends_total`: batch records appended to the
     /// write-ahead log.
     wal_appends: Counter,
@@ -572,6 +618,11 @@ impl ServeStats {
             latency_us: registry.histogram(
                 "invector_serve_epoch_latency_us",
                 "epoch wall time (microseconds)",
+                &LATENCY_BOUNDS_US,
+            ),
+            cut_wait_us: registry.histogram(
+                "invector_serve_epoch_cut_wait_us",
+                "wait for the cut of an epoch handed to the worker pool (microseconds)",
                 &LATENCY_BOUNDS_US,
             ),
             wal_appends: registry
@@ -652,6 +703,12 @@ impl ServeStats {
         if slots > 0 {
             self.utilization.set(self.lanes_useful.value() as f64 / slots as f64);
         }
+    }
+
+    /// Records one requester's wait for the cut of an epoch it handed to
+    /// the pool. Lock-free.
+    pub fn record_cut_wait(&self, waited: Duration) {
+        self.cut_wait_us.observe(waited.as_secs_f64() * 1e6);
     }
 
     /// Records refused admissions. Lock-free.
@@ -782,6 +839,32 @@ mod tests {
         assert_eq!(got, Admitted { accepted: 1, refused: Some((1, batch[1])) });
         let runs: Vec<(u64, usize)> = staging.runs().map(|r| (r.first, r.len())).collect();
         assert_eq!(runs, vec![(0, 2), (0, 1)]);
+    }
+
+    /// With the buffer full partway through a batch, admission reads the
+    /// refusing record up to the first record that found no room and stops
+    /// there: a refusal one record past it (`fits + 1`) is a full buffer,
+    /// as it was when the search read the whole batch.
+    #[test]
+    fn a_full_buffer_stops_the_refusal_search_one_past_its_room() {
+        let bad = |at: usize| -> Vec<Update> {
+            (0..8u64).map(|s| Update::i32(s, if s as usize == at { 64 } else { 1 }, 1)).collect()
+        };
+        for backend in [Backend::Portable, invector_core::BackendChoice::Auto.resolve()] {
+            // Room for 5 of the 8 records: `fits` is 5.
+            for (at, want) in [
+                (4, Admitted { accepted: 4, refused: Some((4, bad(4)[4])) }),
+                (5, Admitted { accepted: 5, refused: Some((5, bad(5)[5])) }),
+                (6, Admitted { accepted: 5, refused: None }),
+            ] {
+                let mut staging = Staging::with_capacity(5);
+                let batch = bad(at);
+                let bytes = Update::wire_bytes(&batch);
+                let got = staging.admit(&UpdatesView::new(&bytes), 64, u64::MAX, backend);
+                assert_eq!(got, want, "bad key at {at} on {backend:?}");
+                assert_eq!(staging.len(), want.accepted);
+            }
+        }
     }
 
     /// Model-based check of the reorder buffer against a `BTreeMap` of

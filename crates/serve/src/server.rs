@@ -13,18 +13,19 @@
 //! threads, zero-copy frame decode) and a background epoch thread cutting
 //! batches on a timer (or as soon as a full quantum is queued).
 
+use std::any::Any;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use invector_core::exec::{ExecPolicy, ExecVariant, Partition};
+use invector_core::exec::{pool, ExecPolicy, ExecVariant, Partition};
 use invector_core::stats::DepthHistogram;
 use invector_core::tune::{Controller, EpochPolicy, MetricFrame, PolicyTrace, TraceEntry};
 use invector_core::{Backend, BackendChoice, TuneConfig};
 use invector_obs::Registry;
-
+use invector_simd::count;
 use invector_streamkit::{StreamKind, ValueRepr};
 
 use crate::epoch::{Admitted, EpochReport, ServeStats, Staging};
@@ -304,7 +305,22 @@ pub struct LogTailPage {
 /// The transport-independent service: ingest, epoch execution, snapshots.
 #[derive(Debug)]
 pub struct ServerCore {
+    /// The core's own `Arc`, which an epoch handed to the pool holds until
+    /// it completes.
+    me: Weak<ServerCore>,
     config: ServeConfig,
+    /// Every epoch runs on the thread that asks for it: the core logs to a
+    /// WAL, or a policy it may run fans slices across the pool.
+    inline_epochs: bool,
+    /// Instructions that epochs folded on pool workers have counted and no
+    /// inline epoch has re-charged to its caller yet.
+    uncharged: AtomicU64,
+    /// Epochs handed to the pool and not yet started, and whether a runner
+    /// is on the pool to start them.
+    handoffs: Mutex<Handoffs>,
+    /// The panic of a pool epoch that had already released its requester;
+    /// the next `tick` or `flush` re-raises it.
+    failure: Mutex<Option<Box<dyn Any + Send>>>,
     /// The quantum in effect (mirrors `TuneState::policy`): admission
     /// wakes the epoch thread once this many updates are staged.
     quantum: AtomicUsize,
@@ -324,7 +340,8 @@ pub struct ServerCore {
     queued: AtomicUsize,
     /// Serializes epoch execution and guards the state only an epoch
     /// writes: the spare staging buffers, the WAL and the tuning state.
-    /// Lock order: tick lock → table locks.
+    /// An epoch holds it from its staging swap to its statistics, on
+    /// whichever thread runs it. Lock order: tick lock → table locks.
     tick_lock: Mutex<EpochState>,
     /// Per-core metric registry the stats handles point into (also the
     /// scrape source for the `Metrics` verb).
@@ -447,8 +464,20 @@ impl ServerCore {
         let registry = Registry::new();
         let stats = ServeStats::new(&registry);
         let backend = config.backend.resolve();
-        let core = Arc::new(ServerCore {
+        let fans_out = config.threads > 1
+            || match &config.tune {
+                TuneMode::Off => false,
+                TuneMode::Auto(tc) => tc.thread_ladder.iter().any(|&t| t > 1),
+                TuneMode::Replay(trace) => trace.iter().any(|e| e.policy.exec.threads > 1),
+            };
+        let inline_epochs = wal.is_some() || fans_out;
+        let core = Arc::new_cyclic(|me| ServerCore {
+            me: me.clone(),
             config,
+            inline_epochs,
+            uncharged: AtomicU64::new(0),
+            handoffs: Mutex::new(Handoffs::default()),
+            failure: Mutex::new(None),
             quantum: AtomicUsize::new(initial.quantum),
             staging,
             backend,
@@ -597,12 +626,135 @@ impl ServerCore {
     /// reduction engine.
     ///
     /// Ticks are serialized; concurrent callers line up. Safe to call from
-    /// any thread — tests and the in-process client drive it directly,
-    /// the background epoch thread drives it in a live server.
+    /// any thread — tests and the in-process client drive it directly; a
+    /// live server's background epoch thread runs the same epoch routine.
+    ///
+    /// A plain tick (`drain == false`) with updates staged hands the epoch
+    /// to the `invector_core::exec` worker pool and returns at its cut, so
+    /// the caller's next admissions overlap the fold. By then every table's
+    /// new watermark is published, and the tables with slices to fold stay
+    /// locked until they are folded (and, with a WAL, sealed): every later
+    /// tick, flush, read, log fetch, statistics read or
+    /// [`pin_state`](Self::pin_state) sees the finished epoch, and
+    /// [`watermarks`](Self::watermarks) never runs ahead of what a read
+    /// returns. The report then holds the cut alone; the fold's statistics
+    /// reach [`ServeStats`] when the epoch completes (see [`EpochReport`]).
+    ///
+    /// The epoch runs on the calling thread instead for a drain, with
+    /// nothing staged, on a pool worker, on a core with a WAL (whose log
+    /// and checkpoint files a caller may go on to read) and on a core whose
+    /// policies fan slices across the pool (`threads > 1`). An inline tick
+    /// also re-charges to its caller the SIMD instructions that pool epochs
+    /// counted since the last one, as the engine re-charges its workers'.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the epoch routine: on the requester while it
+    /// waits for the cut, otherwise on the next `tick` or `flush`. The
+    /// locks it poisoned make every later reader fail-stop.
     pub fn tick(&self, drain: bool) -> EpochReport {
-        let mut epoch = self.tick_lock.lock().expect("tick lock");
+        if !drain
+            && !self.inline_epochs
+            && self.queued.load(Ordering::Acquire) > 0
+            && !pool::on_worker()
+        {
+            if let Some(core) = self.me.upgrade() {
+                return core.hand_off(|core, handoff| {
+                    core.epoch(false, Some(handoff));
+                });
+            }
+        }
+        let report = self.epoch(drain, None);
+        count::bump_recharged(self.uncharged.swap(0, Ordering::AcqRel));
+        report
+    }
+
+    /// Queues `routine` for the core's runner on the pool and waits for it
+    /// to post its cut to the [`Handoff`] — the hand-off behind every
+    /// asynchronous [`tick`](Self::tick). Without a runner on the pool, one
+    /// is spawned holding an `Arc` of the core; a runner already there
+    /// takes the routine when it finishes the epoch in hand. So a tick that
+    /// arrives while the previous epoch still folds wakes no second worker
+    /// only to have it block on the tick lock.
+    fn hand_off(
+        self: &Arc<Self>,
+        routine: impl FnOnce(&ServerCore, &Handoff) + Send + 'static,
+    ) -> EpochReport {
+        let handoff = Arc::new(Handoff::new());
+        let asked = Instant::now();
+        let spawn = {
+            let mut queue = self.handoffs.lock().expect("hand-off queue");
+            queue.pending.push_back((Arc::clone(&handoff), Box::new(routine)));
+            !std::mem::replace(&mut queue.running, true)
+        };
+        if spawn {
+            let core = Arc::clone(self);
+            pool::global().spawn(move || core.run_handoffs());
+        }
+        let cut = handoff.wait();
+        let waited = asked.elapsed();
+        self.stats.record_cut_wait(waited);
+        match cut {
+            Ok(report) => EpochReport { elapsed: waited, ..report },
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// The core's runner on the pool: starts queued routines in order until
+    /// none is left. A panic in a routine is caught here: posted to its
+    /// requester if that one still waits for the cut (and re-raised
+    /// there), kept for the next `tick` otherwise.
+    fn run_handoffs(&self) {
+        loop {
+            let next = {
+                let mut queue = self.handoffs.lock().expect("hand-off queue");
+                let next = queue.pending.pop_front();
+                queue.running = next.is_some();
+                next
+            };
+            let Some((handoff, routine)) = next else { return };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                routine(self, &handoff);
+            }));
+            if let Err(payload) = run {
+                if let Some(Err(payload)) = handoff.post(Err(payload)) {
+                    *self.failure.lock().expect("failure slot") = Some(payload);
+                }
+            }
+        }
+    }
+
+    /// Takes the tick lock for an epoch, or re-raises the panic of a pool
+    /// epoch that had already released its requester. When that panic
+    /// poisoned the lock, the runner that caught it is waited out first, so
+    /// the next epoch raises the panic itself rather than the poisoning.
+    fn lock_epoch(&self) -> std::sync::MutexGuard<'_, EpochState> {
+        let epoch = self.tick_lock.lock().ok();
+        if epoch.is_none() && !pool::on_worker() {
+            while self.failure.lock().expect("failure slot").is_none()
+                && self.handoffs.lock().expect("hand-off queue").running
+            {
+                std::thread::yield_now();
+            }
+        }
+        if let Some(payload) = self.failure.lock().expect("failure slot").take() {
+            std::panic::resume_unwind(payload);
+        }
+        epoch.expect("tick lock poisoned by a failed epoch")
+    }
+
+    /// The epoch routine, the one place an epoch's work is done, run inline
+    /// or handed to the pool by [`tick`](Self::tick). Under the tick lock:
+    /// swap staging, plan every table's cut, publish the watermarks and
+    /// post the cut to `handoff`; then log, fold and seal each table, sync,
+    /// checkpoint, and record statistics and tuning. On a pool worker it
+    /// also banks the instructions it counted for the next inline tick to
+    /// re-charge.
+    fn epoch(&self, drain: bool, handoff: Option<&Handoff>) -> EpochReport {
+        let mut epoch = self.lock_epoch();
         let EpochState { spares: batches, wal, tuning } = &mut *epoch;
         let start = Instant::now();
+        let counted = count::read();
 
         // Take every table's staged batch in O(1) before cutting any: swap
         // the empty spare in under the staging lock. The epoch is then one
@@ -617,37 +769,47 @@ impl ServerCore {
             drop(staged);
         }
 
-        // Buffer and cut batches, one table at a time. Each table cuts
-        // under its own watermark-keyed policy schedule.
-        // With a WAL, every slice is appended *before* it is applied — the
-        // write-ahead point. A WAL I/O failure is a deliberate panic:
-        // continuing would apply unlogged slices, and a crash here is
-        // exactly what recovery is built for.
+        // Plan every table's cut in id order, each under its own
+        // watermark-keyed policy schedule, and publish its new watermark.
+        // A table with slices to fold stays locked until they are folded
+        // and sealed, so no reader sees the watermark over unfolded slots.
         let mut report = EpochReport::default();
-        let mut depth = DepthHistogram::new();
-        for (t, (table, batch)) in self.tables.iter().zip(batches.iter_mut()).enumerate() {
+        let mut cuts = Vec::with_capacity(self.tables.len());
+        for (t, (table, batch)) in self.tables.iter().zip(batches.iter()).enumerate() {
             let mut state = table.lock().expect("table lock");
-            let before = state.watermark();
-            let slices = match wal.as_mut() {
-                None => state.cut_staged(batch.runs(), drain, &mut |_| {}),
-                Some(wal) => state.cut_staged(batch.runs(), drain, &mut |run| {
-                    let record =
-                        WalRecord::Batch { table: t as u16, updates: run.updates().collect() };
-                    let bytes = wal.append(&record).expect("WAL append failed");
-                    self.stats.record_wal_append(bytes);
-                }),
-            };
-            // Cleared, capacity kept: this is the table's next spare.
-            batch.clear();
-            for slice in &slices {
-                report.applied += slice.applied;
-                report.slices += 1;
-                report.offered += slice.offered;
-                report.vectors += slice.vectors;
-                depth.merge(&slice.depth);
-            }
-            if let Some(wal) = wal.as_mut() {
-                if state.watermark() != before {
+            let plan = state.plan(batch, drain);
+            report.applied += plan.applied();
+            report.slices += plan.slices();
+            report.offered += plan.offered();
+            self.watermarks[t].store(state.watermark(), Ordering::Release);
+            cuts.push((!plan.is_empty()).then_some((state, plan)));
+        }
+        if let Some(handoff) = handoff {
+            handoff.post(Ok(report.clone()));
+        }
+
+        // Fold the cut, one table at a time. With a WAL, every slice is
+        // appended *before* it is applied — the write-ahead point — and the
+        // log keeps the order of a cut folded table by table. A WAL I/O
+        // failure is a deliberate panic: continuing would apply unlogged
+        // slices, and a crash here is exactly what recovery is built for.
+        let mut depth = DepthHistogram::new();
+        for (t, (cut, batch)) in cuts.into_iter().zip(batches.iter_mut()).enumerate() {
+            if let Some((mut state, plan)) = cut {
+                let slices = match wal.as_mut() {
+                    None => state.fold(&plan, batch, &mut |_| {}),
+                    Some(wal) => state.fold(&plan, batch, &mut |run| {
+                        let record =
+                            WalRecord::Batch { table: t as u16, updates: run.updates().collect() };
+                        let bytes = wal.append(&record).expect("WAL append failed");
+                        self.stats.record_wal_append(bytes);
+                    }),
+                };
+                for slice in &slices {
+                    report.vectors += slice.vectors;
+                    depth.merge(&slice.depth);
+                }
+                if let Some(wal) = wal.as_mut() {
                     // Seal the table's epoch: watermark + post-apply state
                     // CRC, the per-epoch checksum recovery verifies and
                     // followers compare.
@@ -660,7 +822,8 @@ impl ServerCore {
                     self.stats.record_wal_append(bytes);
                 }
             }
-            self.watermarks[t].store(state.watermark(), Ordering::Release);
+            // Cleared, capacity kept: this is the table's next spare.
+            batch.clear();
         }
         if let Some(wal) = wal.as_mut() {
             if report.slices > 0 {
@@ -676,6 +839,9 @@ impl ServerCore {
         report.elapsed = start.elapsed();
         self.stats.record_epoch(&report, &depth);
         self.tune_observe(tuning, &report);
+        if handoff.is_some() {
+            self.uncharged.fetch_add(count::read().wrapping_sub(counted), Ordering::AcqRel);
+        }
         report
     }
 
@@ -752,7 +918,10 @@ impl ServerCore {
     }
 
     /// Forces a full drain of every contiguous pending update (including
-    /// partial batches) — the `Flush` request. Returns the epoch report.
+    /// partial batches) — the `Flush` request. A barrier: it runs on the
+    /// calling thread after any epoch still folding on the pool, and
+    /// returns with everything applied (and, with a WAL, sealed and synced
+    /// by the policy) and the epoch's full report.
     pub fn flush(&self) -> EpochReport {
         self.tick(true)
     }
@@ -1108,8 +1277,10 @@ impl ServerCore {
         self.stats.set_follower_lag(records);
     }
 
-    /// Current aggregate statistics.
+    /// Current aggregate statistics, after any epoch still folding on the
+    /// pool has recorded its own.
     pub fn stats_summary(&self) -> StatsSummary {
+        drop(self.tick_lock.lock().expect("tick lock"));
         let duplicates =
             self.tables.iter().map(|t| t.lock().expect("table lock").duplicates()).sum();
         self.stats.summarize(duplicates)
@@ -1125,8 +1296,11 @@ impl ServerCore {
     /// the process-wide registry (SIMD instruction accounting, engine and
     /// pool counters). The two registries use disjoint name prefixes
     /// (`invector_serve_` vs `invector_simd_` / `invector_exec_`), so the
-    /// concatenation is a valid single exposition.
+    /// concatenation is a valid single exposition. Like
+    /// [`stats_summary`](Self::stats_summary) it waits out an epoch still
+    /// folding on the pool.
     pub fn metrics_text(&self) -> String {
+        drop(self.tick_lock.lock().expect("tick lock"));
         let mut text = invector_obs::prometheus(&self.registry);
         text.push_str(&invector_obs::prometheus(Registry::global()));
         text
@@ -1192,9 +1366,81 @@ impl ServerCore {
                 return;
             }
             drop(pending);
-            self.tick(false);
+            // Already off every client's path: the epoch runs right here.
+            self.epoch(false, None);
             pending = self.wake_lock.lock().expect("wake lock");
         }
+    }
+}
+
+/// A routine handed to the pool by [`ServerCore::hand_off`].
+type Routine = Box<dyn FnOnce(&ServerCore, &Handoff) + Send>;
+
+/// The hand-off queue: routines waiting for the core's runner, in tick
+/// order, and whether the runner is on the pool.
+#[derive(Default)]
+struct Handoffs {
+    pending: std::collections::VecDeque<(Arc<Handoff>, Routine)>,
+    running: bool,
+}
+
+impl std::fmt::Debug for Handoffs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Handoffs")
+            .field("pending", &self.pending.len())
+            .field("running", &self.running)
+            .finish()
+    }
+}
+
+/// The requester's end of an epoch handed to the pool: the routine posts
+/// the cut report (or its panic) here and unparks the requester, which
+/// polls, yielding, through the pool's spin window before it parks.
+#[derive(Debug)]
+struct Handoff {
+    requester: std::thread::Thread,
+    posted: AtomicBool,
+    outcome: Mutex<Option<std::thread::Result<EpochReport>>>,
+}
+
+impl Handoff {
+    /// A hand-off answering the calling thread.
+    fn new() -> Handoff {
+        Handoff {
+            requester: std::thread::current(),
+            posted: AtomicBool::new(false),
+            outcome: Mutex::new(None),
+        }
+    }
+
+    /// Posts `outcome` to the requester. Only the first post lands; a later
+    /// one gets its outcome back.
+    fn post(
+        &self,
+        outcome: std::thread::Result<EpochReport>,
+    ) -> Option<std::thread::Result<EpochReport>> {
+        let mut slot = self.outcome.lock().expect("hand-off slot");
+        if self.posted.load(Ordering::Acquire) {
+            return Some(outcome);
+        }
+        *slot = Some(outcome);
+        self.posted.store(true, Ordering::Release);
+        drop(slot);
+        self.requester.unpark();
+        None
+    }
+
+    /// Waits for the post.
+    fn wait(&self) -> std::thread::Result<EpochReport> {
+        let until = Instant::now() + pool::SPIN_WINDOW;
+        while !self.posted.load(Ordering::Acquire) {
+            if Instant::now() < until {
+                std::thread::yield_now();
+            } else {
+                std::thread::park();
+            }
+        }
+        self.outcome.lock().expect("hand-off slot").take().expect("posted outcome")
     }
 }
 
@@ -1595,6 +1841,69 @@ mod tests {
         check::<i32, Sum>(TableSpec::i32("i32-add", OpKind::Add, len), host, &ints, bits);
         check::<i32, Min>(TableSpec::i32("i32-min", OpKind::Min, len), host, &ints, bits);
         check::<i32, Max>(TableSpec::i32("i32-max", OpKind::Max, len), host, &ints, bits);
+    }
+
+    /// A routine that panics before its cut reaches the requester still
+    /// waiting for it: the requester re-raises the panic instead of
+    /// hanging, and the core, whose locks the routine never took, serves on.
+    #[test]
+    fn a_routine_panicking_before_its_cut_reraises_on_the_requester() {
+        let core = ServerCore::new(config()).unwrap();
+        let routine = |_: &ServerCore, _: &Handoff| panic!("routine exploded");
+        let raised =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.hand_off(routine)))
+                .expect_err("the requester re-raises the routine's panic");
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"routine exploded"));
+        let updates: Vec<Update> = (0..16).map(|i| Update::i32(i, 3, 1)).collect();
+        assert!(matches!(core.submit(0, &updates), SubmitOutcome::Accepted { .. }));
+        assert_eq!(core.tick(false).applied, 16);
+        assert_eq!(core.snapshot(0).unwrap().watermark, 16);
+    }
+
+    /// A routine that panics after releasing its requester, under the tick
+    /// lock as an epoch's fold would: the next flush re-raises that panic,
+    /// and the core stays fail-stop after it.
+    #[test]
+    fn a_routine_panicking_after_its_cut_reraises_on_the_next_flush() {
+        let core = ServerCore::new(config()).unwrap();
+        let report = core.hand_off(|core, handoff| {
+            let _epoch = core.tick_lock.lock().expect("tick lock");
+            handoff.post(Ok(EpochReport { applied: 7, ..EpochReport::default() }));
+            panic!("fold exploded");
+        });
+        assert_eq!(report.applied, 7, "the requester got the cut");
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.flush()))
+            .expect_err("the next flush re-raises the fold's panic");
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"fold exploded"));
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.tick(false)));
+        assert!(again.is_err(), "a failed epoch leaves the core fail-stop");
+    }
+
+    /// The epoch a tick hands to the pool holds the core: dropping the last
+    /// outside handle mid-fold frees the core only once the fold is done.
+    #[test]
+    fn dropping_the_last_handle_mid_fold_frees_the_core_after_the_fold() {
+        let core = ServerCore::new(ServeConfig {
+            quantum: 4096,
+            queue_capacity: 1 << 16,
+            ..ServeConfig::new(vec![TableSpec::i32("counts", OpKind::Add, 4096)])
+        })
+        .unwrap();
+        let updates: Vec<Update> =
+            (0..1u64 << 16).map(|s| Update::i32(s, (s * 7 % 4096) as u32, 1)).collect();
+        assert!(matches!(core.submit(0, &updates), SubmitOutcome::Accepted { .. }));
+        let applied = core.registry().counter("invector_serve_applied_total", "");
+        let freed = Arc::downgrade(&core);
+        assert_eq!(core.tick(false).applied, 1 << 16, "the cut takes every quantum");
+        drop(core);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while freed.strong_count() > 0 {
+            assert!(Instant::now() < deadline, "the core was never freed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if cfg!(feature = "obs") {
+            assert_eq!(applied.value(), 1 << 16, "the fold completed before the core went");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use invector_core::InvecStats;
 use invector_simd::SimdElement;
 use invector_streamkit::{AggOp, Engine, StreamKind};
 
-use crate::epoch::{ReorderBuffer, RunView};
+use crate::epoch::{ReorderBuffer, RunView, Staging};
 use crate::protocol::{slot_crc, Update};
 
 /// Element type of a table.
@@ -246,6 +246,56 @@ impl SliceReport {
     }
 }
 
+/// Where a planned slice's columns are read from when it is folded.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The epoch's staged batch: a full quantum of an in-order run, cut in
+    /// place.
+    Staged,
+    /// The reorder buffer, where the plan consumed it.
+    Ring,
+}
+
+/// One slice of a [`CutPlan`]: `take` updates from stream position
+/// `first`, at column `at` of their source, under `policy`.
+#[derive(Debug, Clone, Copy)]
+struct PlannedSlice {
+    source: Source,
+    at: usize,
+    first: u64,
+    policy: EpochPolicy,
+    take: usize,
+}
+
+/// One table's share of an epoch cut ([`TableState::plan`]): the slices,
+/// in stream order, that [`TableState::fold`] applies.
+#[derive(Debug, Default)]
+pub(crate) struct CutPlan {
+    slices: Vec<PlannedSlice>,
+}
+
+impl CutPlan {
+    /// `true` when the cut took nothing from the table.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slices.is_empty()
+    }
+
+    /// Slices in the cut.
+    pub(crate) fn slices(&self) -> usize {
+        self.slices.len()
+    }
+
+    /// Updates in the cut.
+    pub(crate) fn applied(&self) -> usize {
+        self.slices.iter().map(|s| s.take).sum()
+    }
+
+    /// Slice capacity offered: the sum of each slice's quantum.
+    pub(crate) fn offered(&self) -> usize {
+        self.slices.iter().map(|s| s.policy.quantum).sum()
+    }
+}
+
 /// One resident table plus its ingest bookkeeping: the seq-ordered reorder
 /// buffer and the policy schedule its cuts follow.
 #[derive(Debug)]
@@ -348,15 +398,18 @@ impl TableState {
     /// schedule's policy there: exactly `quantum` updates, or with `drain`
     /// the contiguous remainder, and never past a scheduled policy change.
     pub fn cut_scheduled(&mut self, drain: bool) -> Vec<SliceReport> {
-        self.cut_staged(std::iter::empty(), drain, &mut |_| {})
+        let nothing_staged = Staging::with_capacity(0);
+        let plan = self.plan(&nothing_staged, drain);
+        self.fold(&plan, &nothing_staged, &mut |_| {})
     }
 
     /// Cuts an epoch's staged runs, in admission order, under the table's
-    /// policy schedule — the serving epoch path. `log` sees every slice
-    /// exactly as cut, before it is applied — the write-ahead point. A
-    /// slice that reaches `log` is already admitted, so replaying logged
-    /// slices in order through [`apply_logged`](Self::apply_logged)
-    /// reproduces the same cuts, and therefore the same bits.
+    /// policy schedule — the first half of the serving epoch path. The plan
+    /// fixes every slice's boundaries and advances the watermark past them;
+    /// [`fold`](Self::fold) then applies them. Nothing is applied in
+    /// between, so the caller holds the table's lock from the plan through
+    /// the fold and no reader sees the advanced watermark over unfolded
+    /// slots.
     ///
     /// A run that starts at the watermark while the reorder buffer holds
     /// nothing has no earlier position to wait for, so its full quanta are
@@ -378,53 +431,75 @@ impl TableState {
     /// the same property: boundaries are a pure function of (stream
     /// content, schedule), and replaying a recorded schedule reproduces
     /// every slice (and every table bit) of the original run.
-    pub(crate) fn cut_staged<'a>(
-        &mut self,
-        runs: impl Iterator<Item = RunView<'a>>,
-        drain: bool,
-        log: &mut dyn FnMut(RunView<'_>),
-    ) -> Vec<SliceReport> {
-        let schedule = std::mem::take(&mut self.schedule);
+    pub(crate) fn plan(&mut self, staged: &Staging, drain: bool) -> CutPlan {
         let mut slices = Vec::new();
-        for mut run in runs {
+        let mut at = 0;
+        for mut run in staged.runs() {
             debug_assert!(
                 run.keys.iter().all(|&k| (k as u32 as usize) < self.spec.len),
                 "index out of bounds for table '{}' of {} slots",
                 self.spec.name,
                 self.spec.len
             );
+            let end = at + run.len();
             if self.pending.is_empty() && run.first == self.pending.watermark() {
                 while let Some((policy, take)) =
-                    next_slice(&schedule, self.pending.watermark(), run.len(), false)
+                    next_slice(&self.schedule, self.pending.watermark(), run.len(), false)
                 {
-                    let slice = run.split_to(take);
-                    self.pending.advance_to(slice.first + take as u64);
-                    log(slice);
-                    let stats = apply_run(
-                        &mut self.data,
-                        self.engine.as_mut(),
-                        self.spec.op,
-                        slice,
-                        &policy.exec,
-                    );
-                    slices.push(SliceReport::new(take, policy.quantum, stats));
+                    let first = run.split_to(take).first;
+                    self.pending.advance_to(first + take as u64);
+                    slices.push(PlannedSlice { source: Source::Staged, at, first, policy, take });
+                    at += take;
                 }
             }
             self.pending.insert_run(run);
+            at = end;
         }
-        while let Some((policy, take)) =
-            next_slice(&schedule, self.pending.watermark(), self.pending.contiguous_len(), drain)
-        {
-            // Consumed from the reorder buffer in place: the kernel reads
-            // the slice as borrowed key/value columns.
-            let slice = self.pending.take_run(take);
+        while let Some((policy, take)) = next_slice(
+            &self.schedule,
+            self.pending.watermark(),
+            self.pending.contiguous_len(),
+            drain,
+        ) {
+            let first = self.pending.watermark();
+            let at = self.pending.take(take);
+            slices.push(PlannedSlice { source: Source::Ring, at, first, policy, take });
+        }
+        CutPlan { slices }
+    }
+
+    /// Applies a [`plan`](Self::plan)'s slices in stream order — the second
+    /// half of the serving epoch path. `staged` is the batch the plan was
+    /// made from; the ring slices are read where the plan consumed them,
+    /// which stays valid because nothing is inserted between the two
+    /// halves. `log` sees every slice exactly as cut, before it is applied
+    /// — the write-ahead point. A slice that reaches `log` is already
+    /// admitted, so replaying logged slices in order through
+    /// [`apply_logged`](Self::apply_logged) reproduces the same cuts, and
+    /// therefore the same bits.
+    pub(crate) fn fold(
+        &mut self,
+        plan: &CutPlan,
+        staged: &Staging,
+        log: &mut dyn FnMut(RunView<'_>),
+    ) -> Vec<SliceReport> {
+        let (keys, bits) = staged.columns();
+        let mut reports = Vec::with_capacity(plan.slices.len());
+        for &PlannedSlice { source, at, first, policy, take } in &plan.slices {
+            let slice = match source {
+                Source::Staged => {
+                    RunView { first, keys: &keys[at..at + take], bits: &bits[at..at + take] }
+                }
+                // Consumed from the reorder buffer in place: the kernel
+                // reads the slice as borrowed key/value columns.
+                Source::Ring => self.pending.consumed(at, first, take),
+            };
             log(slice);
             let stats =
                 apply_run(&mut self.data, self.engine.as_mut(), self.spec.op, slice, &policy.exec);
-            slices.push(SliceReport::new(take, policy.quantum, stats));
+            reports.push(SliceReport::new(take, policy.quantum, stats));
         }
-        self.schedule = schedule;
-        slices
+        reports
     }
 
     /// Replays one logged slice: the updates must start exactly at the
