@@ -18,7 +18,7 @@
 //! - [`ThreadPool::spawn`] queues one `'static` job and returns at once. The
 //!   job owns everything it touches, so nothing has to outlive the call.
 //!
-//! A worker that runs out of jobs polls the queue, yielding, for
+//! A worker that runs out of jobs polls the queue ([`poll_window`]) for
 //! [`SPIN_WINDOW`] before it parks, so a job queued within the window
 //! starts without a wake-up. At most one worker polls at a time; the others
 //! park at once.
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How long an idle worker polls the queue, yielding, before it parks.
+/// How long an idle worker polls the queue before it parks.
 ///
 /// Sized for the serving layer's epoch hand-off (`ServerCore::tick`). On
 /// the 2-vCPU KVM guest it was measured on, a job handed to a parked
@@ -38,6 +38,42 @@ use std::time::{Duration, Instant};
 /// twice over, so a steady stream of hand-offs never waits for a wake-up,
 /// and an idle pool still parks within a millisecond of its last job.
 pub const SPIN_WINDOW: Duration = Duration::from_millis(1);
+
+/// Polling turns per `yield_now` in [`poll_window`]; the turns between
+/// spin with [`std::hint::spin_loop`].
+///
+/// A yield is a `sched_yield` system call. On the 2-vCPU KVM guest, 5-s
+/// `ingest-hot` runs spent 1.0–1.5 s of system time when the pollers
+/// yielded on every turn, 0.7–0.8 s at 8 turns per yield, 0.3 s at 64 and
+/// 0.2 s at 512 (two runs each; `mups` moved within its run-to-run noise).
+/// 64 turns, a few microseconds, keeps most of that saving while a thread
+/// waiting for this CPU still gets it quickly: over 6 alternating 15-s
+/// pairs, system time per run fell from 3.3–4.0 s to 0.55–0.61 s.
+const YIELD_EVERY: u32 = 64;
+
+/// Polls `ready` until it holds or [`SPIN_WINDOW`] has passed, and returns
+/// whether it held. Spins between checks and yields the CPU every
+/// `YIELD_EVERY` turns, so another runnable thread on this CPU still
+/// gets it within a few microseconds. The one polling loop of the pool's
+/// idle workers and of the serving layer's epoch hand-off.
+pub fn poll_window(mut ready: impl FnMut() -> bool) -> bool {
+    let until = Instant::now() + SPIN_WINDOW;
+    let mut turns = 0u32;
+    loop {
+        if ready() {
+            return true;
+        }
+        if Instant::now() >= until {
+            return false;
+        }
+        turns += 1;
+        if turns.is_multiple_of(YIELD_EVERY) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
 
 /// How many workers the global pool starts (the host's available
 /// parallelism, at least one).
@@ -274,10 +310,7 @@ fn next_job(queue: &PoolQueue) -> Job {
     if state.jobs.is_empty() && state.polling == 0 {
         state.polling = 1;
         drop(state);
-        let until = Instant::now() + SPIN_WINDOW;
-        while queue.queued.load(Ordering::Acquire) == 0 && Instant::now() < until {
-            std::thread::yield_now();
-        }
+        poll_window(|| queue.queued.load(Ordering::Acquire) != 0);
         state = queue.state.lock().expect("pool queue poisoned");
         state.polling = 0;
     }
@@ -417,6 +450,21 @@ mod tests {
             assert_eq!(got, (round, true));
         }
         assert!(!on_worker(), "the caller is not a worker");
+    }
+
+    /// The poll returns as soon as its condition holds and gives up once
+    /// the window has passed.
+    #[test]
+    fn poll_window_returns_on_the_condition_or_at_the_window() {
+        let mut calls = 0u32;
+        assert!(poll_window(|| {
+            calls += 1;
+            true
+        }));
+        assert_eq!(calls, 1);
+        let start = Instant::now();
+        assert!(!poll_window(|| false));
+        assert!(start.elapsed() >= SPIN_WINDOW);
     }
 
     #[test]

@@ -168,11 +168,6 @@ impl EdgeList {
             weight: perm.iter().map(|&p| self.weight[p as usize]).collect(),
         }
     }
-
-    /// Estimated memory footprint in bytes (for Table 1-style reporting).
-    pub fn footprint_bytes(&self) -> usize {
-        self.src.len() * (4 + 4 + 4)
-    }
 }
 
 #[cfg(test)]

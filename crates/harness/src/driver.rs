@@ -50,11 +50,6 @@ impl SmokeReport {
         self.cells.iter().filter(|c| c.error.is_some())
     }
 
-    /// `true` when every cell agreed with its reference.
-    pub fn all_passed(&self) -> bool {
-        self.failures().next().is_none()
-    }
-
     /// Total wall time across every cell.
     pub fn total_elapsed(&self) -> Duration {
         self.cells.iter().map(|c| c.elapsed).sum()

@@ -1,8 +1,14 @@
-//! Shared kernel infrastructure: variants, timing breakdown, run results.
+//! Shared kernel infrastructure: variants, timing breakdown, run results,
+//! the static-edge-set inspector and the touched-window scan.
 
-use std::time::Duration;
+use std::borrow::Cow;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use invector_core::stats::{DepthHistogram, Utilization};
+use invector_graph::group::{group_by_key, Grouping};
+use invector_graph::tile::tile_edges;
+use invector_graph::EdgeList;
 
 pub use invector_core::exec::{ExecPolicy, ExecVariant, Partition};
 
@@ -205,6 +211,53 @@ pub struct RunResult<T> {
     pub threads: usize,
 }
 
+/// The inspector of the static-edge-set kernels (PageRank, SpMV). Every
+/// variant but the untiled serial baseline runs on the edges cache-tiled
+/// into `block_vertices`-sided blocks (charged to `timings.tiling`); the
+/// grouped variant also groups the tiled edges by destination into
+/// conflict-free windows (charged to `timings.grouping`).
+pub(crate) fn inspect_static_edges<'g>(
+    graph: &'g EdgeList,
+    variant: Variant,
+    block_vertices: usize,
+    timings: &mut Timings,
+) -> (Cow<'g, EdgeList>, Option<Grouping>) {
+    let working = match variant {
+        Variant::Serial => Cow::Borrowed(graph),
+        _ => {
+            let t0 = Instant::now();
+            let tiling = tile_edges(graph, block_vertices);
+            let tiled = graph.permuted(&tiling.perm);
+            timings.tiling = t0.elapsed();
+            Cow::Owned(tiled)
+        }
+    };
+    let grouping = variant.needs_grouping().then(|| {
+        let t0 = Instant::now();
+        let positions: Vec<u32> = (0..working.num_edges() as u32).collect();
+        let g = group_by_key(&positions, working.dst());
+        timings.grouping = t0.elapsed();
+        g
+    });
+    (working, grouping)
+}
+
+/// The vertex window a chunk of a two-endpoint stream touches: from the
+/// lowest to one past the highest of `a[p]` and `b[p]` over `range`
+/// (`0..0` for an empty range). Engine workers of the two-target reductions
+/// (Euler's edges, Moldyn's pairs) size their private accumulators to it.
+pub fn touched_window(a: &[i32], b: &[i32], range: &Range<usize>) -> Range<usize> {
+    if range.is_empty() {
+        return 0..0;
+    }
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    for p in range.clone() {
+        lo = lo.min(a[p]).min(b[p]);
+        hi = hi.max(a[p]).max(b[p]);
+    }
+    lo as usize..hi as usize + 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +309,14 @@ mod tests {
         assert_eq!(Variant::Invec.exec_variant(), ExecVariant::Invec);
         assert_eq!(Variant::Masked.exec_variant(), ExecVariant::Invec);
         assert_eq!(Variant::Grouped.exec_variant(), ExecVariant::Invec);
+    }
+
+    #[test]
+    fn touched_window_spans_both_endpoints_of_the_range() {
+        let (a, b) = ([5, 2, 9, 4], [3, 7, 1, 6]);
+        assert_eq!(touched_window(&a, &b, &(0..4)), 1..10);
+        assert_eq!(touched_window(&a, &b, &(1..2)), 2..8);
+        assert_eq!(touched_window(&a, &b, &(3..3)), 0..0);
     }
 
     #[test]

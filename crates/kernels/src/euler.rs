@@ -11,6 +11,8 @@
 //! a full compressible-flow flux — the published performance question is
 //! about the reduction/memory pattern, which is preserved exactly.
 
+use std::ops::Range;
+
 use invector_core::backend::Backend;
 use invector_core::exec::parallel_chunks;
 use invector_core::invec::reduce_alg1_arr_with;
@@ -20,7 +22,7 @@ use invector_graph::group::{group_by_two_keys, Grouping};
 use invector_graph::EdgeList;
 use invector_simd::{F32x16, I32x16, Mask16};
 
-use crate::common::{ExecPolicy, ExecVariant, Variant};
+use crate::common::{touched_window, ExecPolicy, ExecVariant, Variant};
 
 /// Number of conserved components per mesh node.
 pub const COMPONENTS: usize = 4;
@@ -122,12 +124,13 @@ pub fn flux_sweep_with(
     assert_eq!(update.len(), mesh.num_vertices(), "update size mismatch");
     match variant {
         Variant::Serial | Variant::SerialTiled => {
-            sweep_serial(mesh, state, update);
+            sweep_serial_ranged(mesh, state, update, 0, &(0..mesh.num_edges()));
             (None, None)
         }
         Variant::Invec => {
             let mut depth = DepthHistogram::new();
-            sweep_invec(mesh, backend, state, update, &mut depth);
+            let all = 0..mesh.num_edges();
+            sweep_invec_ranged(mesh, backend, state, update, None, &all, &mut depth);
             (None, Some(depth))
         }
         Variant::Masked => {
@@ -147,19 +150,6 @@ pub fn flux_sweep_with(
 /// Modeled scalar cost of one edge: endpoint loads, 4 state loads per side,
 /// 4 flux ops, 8 update load-add-stores.
 pub const SERIAL_EDGE_COST: u64 = 26;
-
-fn sweep_serial(mesh: &EdgeList, state: &NodeState, update: &mut NodeState) {
-    for j in 0..mesh.num_edges() {
-        let a = mesh.src()[j] as usize;
-        let b = mesh.dst()[j] as usize;
-        for c in 0..COMPONENTS {
-            let flux = KAPPA * (state.fields[c][a] - state.fields[c][b]);
-            update.fields[c][a] -= flux;
-            update.fields[c][b] += flux;
-        }
-    }
-    invector_simd::count::bump(SERIAL_EDGE_COST * mesh.num_edges() as u64);
-}
 
 /// Computes the per-component flux vectors for the active lanes.
 #[inline]
@@ -185,36 +175,6 @@ fn scatter_axis(
         let old = F32x16::zero().mask_gather(safe, &update.fields[c], idx);
         let new = if negate { old - f } else { old + f };
         new.mask_scatter(safe, &mut update.fields[c], idx);
-    }
-}
-
-fn sweep_invec(
-    mesh: &EdgeList,
-    backend: Backend,
-    state: &NodeState,
-    update: &mut NodeState,
-    depth: &mut DepthHistogram,
-) {
-    let (src, dst) = (mesh.src(), mesh.dst());
-    let mut j = 0;
-    while j < mesh.num_edges() {
-        let (va, active) = I32x16::load_partial(&src[j..], 0);
-        let (vb, _) = I32x16::load_partial(&dst[j..], 0);
-        let flux = flux_vectors(state, active, va, vb);
-
-        let mut comps = flux;
-        let (safe_a, d1) =
-            reduce_alg1_arr_with::<f32, Sum, COMPONENTS, 16>(backend, active, va, &mut comps);
-        depth.record(d1);
-        scatter_axis(update, safe_a, va, &comps, true);
-
-        let mut comps = flux;
-        let (safe_b, d2) =
-            reduce_alg1_arr_with::<f32, Sum, COMPONENTS, 16>(backend, active, vb, &mut comps);
-        depth.record(d2);
-        scatter_axis(update, safe_b, vb, &comps, false);
-
-        j += 16;
     }
 }
 
@@ -298,24 +258,17 @@ pub fn flux_sweep_parallel(
         return (depth, 1);
     }
     let worker = variant.exec_variant();
-    let (src, dst) = (mesh.src(), mesh.dst());
     let results = parallel_chunks(mesh.num_edges(), policy.threads, |_, range| {
         // Bound the private state to the chunk's touched node range.
-        let (mut lo, mut hi) = (0usize, 0usize);
-        if !range.is_empty() {
-            let (mut min_n, mut max_n) = (i32::MAX, i32::MIN);
-            for p in range.clone() {
-                min_n = min_n.min(src[p]).min(dst[p]);
-                max_n = max_n.max(src[p]).max(dst[p]);
-            }
-            lo = min_n as usize;
-            hi = max_n as usize + 1;
-        }
-        let mut private = NodeState::zeroed(hi - lo);
+        let window = touched_window(mesh.src(), mesh.dst(), &range);
+        let lo = window.start;
+        let mut private = NodeState::zeroed(window.len());
         let mut depth = DepthHistogram::new();
         match worker {
             ExecVariant::Serial => sweep_serial_ranged(mesh, state, &mut private, lo, &range),
-            _ => sweep_invec_ranged(mesh, backend, state, &mut private, lo, &range, &mut depth),
+            _ => {
+                sweep_invec_ranged(mesh, backend, state, &mut private, Some(lo), &range, &mut depth)
+            }
         }
         (lo, private, depth)
     });
@@ -334,14 +287,15 @@ pub fn flux_sweep_parallel(
     ((worker == ExecVariant::Invec).then_some(depth), threads)
 }
 
-/// Scalar sweep of one edge range into a private window whose index space
-/// starts at node `base`.
+/// Scalar sweep of one edge range into an update whose index space starts
+/// at node `base`: a worker's private window, or the whole mesh at base 0
+/// (the single-thread sweep).
 fn sweep_serial_ranged(
     mesh: &EdgeList,
     state: &NodeState,
     update: &mut NodeState,
     base: usize,
-    range: &std::ops::Range<usize>,
+    range: &Range<usize>,
 ) {
     for j in range.clone() {
         let a = mesh.src()[j] as usize;
@@ -356,24 +310,31 @@ fn sweep_serial_ranged(
 }
 
 /// In-vector sweep of one edge range: state is gathered with the global
-/// node ids, the update scatters through ids rebased by `base`.
+/// node ids. With `base` set the update is a worker's private window
+/// starting at that node, and the update scatters through ids rebased by
+/// it; with `None` the update is the whole mesh (the single-thread sweep),
+/// and the loop skips the rebase and the portable-model instructions it
+/// would charge.
 fn sweep_invec_ranged(
     mesh: &EdgeList,
     backend: Backend,
     state: &NodeState,
     update: &mut NodeState,
-    base: usize,
-    range: &std::ops::Range<usize>,
+    base: Option<usize>,
+    range: &Range<usize>,
     depth: &mut DepthHistogram,
 ) {
     let (src, dst) = (mesh.src(), mesh.dst());
-    let vbase = I32x16::splat(base as i32);
+    let vbase = base.map(|b| I32x16::splat(b as i32));
     let mut j = range.start;
     while j < range.end {
         let (va, active) = I32x16::load_partial(&src[j..range.end], 0);
         let (vb, _) = I32x16::load_partial(&dst[j..range.end], 0);
         let flux = flux_vectors(state, active, va, vb);
-        let (ra, rb) = (va - vbase, vb - vbase);
+        let (ra, rb) = match vbase {
+            Some(vbase) => (va - vbase, vb - vbase),
+            None => (va, vb),
+        };
 
         let mut comps = flux;
         let (safe_a, d1) =
@@ -406,7 +367,7 @@ fn sweep_grouped(mesh: &EdgeList, grouping: &Grouping, state: &NodeState, update
 }
 
 /// Runs `iterations` explicit edge-sweep steps (`state += dt · update`)
-/// and returns the final state.
+/// and returns the final state: [`euler_run_with_policy`] on one thread.
 ///
 /// # Panics
 ///
@@ -418,20 +379,7 @@ pub fn euler_run(
     iterations: u32,
     dt: f32,
 ) -> NodeState {
-    let mut state = state.clone();
-    let mut update = NodeState::zeroed(state.len());
-    for _ in 0..iterations {
-        for field in &mut update.fields {
-            field.fill(0.0);
-        }
-        let _ = flux_sweep(mesh, &state, &mut update, variant);
-        for c in 0..COMPONENTS {
-            for (s, u) in state.fields[c].iter_mut().zip(&update.fields[c]) {
-                *s += dt * u;
-            }
-        }
-    }
-    state
+    euler_run_with_policy(mesh, state, variant, iterations, dt, &ExecPolicy::default()).0
 }
 
 /// Runs `iterations` explicit edge-sweep steps with every sweep distributed

@@ -34,7 +34,9 @@ pub mod wavefront;
 mod wcc;
 
 pub use bfs::{bfs, bfs_with_policy};
-pub use common::{ExecPolicy, ExecVariant, Partition, RunResult, TilingMode, Timings, Variant};
+pub use common::{
+    touched_window, ExecPolicy, ExecVariant, Partition, RunResult, TilingMode, Timings, Variant,
+};
 pub use pagerank::{pagerank, PageRankConfig};
 pub use spmv::{spmv, spmv_with_policy};
 pub use sssp::{sssp, sssp_reuse, sssp_with_policy};

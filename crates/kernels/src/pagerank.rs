@@ -14,12 +14,12 @@ use invector_core::masking::PositionFeeder;
 use invector_core::ops::Sum;
 use invector_core::stats::{DepthHistogram, Utilization};
 use invector_core::{reduce_alg1_with, serial_accumulate};
-use invector_graph::group::{group_by_key, Grouping};
-use invector_graph::tile::{tile_edges, DEFAULT_BLOCK_VERTICES};
+use invector_graph::group::Grouping;
+use invector_graph::tile::DEFAULT_BLOCK_VERTICES;
 use invector_graph::EdgeList;
 use invector_simd::{conflict_free_subset, F32x16, I32x16, Mask16};
 
-use crate::common::{ExecPolicy, RunResult, Timings, Variant};
+use crate::common::{inspect_static_edges, ExecPolicy, RunResult, Timings, Variant};
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,29 +68,10 @@ pub fn pagerank(graph: &EdgeList, variant: Variant, config: &PageRankConfig) -> 
     assert!(nv > 0, "PageRank needs at least one vertex");
     let mut timings = Timings::default();
 
-    // Inspector: tiling (all vectorized variants + tiling_serial).
-    let working = match variant {
-        Serial => graph.clone(),
-        _ => {
-            let t0 = Instant::now();
-            let tiling = tile_edges(graph, config.block_vertices);
-            let tiled = graph.permuted(&tiling.perm);
-            timings.tiling = t0.elapsed();
-            tiled
-        }
-    };
-
-    // Inspector: grouping (tiling_and_grouping only; reused every iteration
-    // because PageRank's edge set is static).
-    let grouping: Option<Grouping> = if variant.needs_grouping() {
-        let t0 = Instant::now();
-        let positions: Vec<u32> = (0..working.num_edges() as u32).collect();
-        let g = group_by_key(&positions, working.dst());
-        timings.grouping = t0.elapsed();
-        Some(g)
-    } else {
-        None
-    };
+    // Inspector: tiling, plus grouping for tiling_and_grouping; both are
+    // reused every iteration because PageRank's edge set is static.
+    let (working, grouping) =
+        inspect_static_edges(graph, variant, config.block_vertices, &mut timings);
 
     // Engine plan (parallel runs only): the edge set is static, so the
     // stream partition is built once and reused by every iteration.

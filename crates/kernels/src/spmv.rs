@@ -13,12 +13,12 @@ use invector_core::backend::Backend;
 use invector_core::masking::PositionFeeder;
 use invector_core::reduce_alg1_with;
 use invector_core::stats::{DepthHistogram, Utilization};
-use invector_graph::group::{group_by_key, Grouping};
-use invector_graph::tile::{tile_edges, DEFAULT_BLOCK_VERTICES};
+use invector_graph::group::Grouping;
+use invector_graph::tile::DEFAULT_BLOCK_VERTICES;
 use invector_graph::EdgeList;
 use invector_simd::{conflict_free_subset, F32x16, I32x16, Mask16};
 
-use crate::common::{RunResult, Timings, Variant};
+use crate::common::{inspect_static_edges, RunResult, Timings, Variant};
 
 /// Computes `y = A·x` where `A` is the weighted adjacency matrix of
 /// `graph` (entry `A[dst][src] = weight`), using the chosen strategy.
@@ -53,27 +53,8 @@ pub fn spmv_with_policy(
 fn spmv_single(graph: &EdgeList, x: &[f32], variant: Variant, backend: Backend) -> RunResult<f32> {
     assert_eq!(x.len(), graph.num_vertices(), "input vector length mismatch");
     let mut timings = Timings::default();
-
-    let working = match variant {
-        Variant::Serial => graph.clone(),
-        _ => {
-            let t0 = Instant::now();
-            let tiling = tile_edges(graph, DEFAULT_BLOCK_VERTICES);
-            let tiled = graph.permuted(&tiling.perm);
-            timings.tiling = t0.elapsed();
-            tiled
-        }
-    };
-    let grouping: Option<Grouping> = match variant {
-        Variant::Grouped => {
-            let t0 = Instant::now();
-            let positions: Vec<u32> = (0..working.num_edges() as u32).collect();
-            let g = group_by_key(&positions, working.dst());
-            timings.grouping = t0.elapsed();
-            Some(g)
-        }
-        _ => None,
-    };
+    let (working, grouping) =
+        inspect_static_edges(graph, variant, DEFAULT_BLOCK_VERTICES, &mut timings);
 
     let mut y = vec![0.0f32; graph.num_vertices()];
     let mut utilization = Utilization::default();

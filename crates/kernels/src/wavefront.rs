@@ -4,47 +4,57 @@
 //! on the original (untiled) edge order because the active edge set changes
 //! every iteration; the grouped variant re-groups the active edges each
 //! iteration (the data-reorganization overhead Figure 9–11 make visible).
+//!
+//! Every driver runs one wave loop (`wave_loop`) and differs only in its
+//! per-wave step: the variant dispatch ([`run`], and [`run_with_policy`] at
+//! one thread), an engine plan per wave ([`run_with_policy`] at more), or
+//! window activation over a one-time grouping ([`run_reuse`]).
 
 use std::time::Instant;
 
+use invector_core::backend::Backend;
 use invector_core::exec::{run_plan, ExecPlan, ExecVariant, TaskItems};
 use invector_core::stats::{DepthHistogram, Utilization};
 use invector_graph::group::group_by_key;
 use invector_graph::{active_edge_positions, Csr, EdgeList, Frontier};
 
 use crate::common::{ExecPolicy, Partition, RunResult, Timings, Variant};
-use crate::relax::{relax_grouped, relax_invec, relax_masked, relax_serial, RelaxRule};
+use crate::relax::{
+    relax_grouped, relax_invec, relax_masked, relax_serial, relax_window, RelaxRule,
+};
 
 /// Iteration cap guarding against non-terminating configurations.
 pub const DEFAULT_MAX_ITERS: u32 = 10_000;
 
-/// Runs rule `R` on `graph` until the frontier empties (or `max_iters`).
-///
-/// `init` receives the value array (pre-filled with `R::unreached()`) and
-/// the initial frontier; it seeds sources. All variants produce bit-identical
-/// value arrays because min/max relaxations are exact in floating point.
-///
-/// # Panics
-///
-/// Panics if `init` inserts an out-of-range vertex.
-pub fn run<R: RelaxRule>(
-    graph: &EdgeList,
-    variant: Variant,
-    max_iters: u32,
-    init: impl FnOnce(&mut [R::Value], &mut Frontier),
-) -> RunResult<R::Value> {
-    // Resolved once per run: native AVX-512 when available, else portable.
-    run_single::<R>(graph, variant, max_iters, invector_core::backend::current(), init)
+/// One wave as a driver's step sees it.
+struct Wave<'a, V> {
+    /// Positions of the wave's active edges (the expanded frontier).
+    positions: &'a [u32],
+    /// Values as of the start of the wave.
+    vals: &'a [V],
+    /// Values the wave relaxes into.
+    new_vals: &'a mut [V],
+    /// Vertices the wave improves: the next frontier.
+    next: &'a mut Frontier,
+    /// The run's phase timings. A step charges its own regrouping or
+    /// partitioning here; the loop charges the rest of the wave, frontier
+    /// expansion included, to `compute`.
+    timings: &'a mut Timings,
 }
 
-/// [`run`] against an explicitly resolved backend — the single-threaded
-/// driver both [`run`] and [`run_with_policy`] (at `threads == 1`) share.
-fn run_single<R: RelaxRule>(
+/// The wave loop every driver shares. Builds the CSR, seeds the values and
+/// the frontier with `init`, then until the frontier empties (or
+/// `max_iters`) expands the frontier into its active edges, runs `step` on
+/// them and publishes the relaxed values and the next frontier.
+///
+/// Returns the values, iteration count, timings and the instructions the
+/// waves executed; the caller fills in the statistics and thread count it
+/// recorded (`None`, `None` and 1 here).
+fn wave_loop<R: RelaxRule>(
     graph: &EdgeList,
-    variant: Variant,
     max_iters: u32,
-    backend: invector_core::backend::Backend,
     init: impl FnOnce(&mut [R::Value], &mut Frontier),
+    mut step: impl FnMut(Wave<'_, R::Value>),
 ) -> RunResult<R::Value> {
     let nv = graph.num_vertices();
     // CSR construction is input loading, shared by every variant; it is not
@@ -59,64 +69,23 @@ fn run_single<R: RelaxRule>(
     let mut positions: Vec<u32> = Vec::new();
 
     let mut timings = Timings::default();
-    let mut utilization = Utilization::default();
-    let mut depth = DepthHistogram::new();
     let mut iterations = 0;
     let instr_before = invector_simd::count::read();
 
     while !frontier.is_empty() && iterations < max_iters {
         iterations += 1;
-        let t0 = Instant::now();
+        let t = Instant::now();
         active_edge_positions(&csr, &frontier, &mut positions);
-        let expand_time = t0.elapsed();
-
-        let (src, dst, weight) = (graph.src(), graph.dst(), graph.weight());
-        match variant {
-            Variant::Serial | Variant::SerialTiled => {
-                let t = Instant::now();
-                relax_serial::<R>(&positions, src, dst, weight, &vals, &mut new_vals, &mut next);
-                timings.compute += t.elapsed() + expand_time;
-            }
-            Variant::Invec => {
-                let t = Instant::now();
-                relax_invec::<R>(
-                    backend,
-                    &positions,
-                    src,
-                    dst,
-                    weight,
-                    &vals,
-                    &mut new_vals,
-                    &mut next,
-                    &mut depth,
-                );
-                timings.compute += t.elapsed() + expand_time;
-            }
-            Variant::Masked => {
-                let t = Instant::now();
-                relax_masked::<R>(
-                    &positions,
-                    src,
-                    dst,
-                    weight,
-                    &vals,
-                    &mut new_vals,
-                    &mut next,
-                    &mut utilization,
-                );
-                timings.compute += t.elapsed() + expand_time;
-            }
-            Variant::Grouped => {
-                // Re-grouping the changing active set every iteration is the
-                // cost of reusing inspector/executor here (§4.2).
-                let tg = Instant::now();
-                let grouping = group_by_key(&positions, dst);
-                timings.grouping += tg.elapsed();
-                let t = Instant::now();
-                relax_grouped::<R>(&grouping, src, dst, weight, &vals, &mut new_vals, &mut next);
-                timings.compute += t.elapsed() + expand_time;
-            }
-        }
+        let reorganized = timings.grouping + timings.partition;
+        step(Wave {
+            positions: &positions,
+            vals: &vals,
+            new_vals: &mut new_vals,
+            next: &mut next,
+            timings: &mut timings,
+        });
+        let reorganized = timings.grouping + timings.partition - reorganized;
+        timings.compute += t.elapsed().saturating_sub(reorganized);
 
         vals.copy_from_slice(&new_vals);
         std::mem::swap(&mut frontier, &mut next);
@@ -128,9 +97,81 @@ fn run_single<R: RelaxRule>(
         iterations,
         timings,
         instructions: invector_simd::count::read().wrapping_sub(instr_before),
+        utilization: None,
+        depth: None,
+        threads: 1,
+    }
+}
+
+/// Runs rule `R` on `graph` until the frontier empties (or `max_iters`):
+/// [`run_with_policy`] on one thread.
+///
+/// `init` receives the value array (pre-filled with `R::unreached()`) and
+/// the initial frontier; it seeds sources. All variants produce bit-identical
+/// value arrays because min/max relaxations are exact in floating point.
+///
+/// # Panics
+///
+/// Panics if `init` inserts an out-of-range vertex.
+pub fn run<R: RelaxRule>(
+    graph: &EdgeList,
+    variant: Variant,
+    max_iters: u32,
+    init: impl FnOnce(&mut [R::Value], &mut Frontier),
+) -> RunResult<R::Value> {
+    run_with_policy::<R>(graph, variant, max_iters, &ExecPolicy::default(), init)
+}
+
+/// The single-threaded driver: each wave relaxes its active edges with the
+/// variant's strategy against an explicitly resolved backend.
+fn run_single<R: RelaxRule>(
+    graph: &EdgeList,
+    variant: Variant,
+    max_iters: u32,
+    backend: Backend,
+    init: impl FnOnce(&mut [R::Value], &mut Frontier),
+) -> RunResult<R::Value> {
+    let (src, dst, weight) = (graph.src(), graph.dst(), graph.weight());
+    let mut utilization = Utilization::default();
+    let mut depth = DepthHistogram::new();
+    let r = wave_loop::<R>(graph, max_iters, init, |w| match variant {
+        Variant::Serial | Variant::SerialTiled => {
+            relax_serial::<R>(w.positions, src, dst, weight, w.vals, w.new_vals, w.next);
+        }
+        Variant::Invec => relax_invec::<R>(
+            backend,
+            w.positions,
+            src,
+            dst,
+            weight,
+            w.vals,
+            w.new_vals,
+            w.next,
+            &mut depth,
+        ),
+        Variant::Masked => relax_masked::<R>(
+            w.positions,
+            src,
+            dst,
+            weight,
+            w.vals,
+            w.new_vals,
+            w.next,
+            &mut utilization,
+        ),
+        Variant::Grouped => {
+            // Re-grouping the changing active set every iteration is the
+            // cost of reusing inspector/executor here (§4.2).
+            let tg = Instant::now();
+            let grouping = group_by_key(w.positions, dst);
+            w.timings.grouping += tg.elapsed();
+            relax_grouped::<R>(&grouping, src, dst, weight, w.vals, w.new_vals, w.next);
+        }
+    });
+    RunResult {
         utilization: variant.records_utilization().then_some(utilization),
         depth: variant.records_depth().then_some(depth),
-        threads: 1,
+        ..r
     }
 }
 
@@ -148,7 +189,7 @@ fn run_single<R: RelaxRule>(
 /// iteration counts) are identical to [`run`] at any thread count.
 ///
 /// The per-worker strategy follows [`Variant::exec_variant`];
-/// `policy.threads == 1` delegates to [`run`] unchanged.
+/// `policy.threads == 1` runs the single-threaded variant dispatch.
 pub fn run_with_policy<R: RelaxRule>(
     graph: &EdgeList,
     variant: Variant,
@@ -156,40 +197,23 @@ pub fn run_with_policy<R: RelaxRule>(
     policy: &ExecPolicy,
     init: impl FnOnce(&mut [R::Value], &mut Frontier),
 ) -> RunResult<R::Value> {
+    // Resolved once per run; worker closures capture the resolved value.
+    let backend = policy.backend.resolve();
     if policy.threads <= 1 {
-        return run_single::<R>(graph, variant, max_iters, policy.backend.resolve(), init);
+        return run_single::<R>(graph, variant, max_iters, backend, init);
     }
     let nv = graph.num_vertices();
-    let csr = Csr::from_edge_list(graph);
-
-    let mut vals = vec![R::unreached(); nv];
-    let mut frontier = Frontier::new(nv);
-    init(&mut vals, &mut frontier);
-    let mut new_vals = vals.clone();
-    let mut next = Frontier::new(nv);
-    let mut positions: Vec<u32> = Vec::new();
-    let mut keys: Vec<i32> = Vec::new();
-
-    let mut timings = Timings::default();
-    let mut depth = DepthHistogram::new();
-    let mut iterations = 0;
-    let mut threads_used = 1;
-    let instr_before = invector_simd::count::read();
+    let (src, dst, weight) = (graph.src(), graph.dst(), graph.weight());
     let plan_policy = ExecPolicy { partition: Partition::OwnerComputes, ..*policy };
     // Scalar baselines keep scalar workers; every vectorized variant maps to
     // the in-vector worker (see the `exec_variant` mapping).
     let vector_worker = variant.exec_variant() == ExecVariant::Invec;
-    // Resolved once per run; worker closures capture the resolved value.
-    let backend = policy.backend.resolve();
+    let mut keys: Vec<i32> = Vec::new();
+    let mut depth = DepthHistogram::new();
+    let mut threads_used = 1;
 
-    while !frontier.is_empty() && iterations < max_iters {
-        iterations += 1;
-        let t0 = Instant::now();
-        active_edge_positions(&csr, &frontier, &mut positions);
-        let expand_time = t0.elapsed();
-
-        let (src, dst, weight) = (graph.src(), graph.dst(), graph.weight());
-
+    let r = wave_loop::<R>(graph, max_iters, init, |w| {
+        let Wave { positions, vals, new_vals, next, timings } = w;
         let tp = Instant::now();
         keys.clear();
         keys.extend(positions.iter().map(|&p| dst[p as usize]));
@@ -197,10 +221,9 @@ pub fn run_with_policy<R: RelaxRule>(
         timings.partition += tp.elapsed();
         threads_used = threads_used.max(plan.num_tasks());
 
-        let t = Instant::now();
         let results = run_plan::<R::Value, R::Op, (Vec<i32>, DepthHistogram), _>(
             &plan,
-            &mut new_vals,
+            new_vals,
             |ctx, view| {
                 // Gather this task's active edges, destinations rebased
                 // into its owned view. Stream item `k` is the active edge
@@ -231,13 +254,13 @@ pub fn run_with_policy<R: RelaxRule>(
                         &t_src,
                         &t_dst,
                         &t_w,
-                        &vals,
+                        vals,
                         view,
                         &mut local_next,
                         &mut local_depth,
                     );
                 } else {
-                    relax_serial::<R>(&t_pos, &t_src, &t_dst, &t_w, &vals, view, &mut local_next);
+                    relax_serial::<R>(&t_pos, &t_src, &t_dst, &t_w, vals, view, &mut local_next);
                 }
                 let improved: Vec<i32> = local_next.vertices().iter().map(|&v| v + lo).collect();
                 (improved, local_depth)
@@ -249,22 +272,8 @@ pub fn run_with_policy<R: RelaxRule>(
             }
             depth.merge(&local_depth);
         }
-        timings.compute += t.elapsed() + expand_time;
-
-        vals.copy_from_slice(&new_vals);
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-    }
-
-    RunResult {
-        values: vals,
-        iterations,
-        timings,
-        instructions: invector_simd::count::read().wrapping_sub(instr_before),
-        utilization: None,
-        depth: vector_worker.then_some(depth),
-        threads: threads_used,
-    }
+    });
+    RunResult { depth: vector_worker.then_some(depth), threads: threads_used, ..r }
 }
 
 /// Runs rule `R` with the **grouping-reuse** technique of Jiang et al.
@@ -283,13 +292,7 @@ pub fn run_reuse<R: RelaxRule>(
     graph: &EdgeList,
     max_iters: u32,
     init: impl FnOnce(&mut [R::Value], &mut Frontier),
-) -> crate::common::RunResult<R::Value> {
-    use crate::relax::relax_window;
-
-    let nv = graph.num_vertices();
-    let csr = Csr::from_edge_list(graph);
-    let mut timings = Timings::default();
-
+) -> RunResult<R::Value> {
     // One-time inspector: group all edges by destination and build the
     // reuse index.
     let t0 = Instant::now();
@@ -301,56 +304,30 @@ pub fn run_reuse<R: RelaxRule>(
             slot_of_edge[p as usize] = ((slot_idx / 16) as u32, (slot_idx % 16) as u8);
         }
     }
-    timings.grouping = t0.elapsed();
+    let inspector = t0.elapsed();
 
-    let mut vals = vec![R::unreached(); nv];
-    let mut frontier = Frontier::new(nv);
-    init(&mut vals, &mut frontier);
-    let mut new_vals = vals.clone();
-    let mut next = Frontier::new(nv);
-    let mut positions: Vec<u32> = Vec::new();
+    let (src, dst, weight) = (graph.src(), graph.dst(), graph.weight());
     let mut window_bits = vec![0u16; grouping.num_windows()];
     let mut touched: Vec<u32> = Vec::new();
-    let mut iterations = 0;
-    let instr_before = invector_simd::count::read();
-
-    while !frontier.is_empty() && iterations < max_iters {
-        iterations += 1;
-        let t = Instant::now();
-        active_edge_positions(&csr, &frontier, &mut positions);
+    let r = wave_loop::<R>(graph, max_iters, init, |w| {
         // Activate the window lanes of the active edges.
-        for &p in &positions {
-            let (w, lane) = slot_of_edge[p as usize];
-            if window_bits[w as usize] == 0 {
-                touched.push(w);
+        for &p in w.positions {
+            let (win, lane) = slot_of_edge[p as usize];
+            if window_bits[win as usize] == 0 {
+                touched.push(win);
             }
-            window_bits[w as usize] |= 1 << lane;
+            window_bits[win as usize] |= 1 << lane;
         }
         // Process only the touched windows.
-        let (src, dst, weight) = (graph.src(), graph.dst(), graph.weight());
-        for &w in &touched {
-            let (slots, _) = grouping.window(w as usize);
-            let active = invector_simd::Mask16::from_bits(u32::from(window_bits[w as usize]));
-            relax_window::<R>(slots, active, src, dst, weight, &vals, &mut new_vals, &mut next);
-            window_bits[w as usize] = 0;
+        for &win in &touched {
+            let (slots, _) = grouping.window(win as usize);
+            let active = invector_simd::Mask16::from_bits(u32::from(window_bits[win as usize]));
+            relax_window::<R>(slots, active, src, dst, weight, w.vals, w.new_vals, w.next);
+            window_bits[win as usize] = 0;
         }
         touched.clear();
-        timings.compute += t.elapsed();
-
-        vals.copy_from_slice(&new_vals);
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-    }
-
-    crate::common::RunResult {
-        values: vals,
-        iterations,
-        timings,
-        instructions: invector_simd::count::read().wrapping_sub(instr_before),
-        utilization: None,
-        depth: None,
-        threads: 1,
-    }
+    });
+    RunResult { timings: Timings { grouping: inspector, ..r.timings }, ..r }
 }
 
 #[cfg(test)]

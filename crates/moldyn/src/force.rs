@@ -21,7 +21,7 @@ use invector_core::invec::reduce_alg1_arr_with;
 use invector_core::ops::Sum;
 use invector_core::stats::{DepthHistogram, Utilization};
 use invector_graph::group::Grouping;
-use invector_kernels::{ExecPolicy, ExecVariant, Variant};
+use invector_kernels::{touched_window, ExecPolicy, ExecVariant, Variant};
 use invector_simd::{F32x16, I32x16, Mask16};
 
 use crate::input::Molecules;
@@ -69,31 +69,13 @@ pub const SERIAL_PAIR_COST: u64 = 14;
 /// twelve force loads/stores.
 pub const SERIAL_NEAR_COST: u64 = 22;
 
-/// Scalar force evaluation (the baseline all SIMD variants must match).
+/// Scalar force evaluation (the baseline all SIMD variants must match): the
+/// engine workers' scalar loop over the whole pair list at base 0.
 ///
 /// Pairs farther apart than `cutoff` contribute nothing (molecules drift
 /// between neighbor-list rebuilds).
 pub fn forces_serial(m: &Molecules, pairs: &PairList, cutoff: f32, out: &mut Forces) {
-    let mut near = 0u64;
-    let cutoff2 = cutoff * cutoff;
-    for (&a, &b) in pairs.i.iter().zip(&pairs.j) {
-        let (a, b) = (a as usize, b as usize);
-        let dx = m.px[a] - m.px[b];
-        let dy = m.py[a] - m.py[b];
-        let dz = m.pz[a] - m.pz[b];
-        let r2 = dx * dx + dy * dy + dz * dz;
-        if r2 <= cutoff2 && r2 > 0.0 {
-            let s = lj_scalar(r2);
-            out.fx[a] += s * dx;
-            out.fy[a] += s * dy;
-            out.fz[a] += s * dz;
-            out.fx[b] -= s * dx;
-            out.fy[b] -= s * dy;
-            out.fz[b] -= s * dz;
-            near += 1;
-        }
-    }
-    invector_simd::count::bump(SERIAL_PAIR_COST * pairs.len() as u64 + SERIAL_NEAR_COST * near);
+    forces_serial_ranged(m, pairs, cutoff, &(0..pairs.len()), 0, out);
 }
 
 /// Computes the pair interaction vectors for the active lanes: returns the
@@ -127,7 +109,8 @@ fn pair_forces(
 
 /// Force evaluation with **in-vector reduction**: each axis's conflicting
 /// lanes are folded in-vector, then committed with one conflict-free
-/// gather-add-scatter per axis.
+/// gather-add-scatter per axis. The engine workers' in-vector loop over the
+/// whole pair list, writing `out` without a rebase.
 pub fn forces_invec(
     backend: Backend,
     m: &Molecules,
@@ -136,28 +119,7 @@ pub fn forces_invec(
     out: &mut Forces,
     depth: &mut DepthHistogram,
 ) {
-    let cutoff2 = cutoff * cutoff;
-    let mut k = 0;
-    while k < pairs.len() {
-        let (vi, active) = I32x16::load_partial(&pairs.i[k..], 0);
-        let (vj, _) = I32x16::load_partial(&pairs.j[k..], 0);
-        let (near, sx, sy, sz) = pair_forces(m, active, vi, vj, cutoff2);
-
-        // Axis i: accumulate +f.
-        let mut comps = [sx, sy, sz];
-        let (safe_i, d1) = reduce_alg1_arr_with::<f32, Sum, 3, 16>(backend, near, vi, &mut comps);
-        depth.record(d1);
-        scatter_add(out, safe_i, vi, &comps, false);
-
-        // Axis j: accumulate -f (fresh copies; the i-axis reduction mutated
-        // its lanes).
-        let mut comps = [sx, sy, sz];
-        let (safe_j, d2) = reduce_alg1_arr_with::<f32, Sum, 3, 16>(backend, near, vj, &mut comps);
-        depth.record(d2);
-        scatter_add(out, safe_j, vj, &comps, true);
-
-        k += 16;
-    }
+    forces_invec_ranged(backend, m, pairs, cutoff, &(0..pairs.len()), None, out, depth);
 }
 
 /// Gather-add-scatter of three force components on the safe lanes.
@@ -207,25 +169,24 @@ pub fn forces_parallel(
     }
     let results = parallel_chunks(pairs.len(), policy.threads, |_, range| {
         // Bound the private window to the chunk's touched molecule range.
-        let (mut lo, mut hi) = (0usize, 0usize);
-        if !range.is_empty() {
-            let (mut min_i, mut max_i) = (i32::MAX, i32::MIN);
-            for p in range.clone() {
-                min_i = min_i.min(pairs.i[p]).min(pairs.j[p]);
-                max_i = max_i.max(pairs.i[p]).max(pairs.j[p]);
-            }
-            lo = min_i as usize;
-            hi = max_i as usize + 1;
-        }
-        let mut private = Forces::zeroed(hi - lo);
+        let window = touched_window(&pairs.i, &pairs.j, &range);
+        let lo = window.start;
+        let mut private = Forces::zeroed(window.len());
         let mut depth = DepthHistogram::new();
         match worker {
             ExecVariant::Serial => {
                 forces_serial_ranged(m, pairs, cutoff, &range, lo, &mut private);
             }
-            _ => {
-                forces_invec_ranged(backend, m, pairs, cutoff, &range, lo, &mut private, &mut depth)
-            }
+            _ => forces_invec_ranged(
+                backend,
+                m,
+                pairs,
+                cutoff,
+                &range,
+                Some(lo),
+                &mut private,
+                &mut depth,
+            ),
         }
         (lo, private, depth)
     });
@@ -246,8 +207,9 @@ pub fn forces_parallel(
     ((worker == ExecVariant::Invec).then_some(depth), threads)
 }
 
-/// Scalar force evaluation of one pair range into a private window whose
-/// index space starts at molecule `base`.
+/// Scalar force evaluation of one pair range into forces whose index space
+/// starts at molecule `base`: a worker's private window, or all molecules
+/// at base 0 ([`forces_serial`]).
 fn forces_serial_ranged(
     m: &Molecules,
     pairs: &PairList,
@@ -280,8 +242,11 @@ fn forces_serial_ranged(
 }
 
 /// In-vector force evaluation of one pair range: positions are gathered
-/// with the global molecule ids, forces scatter through ids rebased by
-/// `base` into the private window.
+/// with the global molecule ids. With `base` set, `out` is a worker's
+/// private window starting at that molecule and forces scatter through ids
+/// rebased by it; with `None`, `out` covers all molecules
+/// ([`forces_invec`]), and the loop skips the rebase and the portable-model
+/// instructions it would charge.
 #[allow(clippy::too_many_arguments)]
 fn forces_invec_ranged(
     backend: Backend,
@@ -289,24 +254,30 @@ fn forces_invec_ranged(
     pairs: &PairList,
     cutoff: f32,
     range: &Range<usize>,
-    base: usize,
+    base: Option<usize>,
     out: &mut Forces,
     depth: &mut DepthHistogram,
 ) {
     let cutoff2 = cutoff * cutoff;
-    let vbase = I32x16::splat(base as i32);
+    let vbase = base.map(|b| I32x16::splat(b as i32));
     let mut k = range.start;
     while k < range.end {
         let (vi, active) = I32x16::load_partial(&pairs.i[k..range.end], 0);
         let (vj, _) = I32x16::load_partial(&pairs.j[k..range.end], 0);
         let (near, sx, sy, sz) = pair_forces(m, active, vi, vj, cutoff2);
-        let (ri, rj) = (vi - vbase, vj - vbase);
+        let (ri, rj) = match vbase {
+            Some(vbase) => (vi - vbase, vj - vbase),
+            None => (vi, vj),
+        };
 
+        // Axis i: accumulate +f.
         let mut comps = [sx, sy, sz];
         let (safe_i, d1) = reduce_alg1_arr_with::<f32, Sum, 3, 16>(backend, near, ri, &mut comps);
         depth.record(d1);
         scatter_add(out, safe_i, ri, &comps, false);
 
+        // Axis j: accumulate -f (fresh copies; the i-axis reduction mutated
+        // its lanes).
         let mut comps = [sx, sy, sz];
         let (safe_j, d2) = reduce_alg1_arr_with::<f32, Sum, 3, 16>(backend, near, rj, &mut comps);
         depth.record(d2);

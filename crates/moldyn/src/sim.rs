@@ -13,9 +13,7 @@ use invector_core::stats::{DepthHistogram, Utilization};
 use invector_graph::group::{group_by_two_keys, Grouping};
 use invector_kernels::{ExecPolicy, Timings, Variant};
 
-use crate::force::{
-    forces_grouped, forces_invec, forces_masked, forces_parallel, forces_serial, Forces,
-};
+use crate::force::{forces_grouped, forces_masked, forces_parallel, Forces};
 use crate::input::{Molecules, CUTOFF};
 use crate::neighbor::{build_pairs, PairList};
 
@@ -60,15 +58,13 @@ pub fn simulate(initial: &Molecules, variant: Variant, iterations: u32) -> SimRe
 }
 
 /// The force-phase driver, decided **once** before the iteration loop
-/// (instead of re-matching the variant/thread combination every step).
+/// (instead of re-matching the variant every step).
 #[derive(Debug, Clone, Copy)]
 enum ForcePath {
-    /// Fan out over the execution engine's thread pool.
+    /// The engine's scalar or in-vector loop ([`forces_parallel`]), fanned
+    /// out over the thread pool when the policy asks for threads and run
+    /// inline at one.
     Engine,
-    /// Scalar pair loop.
-    Scalar,
-    /// In-vector reduction SIMD.
-    Invec,
     /// Conflict-masking SIMD.
     Masked,
     /// Pre-grouped conflict-free SIMD.
@@ -76,19 +72,15 @@ enum ForcePath {
 }
 
 impl ForcePath {
-    /// Picks the driver: the engine when the policy asks for threads and
-    /// the variant's conflict handling composes with partitioning
-    /// ([`Variant::runs_on_engine`] — grouped and masked keep whole-array
-    /// inspector state, so they stay on their serial drivers).
-    fn choose(variant: Variant, policy: &ExecPolicy) -> ForcePath {
-        if policy.threads > 1 && variant.runs_on_engine() {
-            return ForcePath::Engine;
-        }
+    /// Picks the driver: the engine for every variant whose conflict
+    /// handling composes with partitioning ([`Variant::runs_on_engine`] —
+    /// grouped and masked keep whole-array inspector state, so they stay on
+    /// their serial drivers).
+    fn choose(variant: Variant) -> ForcePath {
         match variant {
-            Variant::Serial | Variant::SerialTiled => ForcePath::Scalar,
-            Variant::Invec => ForcePath::Invec,
             Variant::Masked => ForcePath::Masked,
             Variant::Grouped => ForcePath::Grouped,
+            _ => ForcePath::Engine,
         }
     }
 }
@@ -120,10 +112,7 @@ pub fn simulate_with_policy(
     let mut pairs = PairList::default();
     let mut grouping: Option<Grouping> = None;
     let mut threads_used = 1usize;
-    let path = ForcePath::choose(variant, policy);
-    // Resolved once per run: native AVX-512 when the policy allows and the
-    // CPU supports it, else the portable model.
-    let backend = policy.backend.resolve();
+    let path = ForcePath::choose(variant);
     let instr_before = invector_simd::count::read();
 
     for iter in 0..iterations {
@@ -157,8 +146,6 @@ pub fn simulate_with_policy(
                 }
                 threads_used = threads_used.max(used);
             }
-            ForcePath::Scalar => forces_serial(&m, &pairs, CUTOFF, &mut forces),
-            ForcePath::Invec => forces_invec(backend, &m, &pairs, CUTOFF, &mut forces, &mut depth),
             ForcePath::Masked => {
                 forces_masked(&m, &pairs, CUTOFF, &mut forces, &mut scratch, &mut utilization);
             }

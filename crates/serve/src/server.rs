@@ -1181,11 +1181,6 @@ impl ServerCore {
         self.read_only.store(read_only, Ordering::Release);
     }
 
-    /// `true` for a follower core.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only.load(Ordering::Acquire)
-    }
-
     /// Installs bootstrap state on a fresh core: every table's bits and
     /// watermark from an assembled snapshot transfer (follower) or a
     /// recovered checkpoint (restart).
@@ -1323,11 +1318,6 @@ impl ServerCore {
         self.watermarks.iter().map(|w| w.load(Ordering::Acquire)).collect()
     }
 
-    /// `true` once shutdown has begun (admission refuses new updates).
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
     /// Begins shutdown: admission switches to reject-with-`Draining`, then
     /// every contiguous pending update is applied. Returns the final
     /// per-table watermarks. Admission reads the flag under the staging
@@ -1430,15 +1420,11 @@ impl Handoff {
         None
     }
 
-    /// Waits for the post.
+    /// Waits for the post: polls within the pool's spin window, then parks.
     fn wait(&self) -> std::thread::Result<EpochReport> {
-        let until = Instant::now() + pool::SPIN_WINDOW;
+        pool::poll_window(|| self.posted.load(Ordering::Acquire));
         while !self.posted.load(Ordering::Acquire) {
-            if Instant::now() < until {
-                std::thread::yield_now();
-            } else {
-                std::thread::park();
-            }
+            std::thread::park();
         }
         self.outcome.lock().expect("hand-off slot").take().expect("posted outcome")
     }

@@ -77,11 +77,6 @@ pub enum StreamKind {
 }
 
 impl StreamKind {
-    /// `true` for the pre-existing flat fold (no engine attached).
-    pub fn is_flat(&self) -> bool {
-        matches!(self, StreamKind::Flat)
-    }
-
     /// The exact slot count a table of this kind must be declared with, or
     /// `None` for [`StreamKind::Flat`] (any length).
     pub fn required_len(&self) -> Option<usize> {

@@ -189,11 +189,6 @@ impl WindowSim {
         }
     }
 
-    /// Sequence number of the currently open bucket.
-    pub fn current_bucket(&self) -> u64 {
-        self.slots[self.base()] as u32 as u64
-    }
-
     /// Lifetime count of expired (retracted) buckets.
     pub fn expired(&self) -> u64 {
         self.slots[self.base() + 1] as u32 as u64
