@@ -1385,7 +1385,8 @@ impl std::fmt::Debug for Handoffs {
 
 /// The requester's end of an epoch handed to the pool: the routine posts
 /// the cut report (or its panic) here and unparks the requester, which
-/// polls, yielding, through the pool's spin window before it parks.
+/// polls through the pool's spin window (`pool::poll_window`) before it
+/// parks.
 #[derive(Debug)]
 struct Handoff {
     requester: std::thread::Thread,
