@@ -17,6 +17,15 @@
 //! | [`Avx2`]   | 8     | emulated: broadcast/compare sweep (no `vpconflictd`) |
 //! | [`Neon`]   | 4     | emulated: three compare/mask steps                |
 //!
+//! The two x86 backends write Algorithm 1 once. Each supplies a
+//! crate-private lane vocabulary (masked loads, the unsigned bounds mask,
+//! the conflict-free subset, lane equality, a one-lane blend, masked
+//! gather, the commit's add/min/max, and the conflict-free commit: a masked
+//! scatter on AVX-512, a store and scalar write-back on AVX2). One generic
+//! stream driver and one merge-group walk run over it, instantiated inside
+//! each backend's `#[target_feature]` entries. NEON keeps its own copy of
+//! the driver until an aarch64 toolchain can build a port.
+//!
 //! Every type is defined on every compilation target; on the wrong
 //! architecture `available()` is a compile-time `false` and the `unsafe`
 //! entry points are `unreachable!()` stubs. This lets the dispatch layer
@@ -31,6 +40,8 @@
 
 pub mod avx2;
 pub mod avx512;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 pub mod neon;
 
 pub use avx2::Avx2;
@@ -160,26 +171,6 @@ pub unsafe trait Isa {
         target: &mut [i32],
         idx: &[i32],
         vals: &[i32],
-        depth: &mut [u64; 17],
-    ) -> u64;
-
-    /// Fused whole-stream `f32` summation via the paper's **Algorithm 2**
-    /// (aux-array realization, §3.4): per vector, first occurrences commit
-    /// to `target`, second occurrences accumulate into the `aux` shadow
-    /// (recording newly-touched slots in `touched`), and only
-    /// third-and-later occurrences pay merge iterations. The caller must
-    /// fold `aux` into `target` afterwards in `touched` order to match the
-    /// portable `AuxArray::merge_into`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Isa::accumulate_add_f32`], plus `aux.len() == target.len()`.
-    unsafe fn accumulate_add_f32_alg2(
-        target: &mut [f32],
-        aux: &mut [f32],
-        touched: &mut Vec<i32>,
-        idx: &[i32],
-        vals: &[f32],
         depth: &mut [u64; 17],
     ) -> u64;
 }

@@ -93,27 +93,6 @@ unsafe impl Isa for Neon {
     neon_isa_driver!(accumulate_add_i32, i32);
     neon_isa_driver!(accumulate_min_i32, i32);
     neon_isa_driver!(accumulate_max_i32, i32);
-
-    unsafe fn accumulate_add_f32_alg2(
-        target: &mut [f32],
-        aux: &mut [f32],
-        touched: &mut Vec<i32>,
-        idx: &[i32],
-        vals: &[f32],
-        depth: &mut [u64; 17],
-    ) -> u64 {
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: forwarded contract — caller checked `available()` and the
-        // slice-length preconditions.
-        unsafe {
-            imp::accumulate_add_f32_alg2(target, aux, touched, idx, vals, depth)
-        }
-        #[cfg(not(target_arch = "aarch64"))]
-        {
-            let _ = (target, aux, touched, idx, vals, depth);
-            unreachable!("neon backend is never available on this target")
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -311,127 +290,12 @@ mod imp {
         i32::MIN,
         |a: i32, b: i32| a.max(b)
     );
-
-    /// Four-lane Algorithm 2 (aux-array realization, §3.4) over `f32`
-    /// sums; same contract as the other backends' `alg2_add_f32`.
-    ///
-    /// # Safety
-    ///
-    /// Only callable on aarch64. `aux` writes are bounds-checked
-    /// (panicking like the portable model on a bad index).
-    pub unsafe fn alg2_add_f32(
-        active: u32,
-        idx: [i32; 4],
-        data: &mut [f32; 4],
-        aux: &mut [f32],
-        touched: &mut Vec<i32>,
-    ) -> (u32, u32) {
-        // SAFETY: register-only intrinsics on caller-owned arrays; the aux
-        // writes below use safe (checked) indexing.
-        unsafe {
-            let vidx = vld1q_s32(idx.as_ptr());
-            let act = active & 0xF;
-            let mret1 = cfs_from_vec(act, vidx, &idx);
-            let mret2 = cfs_from_vec(act & !mret1, vidx, &idx);
-            let mut d2 = 0u32;
-            // Lanes that are neither first nor second occurrence.
-            let mut remaining = act & !mret1 & !mret2;
-            while remaining != 0 {
-                d2 += 1;
-                let i = remaining.trailing_zeros() as usize;
-                let mreduce = movemask4(vceqq_s32(vidx, vdupq_n_s32(idx[i]))) & (act & !mret2);
-                let mut acc = 0.0f32;
-                let mut bits = mreduce;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    acc += data[l];
-                    bits &= bits - 1;
-                }
-                data[mreduce.trailing_zeros() as usize] = acc;
-                remaining &= !mreduce;
-            }
-            // Route the second-occurrence subset into the shadow array,
-            // ascending lanes like the portable model.
-            let mut bits = mret2;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                let slot = &mut aux[idx[l] as usize];
-                if *slot == 0.0 {
-                    touched.push(idx[l]);
-                }
-                *slot += data[l];
-                bits &= bits - 1;
-            }
-            (mret1, d2)
-        }
-    }
-
-    /// Fused whole-stream f32 summation via **Algorithm 2** at 4 lanes;
-    /// same contract as the other backends' drivers (the caller folds
-    /// `aux` into `target` afterwards in `touched` order).
-    ///
-    /// # Safety
-    ///
-    /// `idx.len() == vals.len()`; `aux.len() == target.len()`;
-    /// `target.len() <= i32::MAX`. Out-of-range (including negative)
-    /// indices panic like the portable model before any commit.
-    pub unsafe fn accumulate_add_f32_alg2(
-        target: &mut [f32],
-        aux: &mut [f32],
-        touched: &mut Vec<i32>,
-        idx: &[i32],
-        vals: &[f32],
-        depth: &mut [u64; 17],
-    ) -> u64 {
-        // SAFETY: every unchecked slice access is covered by the loop
-        // bounds or by the per-vector bounds check over the index lanes.
-        unsafe {
-            let n = idx.len();
-            let vlen = vdupq_n_u32(target.len() as u32);
-            let mut vectors = 0u64;
-            let mut j = 0;
-            while j < n {
-                let lanes = (n - j).min(4);
-                let active: u32 = (1u32 << lanes) - 1;
-                let mut ai = [0i32; 4];
-                let mut av = [0.0f32; 4];
-                for l in 0..lanes {
-                    ai[l] = *idx.get_unchecked(j + l);
-                    av[l] = *vals.get_unchecked(j + l);
-                }
-                let vidx = vld1q_s32(ai.as_ptr());
-                let inb = movemask4(vcltq_u32(vreinterpretq_u32_s32(vidx), vlen)) & active;
-                if inb != active {
-                    let bad = (active & !inb).trailing_zeros() as usize;
-                    panic!(
-                        "gather/scatter index {} out of bounds for slice of length {}",
-                        ai[bad],
-                        target.len()
-                    );
-                }
-                let (mret1, d2) = alg2_add_f32(active, ai, &mut av, aux, touched);
-                depth[d2 as usize] += 1;
-                // Conflict-free commit of the first-occurrence subset.
-                let mut bits = mret1;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    let slot = target.get_unchecked_mut(ai[l] as usize);
-                    *slot += av[l];
-                    bits &= bits - 1;
-                }
-                vectors += 1;
-                j += 4;
-            }
-            vectors
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
 pub use imp::{
-    accumulate_add_f32, accumulate_add_f32_alg2, accumulate_add_i32, accumulate_max_f32,
-    accumulate_max_i32, accumulate_min_f32, accumulate_min_i32, alg2_add_f32,
-    conflict_free_subset_u4,
+    accumulate_add_f32, accumulate_add_i32, accumulate_max_f32, accumulate_max_i32,
+    accumulate_min_f32, accumulate_min_i32, conflict_free_subset_u4,
 };
 
 #[cfg(test)]
