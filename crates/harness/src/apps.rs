@@ -359,8 +359,7 @@ impl Workload for EulerWorkload {
     }
     fn run(&self, variant: Variant, policy: &ExecPolicy) -> RunRecord {
         let instr_before = invector_simd::count::read();
-        let start = Instant::now();
-        let (state, threads) = euler::euler_run_with_policy(
+        let (state, timings, threads) = euler::euler_run_with_policy(
             &self.mesh,
             &self.state,
             variant,
@@ -368,7 +367,6 @@ impl Workload for EulerWorkload {
             EULER_DT,
             policy,
         );
-        let timings = Timings { compute: start.elapsed(), ..Timings::default() };
         let mut values = Vec::with_capacity(COMPONENTS * state.len());
         for field in &state.fields {
             values.extend(field.iter().map(|&v| f64::from(v)));

@@ -12,6 +12,7 @@
 //! about the reduction/memory pattern, which is preserved exactly.
 
 use std::ops::Range;
+use std::time::Instant;
 
 use invector_core::backend::Backend;
 use invector_core::exec::parallel_chunks;
@@ -22,7 +23,7 @@ use invector_graph::group::{group_by_two_keys, Grouping};
 use invector_graph::EdgeList;
 use invector_simd::{F32x16, I32x16, Mask16};
 
-use crate::common::{touched_window, ExecPolicy, ExecVariant, Variant};
+use crate::common::{touched_window, ExecPolicy, ExecVariant, Timings, Variant};
 
 /// Number of conserved components per mesh node.
 pub const COMPONENTS: usize = 4;
@@ -139,12 +140,17 @@ pub fn flux_sweep_with(
             (Some(util), None)
         }
         Variant::Grouped => {
-            let positions: Vec<u32> = (0..mesh.num_edges() as u32).collect();
-            let grouping = group_by_two_keys(&positions, mesh.src(), mesh.dst());
-            sweep_grouped(mesh, &grouping, state, update);
+            sweep_grouped(mesh, &group_edges(mesh), state, update);
             (None, None)
         }
     }
+}
+
+/// The grouped variant's inspector: the mesh's edges in conflict-free
+/// windows of distinct endpoints.
+fn group_edges(mesh: &EdgeList) -> Grouping {
+    let positions: Vec<u32> = (0..mesh.num_edges() as u32).collect();
+    group_by_two_keys(&positions, mesh.src(), mesh.dst())
 }
 
 /// Modeled scalar cost of one edge: endpoint loads, 4 state loads per side,
@@ -384,7 +390,12 @@ pub fn euler_run(
 
 /// Runs `iterations` explicit edge-sweep steps with every sweep distributed
 /// over the execution engine; one thread delegates to the serial driver.
-/// Returns the final state and the number of workers used.
+/// Returns the final state, the phase timings (`grouping` = the grouped
+/// variant's inspector, `compute` = the sweeps and state updates) and the
+/// number of workers used.
+///
+/// The mesh is static, so the grouped variant's single-thread sweeps share
+/// one grouping, built before the first sweep.
 ///
 /// # Panics
 ///
@@ -396,7 +407,16 @@ pub fn euler_run_with_policy(
     iterations: u32,
     dt: f32,
     policy: &ExecPolicy,
-) -> (NodeState, usize) {
+) -> (NodeState, Timings, usize) {
+    assert_eq!(state.len(), mesh.num_vertices(), "state size mismatch");
+    let mut timings = Timings::default();
+    let grouping = (variant.needs_grouping() && policy.threads <= 1).then(|| {
+        let t = Instant::now();
+        let grouping = group_edges(mesh);
+        timings.grouping = t.elapsed();
+        grouping
+    });
+    let start = Instant::now();
     let mut state = state.clone();
     let mut update = NodeState::zeroed(state.len());
     let mut threads = 1;
@@ -404,20 +424,27 @@ pub fn euler_run_with_policy(
         for field in &mut update.fields {
             field.fill(0.0);
         }
-        let (_, used) = flux_sweep_parallel(mesh, &state, &mut update, variant, policy);
-        threads = threads.max(used);
+        match &grouping {
+            Some(grouping) => sweep_grouped(mesh, grouping, &state, &mut update),
+            None => {
+                let (_, used) = flux_sweep_parallel(mesh, &state, &mut update, variant, policy);
+                threads = threads.max(used);
+            }
+        }
         for c in 0..COMPONENTS {
             for (s, u) in state.fields[c].iter_mut().zip(&update.fields[c]) {
                 *s += dt * u;
             }
         }
     }
-    (state, threads)
+    timings.compute = start.elapsed();
+    (state, timings, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn assert_state_close(a: &NodeState, b: &NodeState, tol: f32) {
         for c in 0..COMPONENTS {
@@ -532,13 +559,29 @@ mod tests {
         let state = initial_state(64);
         let serial = euler_run(&mesh, &state, Variant::Serial, 10, 0.05);
         let policy = ExecPolicy::with_threads(4);
-        let (par, threads) =
+        let (par, _, threads) =
             euler_run_with_policy(&mesh, &state, Variant::Invec, 10, 0.05, &policy);
         assert!(threads > 1);
         assert_state_close(&par, &serial, 2e-3);
         // Fixed thread count, fold in task order: reruns are bit-identical.
-        let (again, _) = euler_run_with_policy(&mesh, &state, Variant::Invec, 10, 0.05, &policy);
+        let (again, _, _) = euler_run_with_policy(&mesh, &state, Variant::Invec, 10, 0.05, &policy);
         assert_eq!(par, again);
+    }
+
+    #[test]
+    fn only_the_single_thread_grouped_run_reports_grouping_time() {
+        let mesh = triangle_mesh(8);
+        let state = initial_state(64);
+        for threads in [1, 2] {
+            for variant in Variant::ALL {
+                let policy = ExecPolicy::with_threads(threads);
+                let (_, timings, _) =
+                    euler_run_with_policy(&mesh, &state, variant, 3, 0.05, &policy);
+                let grouped = variant.needs_grouping() && threads == 1;
+                assert_eq!(timings.grouping > Duration::ZERO, grouped, "{variant} {threads}");
+                assert!(timings.compute > Duration::ZERO);
+            }
+        }
     }
 
     #[test]
