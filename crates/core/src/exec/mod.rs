@@ -696,11 +696,6 @@ impl<T> EpochScratch<T> {
         EpochScratch { idx: Vec::new(), vals: Vec::new() }
     }
 
-    /// A scratch pre-sized for `capacity`-item epochs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EpochScratch { idx: Vec::with_capacity(capacity), vals: Vec::with_capacity(capacity) }
-    }
-
     /// Current buffer capacity (high-water mark of past epoch sizes).
     pub fn capacity(&self) -> usize {
         self.idx.capacity().min(self.vals.capacity())
