@@ -121,9 +121,12 @@ mod imp {
     use std::arch::x86_64::*;
     use std::mem::MaybeUninit;
 
-    use super::super::lanes::{self, alg1, all, first, fold, merge_groups, Add, Lanes, Values};
+    use super::super::lanes::{self, alg1, first, fold, merge_groups, Add, Lanes, Values};
     use super::Avx512;
     use crate::records::{RecordVerdict, RECORD_LEN};
+
+    /// Every lane of a 16-lane vector.
+    const ALL: u32 = 0xFFFF;
 
     // SAFETY: `below` is one unsigned compare against the length, and
     // `conflict_free` is `vpconflictd` tested against the active lanes, so
@@ -281,12 +284,9 @@ mod imp {
     pub unsafe fn gather_f32(base: &[f32], idx: [i32; 16]) -> [f32; 16] {
         // SAFETY: caller validated every index against `base.len()`.
         unsafe {
-            let vidx = Avx512::load_idx(all::<Avx512>(), idx.as_ptr());
+            let vidx = Avx512::load_idx(ALL, idx.as_ptr());
             let mut out = [0f32; 16];
-            _mm512_storeu_ps(
-                out.as_mut_ptr(),
-                Avx512::gather(all::<Avx512>(), vidx, base.as_ptr()),
-            );
+            _mm512_storeu_ps(out.as_mut_ptr(), Avx512::gather(ALL, vidx, base.as_ptr()));
             out
         }
     }
@@ -300,12 +300,9 @@ mod imp {
     pub unsafe fn gather_i32(base: &[i32], idx: [i32; 16]) -> [i32; 16] {
         // SAFETY: caller validated every index against `base.len()`.
         unsafe {
-            let vidx = Avx512::load_idx(all::<Avx512>(), idx.as_ptr());
+            let vidx = Avx512::load_idx(ALL, idx.as_ptr());
             let mut out = [0i32; 16];
-            _mm512_storeu_si512(
-                out.as_mut_ptr().cast(),
-                Avx512::gather(all::<Avx512>(), vidx, base.as_ptr()),
-            );
+            _mm512_storeu_si512(out.as_mut_ptr().cast(), Avx512::gather(ALL, vidx, base.as_ptr()));
             out
         }
     }
@@ -321,7 +318,10 @@ mod imp {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn scatter_f32(mask: u16, base: &mut [f32], idx: [i32; 16], data: [f32; 16]) {
         // SAFETY: caller validated indices and distinctness.
-        unsafe { scatter(mask, base, idx, data) }
+        unsafe {
+            let (vidx, v) = (Avx512::load_idx(ALL, idx.as_ptr()), Avx512::load(ALL, data.as_ptr()));
+            Avx512::commit(u32::from(mask), vidx, v, base.as_mut_ptr());
+        }
     }
 
     /// Hardware masked scatter of sixteen `i32` lanes; see [`scatter_f32`].
@@ -333,23 +333,8 @@ mod imp {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn scatter_i32(mask: u16, base: &mut [i32], idx: [i32; 16], data: [i32; 16]) {
         // SAFETY: caller validated indices and distinctness.
-        unsafe { scatter(mask, base, idx, data) }
-    }
-
-    /// [`scatter_f32`] and [`scatter_i32`] over the vocabulary's commit.
-    ///
-    /// # Safety
-    ///
-    /// As [`scatter_f32`].
-    #[inline(always)]
-    unsafe fn scatter<T>(mask: u16, base: &mut [T], idx: [i32; 16], data: [T; 16])
-    where
-        Avx512: Values<T>,
-    {
-        // SAFETY: forwarded contract; both arrays hold every lane.
         unsafe {
-            let vidx = Avx512::load_idx(all::<Avx512>(), idx.as_ptr());
-            let v = Avx512::load(all::<Avx512>(), data.as_ptr());
+            let (vidx, v) = (Avx512::load_idx(ALL, idx.as_ptr()), Avx512::load(ALL, data.as_ptr()));
             Avx512::commit(u32::from(mask), vidx, v, base.as_mut_ptr());
         }
     }
@@ -365,7 +350,7 @@ mod imp {
     pub unsafe fn conflict_free_subset_u16(active: u16, idx: [i32; 16]) -> u16 {
         // SAFETY: register-only intrinsics; loads from a local array.
         unsafe {
-            let vidx = Avx512::load_idx(all::<Avx512>(), idx.as_ptr());
+            let vidx = Avx512::load_idx(ALL, idx.as_ptr());
             Avx512::conflict_free(u32::from(active), vidx) as u16
         }
     }
@@ -460,7 +445,7 @@ mod imp {
     ) -> (u16, u32) {
         // SAFETY: the features are enabled; `idx` holds 16 lanes.
         let (safe, d1) = unsafe {
-            let vidx = Avx512::load_idx(all::<Avx512>(), idx.as_ptr());
+            let vidx = Avx512::load_idx(ALL, idx.as_ptr());
             alg1::<Avx512>(u32::from(active), vidx, idx.as_ptr(), |group| {
                 for comp in comps.iter_mut() {
                     comp[first(group)] = fold::<f32, Add>(group, |l| comp[l]);
@@ -541,7 +526,7 @@ mod imp {
     ) -> (u16, u32) {
         // SAFETY: the features are enabled; `idx` holds 16 lanes.
         let (safe, d2) = unsafe {
-            let vidx = Avx512::load_idx(all::<Avx512>(), idx.as_ptr());
+            let vidx = Avx512::load_idx(ALL, idx.as_ptr());
             alg2(u32::from(active), vidx, idx.as_ptr(), data, aux, touched)
         };
         (safe as u16, d2)
@@ -655,7 +640,7 @@ mod imp {
                 let lanes = active.count_ones() as usize;
                 data[..lanes].copy_from_slice(&vals[j..j + lanes]);
                 let step = alg2(active, vidx, idx.as_ptr().add(j), &mut data, aux, touched);
-                *vval = Avx512::load(all::<Avx512>(), data.as_ptr());
+                *vval = Avx512::load(ALL, data.as_ptr());
                 step
             })
         }

@@ -258,14 +258,11 @@ pub(crate) unsafe fn alg1<I: Lanes>(
 ///
 /// `I`'s features are enabled; `idx` and `data` hold `LANES` lanes.
 #[inline(always)]
-pub(crate) unsafe fn invec<I: Lanes, T, Op: Fold<T>>(
+pub(crate) unsafe fn invec<I: Lanes, T: Copy, Op: Fold<T>>(
     active: u32,
     idx: &[i32],
     data: &mut [T],
-) -> (u32, u32)
-where
-    T: Copy,
-{
+) -> (u32, u32) {
     debug_assert!(idx.len() == I::LANES && data.len() == I::LANES);
     // SAFETY: forwarded contract; `idx` holds every lane.
     unsafe {
@@ -308,7 +305,8 @@ pub(crate) unsafe fn stream<I: Values<T>, T, Op: Fold<T>>(
     let mut vectors = 0u64;
     let mut j = 0;
     while j < n {
-        let active = (1u32 << (n - j).min(I::LANES)) - 1;
+        let rem = n - j;
+        let active = if rem >= I::LANES { all::<I>() } else { (1u32 << rem) - 1 };
         // SAFETY: the active lanes are items `j..n` of both slices; the
         // commit only sees lanes that passed the bounds check, with the
         // distinct indices `reduce` promises.

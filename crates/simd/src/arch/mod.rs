@@ -52,7 +52,11 @@ pub use neon::Neon;
 ///
 /// All methods are associated functions (the implementing types are
 /// zero-sized); masks are the low `LANES` bits of a `u32`, ascending
-/// lane order, matching [`Mask::bits`](crate::Mask::bits).
+/// lane order, matching [`Mask::bits`](crate::Mask::bits). The fused
+/// drivers are Algorithm 1 over whole streams; on [`Avx512`] and [`Avx2`]
+/// each is a `#[target_feature]` entry into the one driver the two share
+/// (see the module docs). No Algorithm-2 stream driver is part of the
+/// trait.
 ///
 /// # Safety
 ///
