@@ -102,8 +102,9 @@ where
 }
 
 /// The portable per-vector loop at `N` lanes, with the in-vector reduction
-/// itself dispatched through [`reduce_alg1_with`] (so `Backend::Avx512`
-/// still accelerates unsupported fused combinations at `N = 16`).
+/// itself dispatched through [`reduce_alg1_with`] (so on `Backend::Avx512`
+/// a target too long for the fused drivers, over `i32::MAX` slots, still
+/// reduces each vector natively).
 fn invec_loop_with<T, Op, const N: usize>(
     backend: Backend,
     target: &mut [T],
@@ -132,15 +133,15 @@ where
 
 /// Backend-dispatched [`invec_accumulate`].
 ///
-/// With a native backend and a supported `(T, Op)` — sum/min/max over
-/// `f32` or `i32`, i.e. every kernel in this workspace — the **whole
-/// stream** runs inside one fused `target_feature` function (the
-/// [`Isa::accumulate_add_f32`] family): gather, conflict detection,
-/// in-vector reduce, and scatter never leave vector registers, and tails
-/// run as masked vectors. Unsupported combinations fall back to the
-/// portable per-vector loop **at the backend's lane width**, so statistics
-/// stay width-consistent. Results and depth statistics are bitwise
-/// identical to the portable driver at the same width
+/// With a native backend and a `(T, Op)` pair whose [`ReduceOp`] impl
+/// names a fused driver — sum/min/max over `f32` or `i32`, i.e. every
+/// kernel in this workspace — the **whole stream** runs inside one fused
+/// `target_feature` function (the [`Isa::accumulate_add_f32`] family):
+/// gather, conflict detection, in-vector reduce, and scatter never leave
+/// vector registers, and tails run as masked vectors. Other pairs fall back
+/// to the portable per-vector loop **at the backend's lane width**, so
+/// statistics stay width-consistent. Results and depth statistics are
+/// bitwise identical to the portable driver at the same width
 /// ([`invec_accumulate_n`]).
 ///
 /// Each call charges the backend-labeled counter series
@@ -190,56 +191,36 @@ where
     stats
 }
 
-/// Runs `I`'s fused driver for `(T, Op)` when one exists. The drivers
+/// Runs `I`'s fused driver for `(T, Op)` when the pair names one
+/// ([`ReduceOp`]'s impls map each pair to its drivers). The drivers
 /// bounds-check indices themselves (one masked unsigned compare per
 /// vector), panicking like the portable model, so no scalar prevalidation
 /// pass runs here. Charges the backend's counter series with the modeled
 /// instruction cost. Returns `None` when the ISA is unavailable or the
-/// combination has no fused realization.
+/// pair has no fused driver.
 fn fused_accumulate<I, T, Op>(target: &mut [T], idx: &[i32], vals: &[T]) -> Option<InvecStats>
 where
     I: Isa,
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    use std::any::TypeId;
     if !I::available() || target.len() > i32::MAX as usize {
         return None;
     }
-    let t = TypeId::of::<T>();
-    let op = TypeId::of::<Op>();
-    macro_rules! dispatch {
-        ($ty:ty, $opty:ty, $f:ident) => {
-            if t == TypeId::of::<$ty>() && op == TypeId::of::<$opty>() {
-                // SAFETY: T == $ty per the TypeId check, so the slice
-                // layouts are identical.
-                let target: &mut [$ty] =
-                    unsafe { &mut *(std::ptr::from_mut::<[T]>(&mut *target) as *mut [$ty]) };
-                let vals: &[$ty] = unsafe { &*(std::ptr::from_ref::<[T]>(vals) as *const [$ty]) };
-                let mut buckets = [0u64; 17];
-                // SAFETY: availability checked; lengths equal (asserted by
-                // the caller); target length fits i32; the driver
-                // bounds-checks every index itself.
-                let vectors = unsafe { I::$f(target, idx, vals, &mut buckets) };
-                let merges: u64 = buckets.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
-                invector_simd::count::bump_backend(
-                    I::TAG,
-                    vectors * I::MODEL_COST_PER_VECTOR + 8 * merges,
-                    vectors,
-                );
-                let mut depth = DepthHistogram::new();
-                depth.absorb_buckets(&buckets);
-                return Some(InvecStats { vectors, depth });
-            }
-        };
-    }
-    dispatch!(f32, crate::ops::Sum, accumulate_add_f32);
-    dispatch!(f32, crate::ops::Min, accumulate_min_f32);
-    dispatch!(f32, crate::ops::Max, accumulate_max_f32);
-    dispatch!(i32, crate::ops::Sum, accumulate_add_i32);
-    dispatch!(i32, crate::ops::Min, accumulate_min_i32);
-    dispatch!(i32, crate::ops::Max, accumulate_max_i32);
-    None
+    let mut buckets = [0u64; 17];
+    // SAFETY: `I` is available; the caller asserted `idx.len() ==
+    // vals.len()`; the target length fits `i32`; the driver bounds-checks
+    // every index itself.
+    let vectors = unsafe { Op::isa_accumulate::<I>(target, idx, vals, &mut buckets) }?;
+    let merges: u64 = buckets.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
+    invector_simd::count::bump_backend(
+        I::TAG,
+        vectors * I::MODEL_COST_PER_VECTOR + 8 * merges,
+        vectors,
+    );
+    let mut depth = DepthHistogram::new();
+    depth.absorb_buckets(&buckets);
+    Some(InvecStats { vectors, depth })
 }
 
 /// Accumulates with the **adaptive** in-vector reducer: Algorithm 1 during

@@ -16,8 +16,10 @@
 //!   only groups of three or more occurrences need merging. Cost ≈
 //!   `7 + 8·D2` with `D2 ≤ ⌊N/3⌋`, a win under heavy conflicts.
 
+use invector_simd::arch::avx512;
 use invector_simd::{conflict_free_subset, Mask, SimdElement, SimdVec};
 
+use crate::backend::Backend;
 use crate::ops::ReduceOp;
 
 /// In-vector reduction, Algorithm 1 of the paper.
@@ -414,22 +416,21 @@ pub fn invec_max<const N: usize>(
 
 /// Backend-dispatched [`reduce_alg1`].
 ///
-/// With [`Backend::Avx512`](crate::backend::Backend::Avx512), the conflict
-/// detection and merge schedule run on real `vpconflictd`
-/// (`invector_simd::arch::avx512`) whenever a native realization exists for
-/// `(T, Op, N)` — currently sum/min/max over `f32` and `i32` at `N = 16`,
-/// covering every kernel in this workspace. Other combinations, the
-/// narrower ISAs (AVX2 / NEON accelerate only the fused whole-stream
-/// drivers, not this per-vector API), and
-/// [`Backend::Portable`](crate::backend::Backend::Portable) run the
-/// portable model.
+/// With [`Backend::Avx512`] on a host that has it and `N = 16`, the
+/// conflict detection and merge schedule run on real `vpconflictd`
+/// (`invector_simd::arch::avx512`) for every `(T, Op)` pair whose
+/// [`ReduceOp`] impl names a per-vector driver: sum/min/max over `f32` and
+/// `i32`, covering every kernel in this workspace. Other pairs, other
+/// widths, the narrower ISAs (AVX2 / NEON accelerate only the fused
+/// whole-stream drivers, not this per-vector API), and
+/// [`Backend::Portable`] run the portable model.
 ///
 /// Results are bitwise identical across backends (the native merge uses
 /// the same sequential identity-seeded fold); the only observable
 /// difference is that the native path does not charge the portable
 /// instruction counter.
 pub fn reduce_alg1_with<T, Op, const N: usize>(
-    backend: crate::backend::Backend,
+    backend: Backend,
     active: Mask<N>,
     vindex: SimdVec<i32, N>,
     vdata: &mut SimdVec<T, N>,
@@ -438,19 +439,19 @@ where
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    if backend == crate::backend::Backend::Avx512 {
-        if let Some(out) = native_alg1::<T, Op, N>(active, vindex, vdata) {
-            return out;
-        }
-    }
-    reduce_alg1::<T, Op, N>(active, vindex, vdata)
+    let native = on_avx512(backend, active, vindex, |bits, idx| {
+        let data = vdata.as_mut_array().as_mut_slice().try_into().ok()?;
+        // SAFETY: `on_avx512` runs this only on a host with AVX-512.
+        unsafe { Op::avx512_alg1(bits, idx, data) }
+    });
+    native.unwrap_or_else(|| reduce_alg1::<T, Op, N>(active, vindex, vdata))
 }
 
-/// Backend-dispatched [`reduce_alg1_arr`]; the native realization covers
+/// Backend-dispatched [`reduce_alg1_arr`]; the AVX-512 realization covers
 /// `f32` sums at `N = 16` for any component count `K` (the Moldyn / Euler /
-/// aggregation shape).
+/// aggregation shape). Other pairs run the portable model.
 pub fn reduce_alg1_arr_with<T, Op, const K: usize, const N: usize>(
-    backend: crate::backend::Backend,
+    backend: Backend,
     active: Mask<N>,
     vindex: SimdVec<i32, N>,
     vdata: &mut [SimdVec<T, N>; K],
@@ -459,19 +460,27 @@ where
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    if backend == crate::backend::Backend::Avx512 {
-        if let Some(out) = native_alg1_arr::<T, Op, K, N>(active, vindex, vdata) {
-            return out;
+    let native = on_avx512(backend, active, vindex, |bits, idx| {
+        let mut comps = [[T::default(); 16]; K];
+        for (comp, v) in comps.iter_mut().zip(vdata.iter()) {
+            comp.copy_from_slice(v.as_array());
         }
-    }
-    reduce_alg1_arr::<T, Op, K, N>(active, vindex, vdata)
+        // SAFETY: `on_avx512` runs this only on a host with AVX-512.
+        let out = unsafe { Op::avx512_alg1_arr(bits, idx, &mut comps) }?;
+        for (v, comp) in vdata.iter_mut().zip(&comps) {
+            v.as_mut_array().copy_from_slice(comp);
+        }
+        Some(out)
+    });
+    native.unwrap_or_else(|| reduce_alg1_arr::<T, Op, K, N>(active, vindex, vdata))
 }
 
-/// Backend-dispatched [`reduce_alg2`]; the native realization covers `f32`
+/// Backend-dispatched [`reduce_alg2`]; the AVX-512 realization covers `f32`
 /// sums at `N = 16` and reproduces the portable aux-array bookkeeping
-/// (touched-slot tracking included) exactly.
+/// (touched-slot tracking included) exactly. Other pairs run the portable
+/// model.
 pub fn reduce_alg2_with<T, Op, const N: usize>(
-    backend: crate::backend::Backend,
+    backend: Backend,
     active: Mask<N>,
     vindex: SimdVec<i32, N>,
     vdata: &mut SimdVec<T, N>,
@@ -481,175 +490,31 @@ where
     T: SimdElement,
     Op: ReduceOp<T>,
 {
-    if backend == crate::backend::Backend::Avx512 {
-        if let Some(out) = native_alg2::<T, Op, N>(active, vindex, vdata, aux) {
-            return out;
-        }
-    }
-    reduce_alg2::<T, Op, N>(active, vindex, vdata, aux)
+    let native = on_avx512(backend, active, vindex, |bits, idx| {
+        let data = vdata.as_mut_array().as_mut_slice().try_into().ok()?;
+        // SAFETY: `on_avx512` runs this only on a host with AVX-512; the
+        // driver bounds-checks its `aux` writes.
+        unsafe { Op::avx512_alg2(bits, idx, data, &mut aux.data, &mut aux.touched) }
+    });
+    native.unwrap_or_else(|| reduce_alg2::<T, Op, N>(active, vindex, vdata, aux))
 }
 
-/// Reinterprets a lane array as its concrete type after a `TypeId` match.
-///
-/// # Safety
-///
-/// Caller must have checked `TypeId::of::<Src>() == TypeId::of::<Dst>()`
-/// (modulo the array layer), making this a same-type copy.
-#[cfg(target_arch = "x86_64")]
-unsafe fn reinterpret_lanes<Src: Copy, Dst: Copy>(src: &Src) -> Dst {
-    debug_assert_eq!(std::mem::size_of::<Src>(), std::mem::size_of::<Dst>());
-    // SAFETY: caller guarantees Src and Dst are the same type.
-    unsafe { std::mem::transmute_copy::<Src, Dst>(src) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn native_alg1<T, Op, const N: usize>(
+/// Runs `fold` on the AVX-512 drivers' view of one vector (its active bits
+/// and its 16 index lanes) when `backend` is AVX-512, the host has it and
+/// `N = 16`: the per-vector folds' one backend decision. `None` when it
+/// does not run, or when `fold` declines because the pair has no driver.
+fn on_avx512<const N: usize>(
+    backend: Backend,
     active: Mask<N>,
     vindex: SimdVec<i32, N>,
-    vdata: &mut SimdVec<T, N>,
-) -> Option<(Mask<N>, u32)>
-where
-    T: SimdElement,
-    Op: ReduceOp<T>,
-{
-    use invector_simd::arch::avx512;
-    use std::any::TypeId;
-    if N != 16 || !avx512::available() {
+    fold: impl FnOnce(u16, [i32; 16]) -> Option<(u16, u32)>,
+) -> Option<(Mask<N>, u32)> {
+    if backend != Backend::Avx512 || !avx512::available() {
         return None;
     }
-    // SAFETY: N == 16 checked above, so [i32; N] is [i32; 16].
-    let idx: [i32; 16] = unsafe { reinterpret_lanes(vindex.as_array()) };
-    let bits = active.bits() as u16;
-    let t = TypeId::of::<T>();
-    let op = TypeId::of::<Op>();
-    macro_rules! dispatch {
-        ($ty:ty, $opty:ty, $f:path) => {
-            if t == TypeId::of::<$ty>() && op == TypeId::of::<$opty>() {
-                // SAFETY: T == $ty and N == 16 per the checks above.
-                let mut buf: [$ty; 16] = unsafe { reinterpret_lanes(vdata.as_array()) };
-                // SAFETY: availability checked; the primitive touches no
-                // memory beyond `buf`, so indices need no validation.
-                let (mask, d1) = unsafe { $f(bits, idx, &mut buf) };
-                // SAFETY: same-type copy back (see above).
-                *vdata = SimdVec::from_array(unsafe { reinterpret_lanes(&buf) });
-                return Some((Mask::from_bits(u32::from(mask)), d1));
-            }
-        };
-    }
-    dispatch!(f32, crate::ops::Sum, avx512::invec_add_f32);
-    dispatch!(f32, crate::ops::Min, avx512::invec_min_f32);
-    dispatch!(f32, crate::ops::Max, avx512::invec_max_f32);
-    dispatch!(i32, crate::ops::Sum, avx512::invec_add_i32);
-    dispatch!(i32, crate::ops::Min, avx512::invec_min_i32);
-    dispatch!(i32, crate::ops::Max, avx512::invec_max_i32);
-    None
-}
-
-#[cfg(target_arch = "x86_64")]
-fn native_alg1_arr<T, Op, const K: usize, const N: usize>(
-    active: Mask<N>,
-    vindex: SimdVec<i32, N>,
-    vdata: &mut [SimdVec<T, N>; K],
-) -> Option<(Mask<N>, u32)>
-where
-    T: SimdElement,
-    Op: ReduceOp<T>,
-{
-    use invector_simd::arch::avx512;
-    use std::any::TypeId;
-    if N != 16
-        || !avx512::available()
-        || TypeId::of::<T>() != TypeId::of::<f32>()
-        || TypeId::of::<Op>() != TypeId::of::<crate::ops::Sum>()
-    {
-        return None;
-    }
-    // SAFETY: N == 16 and T == f32 per the checks above.
-    let idx: [i32; 16] = unsafe { reinterpret_lanes(vindex.as_array()) };
-    let mut bufs: [[f32; 16]; K] =
-        std::array::from_fn(|c| unsafe { reinterpret_lanes(vdata[c].as_array()) });
-    // SAFETY: availability checked; no memory beyond `bufs` is touched.
-    let (mask, d1) = unsafe { avx512::invec_add_arr_f32(active.bits() as u16, idx, &mut bufs) };
-    for (c, buf) in bufs.iter().enumerate() {
-        // SAFETY: same-type copy back.
-        vdata[c] = SimdVec::from_array(unsafe { reinterpret_lanes(buf) });
-    }
-    Some((Mask::from_bits(u32::from(mask)), d1))
-}
-
-#[cfg(target_arch = "x86_64")]
-fn native_alg2<T, Op, const N: usize>(
-    active: Mask<N>,
-    vindex: SimdVec<i32, N>,
-    vdata: &mut SimdVec<T, N>,
-    aux: &mut AuxArray<T, Op>,
-) -> Option<(Mask<N>, u32)>
-where
-    T: SimdElement,
-    Op: ReduceOp<T>,
-{
-    use invector_simd::arch::avx512;
-    use std::any::TypeId;
-    if N != 16
-        || !avx512::available()
-        || TypeId::of::<T>() != TypeId::of::<f32>()
-        || TypeId::of::<Op>() != TypeId::of::<crate::ops::Sum>()
-    {
-        return None;
-    }
-    // SAFETY: N == 16 and T == f32 per the checks above.
-    let idx: [i32; 16] = unsafe { reinterpret_lanes(vindex.as_array()) };
-    let mut buf: [f32; 16] = unsafe { reinterpret_lanes(vdata.as_array()) };
-    // SAFETY: T == f32, so Vec<T> is Vec<f32>; the slice cast preserves
-    // length and the element layout is identical.
-    let aux_data: &mut [f32] = unsafe { &mut *(aux.data.as_mut_slice() as *mut [T] as *mut [f32]) };
-    // SAFETY: availability checked; aux writes inside are bounds-checked.
-    let (mask, d2) = unsafe {
-        avx512::alg2_add_f32(active.bits() as u16, idx, &mut buf, aux_data, &mut aux.touched)
-    };
-    // SAFETY: same-type copy back.
-    *vdata = SimdVec::from_array(unsafe { reinterpret_lanes(&buf) });
-    Some((Mask::from_bits(u32::from(mask)), d2))
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn native_alg1<T, Op, const N: usize>(
-    _active: Mask<N>,
-    _vindex: SimdVec<i32, N>,
-    _vdata: &mut SimdVec<T, N>,
-) -> Option<(Mask<N>, u32)>
-where
-    T: SimdElement,
-    Op: ReduceOp<T>,
-{
-    None
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn native_alg1_arr<T, Op, const K: usize, const N: usize>(
-    _active: Mask<N>,
-    _vindex: SimdVec<i32, N>,
-    _vdata: &mut [SimdVec<T, N>; K],
-) -> Option<(Mask<N>, u32)>
-where
-    T: SimdElement,
-    Op: ReduceOp<T>,
-{
-    None
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn native_alg2<T, Op, const N: usize>(
-    _active: Mask<N>,
-    _vindex: SimdVec<i32, N>,
-    _vdata: &mut SimdVec<T, N>,
-    _aux: &mut AuxArray<T, Op>,
-) -> Option<(Mask<N>, u32)>
-where
-    T: SimdElement,
-    Op: ReduceOp<T>,
-{
-    None
+    let idx = vindex.as_array().as_slice().try_into().ok()?;
+    let (safe, depth) = fold(active.bits() as u16, idx)?;
+    Some((Mask::from_bits(u32::from(safe)), depth))
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Associative reduction operators.
 
-use invector_simd::SimdElement;
+#[cfg(target_arch = "x86_64")]
+use invector_simd::arch::avx512;
+use invector_simd::{Isa, SimdElement};
 
 mod private {
     pub trait Sealed {}
@@ -20,6 +22,17 @@ mod private {
 /// applications need (`invec_add`, `invec_min`, `invec_max`, plus a few more
 /// for completeness), and each impl is unit-tested for the identity and
 /// associativity laws.
+///
+/// Each impl also names the native drivers of its `(T, operator)` pair, if
+/// it has any: `Sum`, `Min` and `Max` over `f32` and `i32` run on every
+/// [`Isa`]'s fused stream driver and, on x86_64, on the per-vector AVX-512
+/// Algorithm 1; `f32` `Sum` also has the multi-component and Algorithm-2
+/// AVX-512 folds. The backend-dispatched drivers in [`accumulate`] and
+/// [`invec`] call these, so the pair-to-driver mapping is resolved at
+/// compile time; every other pair runs the portable model.
+///
+/// [`accumulate`]: crate::accumulate
+/// [`invec`]: crate::invec
 pub trait ReduceOp<T: SimdElement>: private::Sealed + Copy + Send + Sync + 'static {
     /// Human-readable operator name (for stats and harness output).
     const NAME: &'static str;
@@ -41,6 +54,76 @@ pub trait ReduceOp<T: SimdElement>: private::Sealed + Copy + Send + Sync + 'stat
         invector_simd::count::bump(1);
         let (a, b) = (a.as_array(), b.as_array());
         invector_simd::SimdVec::from_array(std::array::from_fn(|i| Self::combine(a[i], b[i])))
+    }
+
+    /// `I`'s fused whole-stream driver for this pair
+    /// (`Isa::accumulate_{add,min,max}_{f32,i32}`): returns the vector
+    /// count, or `None` when the pair has no driver.
+    ///
+    /// # Safety
+    ///
+    /// The driver's contract: `I::available()`, `idx.len() == vals.len()`
+    /// and `target.len() <= i32::MAX`.
+    #[doc(hidden)]
+    #[inline(always)]
+    unsafe fn isa_accumulate<I: Isa>(
+        _target: &mut [T],
+        _idx: &[i32],
+        _vals: &[T],
+        _depth: &mut [u64; 17],
+    ) -> Option<u64> {
+        None
+    }
+
+    /// The per-vector AVX-512 Algorithm 1 for this pair
+    /// (`arch::avx512::invec_*`): the conflict-free mask and `D1`, or `None`
+    /// when the pair has no such driver.
+    ///
+    /// # Safety
+    ///
+    /// The host must have AVX-512 (`arch::avx512::available()`).
+    #[doc(hidden)]
+    #[inline(always)]
+    unsafe fn avx512_alg1(
+        _active: u16,
+        _idx: [i32; 16],
+        _data: &mut [T; 16],
+    ) -> Option<(u16, u32)> {
+        None
+    }
+
+    /// [`avx512_alg1`](Self::avx512_alg1) over components sharing one
+    /// index vector (`arch::avx512::invec_add_arr_f32`).
+    ///
+    /// # Safety
+    ///
+    /// As [`avx512_alg1`](Self::avx512_alg1).
+    #[doc(hidden)]
+    #[inline(always)]
+    unsafe fn avx512_alg1_arr(
+        _active: u16,
+        _idx: [i32; 16],
+        _comps: &mut [[T; 16]],
+    ) -> Option<(u16, u32)> {
+        None
+    }
+
+    /// The per-vector AVX-512 Algorithm 2 (`arch::avx512::alg2_add_f32`):
+    /// the main-target mask and `D2`, or `None`.
+    ///
+    /// # Safety
+    ///
+    /// As [`avx512_alg1`](Self::avx512_alg1).
+    #[doc(hidden)]
+    #[inline(always)]
+    unsafe fn avx512_alg2(
+        _active: u16,
+        _idx: [i32; 16],
+        _data: &mut [T; 16],
+        _aux: &mut [T],
+        _touched: &mut Vec<i32>,
+    ) -> Option<(u16, u32)> {
+        None
     }
 }
 
@@ -68,8 +151,41 @@ pub struct BitOr;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitAnd;
 
+/// The Algorithm-1 drivers of one `(T, operator)` pair: `I`'s fused stream
+/// driver `$fused` and, on x86_64, the per-vector AVX-512 entry `$invec`.
+/// Each method keeps the `# Safety` contract of its declaration in
+/// [`ReduceOp`], which is the driver's own.
+macro_rules! alg1_drivers {
+    ($t:ty, $fused:ident, $invec:ident) => {
+        #[inline(always)]
+        unsafe fn isa_accumulate<I: Isa>(
+            target: &mut [$t],
+            idx: &[i32],
+            vals: &[$t],
+            depth: &mut [u64; 17],
+        ) -> Option<u64> {
+            // SAFETY: the caller keeps the driver's contract: `I` is
+            // available, the lengths match, the target fits `i32` offsets.
+            Some(unsafe { I::$fused(target, idx, vals, depth) })
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn avx512_alg1(
+            active: u16,
+            idx: [i32; 16],
+            data: &mut [$t; 16],
+        ) -> Option<(u16, u32)> {
+            // SAFETY: the caller checked that the host has AVX-512.
+            Some(unsafe { avx512::$invec(active, idx, data) })
+        }
+    };
+}
+
+/// The four numeric operators over `$t`. The optional `native:` groups
+/// splice driver methods into the `Sum`, `Min` and `Max` impls.
 macro_rules! impl_num_ops {
-    ($t:ty, $zero:expr, $one:expr, $min_id:expr, $max_id:expr, $add:expr, $mul:expr) => {
+    ($t:ty, $zero:expr, $one:expr, $min_id:expr, $max_id:expr, $add:expr, $mul:expr
+        $(, native: [$($sum:tt)*] [$($min:tt)*] [$($max:tt)*])?) => {
         impl ReduceOp<$t> for Sum {
             const NAME: &'static str = "add";
             #[inline(always)]
@@ -80,6 +196,7 @@ macro_rules! impl_num_ops {
             fn combine(a: $t, b: $t) -> $t {
                 $add(a, b)
             }
+            $($($sum)*)?
         }
         impl ReduceOp<$t> for Prod {
             const NAME: &'static str = "mul";
@@ -102,6 +219,7 @@ macro_rules! impl_num_ops {
             fn combine(a: $t, b: $t) -> $t {
                 a.lane_min(b)
             }
+            $($($min)*)?
         }
         impl ReduceOp<$t> for Max {
             const NAME: &'static str = "max";
@@ -113,6 +231,7 @@ macro_rules! impl_num_ops {
             fn combine(a: $t, b: $t) -> $t {
                 a.lane_max(b)
             }
+            $($($max)*)?
         }
     };
 }
@@ -124,7 +243,35 @@ impl_num_ops!(
     f32::INFINITY,
     f32::NEG_INFINITY,
     |a: f32, b: f32| a + b,
-    |a: f32, b: f32| a * b
+    |a: f32, b: f32| a * b,
+    native: [
+        alg1_drivers!(f32, accumulate_add_f32, invec_add_f32);
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn avx512_alg1_arr(
+            active: u16,
+            idx: [i32; 16],
+            comps: &mut [[f32; 16]],
+        ) -> Option<(u16, u32)> {
+            // SAFETY: the caller checked that the host has AVX-512.
+            Some(unsafe { avx512::invec_add_arr_f32(active, idx, comps) })
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        unsafe fn avx512_alg2(
+            active: u16,
+            idx: [i32; 16],
+            data: &mut [f32; 16],
+            aux: &mut [f32],
+            touched: &mut Vec<i32>,
+        ) -> Option<(u16, u32)> {
+            // SAFETY: the caller checked that the host has AVX-512; the
+            // driver bounds-checks its `aux` writes.
+            Some(unsafe { avx512::alg2_add_f32(active, idx, data, aux, touched) })
+        }
+    ]
+    [alg1_drivers!(f32, accumulate_min_f32, invec_min_f32);]
+    [alg1_drivers!(f32, accumulate_max_f32, invec_max_f32);]
 );
 impl_num_ops!(
     i32,
@@ -133,7 +280,10 @@ impl_num_ops!(
     i32::MAX,
     i32::MIN,
     |a: i32, b: i32| a.wrapping_add(b),
-    |a: i32, b: i32| a.wrapping_mul(b)
+    |a: i32, b: i32| a.wrapping_mul(b),
+    native: [alg1_drivers!(i32, accumulate_add_i32, invec_add_i32);]
+    [alg1_drivers!(i32, accumulate_min_i32, invec_min_i32);]
+    [alg1_drivers!(i32, accumulate_max_i32, invec_max_i32);]
 );
 impl_num_ops!(
     u32,

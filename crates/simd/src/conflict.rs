@@ -1,6 +1,5 @@
 //! The `vpconflictd` conflict-detection instruction family.
 
-use crate::arch::avx512;
 use crate::count;
 use crate::mask::Mask;
 use crate::vector::SimdVec;
@@ -12,7 +11,9 @@ use crate::vector::SimdVec;
 /// lanes it collides with, starting from the least significant bit. Lanes
 /// with result `0` have no earlier duplicate and form a conflict-free subset.
 ///
-/// Dispatches to the hardware instruction when AVX-512 is available.
+/// This is the portable model: it computes the bitsets in software on every
+/// host. The native backends run `vpconflictd` (or its AVX2 / NEON
+/// emulation) inside their own drivers, not through this function.
 ///
 /// # Example
 ///
@@ -29,13 +30,6 @@ use crate::vector::SimdVec;
 /// ```
 pub fn conflict_detect<const N: usize>(idx: SimdVec<i32, N>) -> SimdVec<i32, N> {
     count::bump(1);
-    if N == 16 && avx512::available() {
-        if let Some(&idx16) = idx.as_array().first_chunk::<16>() {
-            // SAFETY: guarded by `avx512::available()`.
-            let out = unsafe { avx512::conflict_i32(idx16) };
-            return SimdVec::from_array(std::array::from_fn(|i| out[i]));
-        }
-    }
     let lanes = idx.as_array();
     SimdVec::from_array(std::array::from_fn(|i| {
         let mut bits = 0i32;
@@ -94,6 +88,10 @@ pub fn has_conflicts<const N: usize>(idx: SimdVec<i32, N>) -> bool {
     let c = conflict_detect(idx);
     c.as_array().iter().any(|&bits| bits != 0)
 }
+
+// The tests check the model against the hardware instruction.
+#[cfg(test)]
+use crate::arch::avx512;
 
 #[cfg(test)]
 mod tests {

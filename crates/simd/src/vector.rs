@@ -1,10 +1,8 @@
 //! Fixed-width SIMD vectors with AVX-512-style memory primitives.
 
-use std::any::TypeId;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Sub, SubAssign};
 
-use crate::arch::avx512;
 use crate::count;
 use crate::element::SimdElement;
 use crate::mask::Mask;
@@ -219,9 +217,6 @@ impl<T: SimdElement, const N: usize> SimdVec<T, N> {
     pub fn gather(base: &[T], idx: SimdVec<i32, N>) -> Self {
         count::bump(count::GATHER_COST);
         trace_lanes(base, idx, Mask::all());
-        if let Some(v) = native_gather(base, idx) {
-            return v;
-        }
         SimdVec(std::array::from_fn(|i| base[checked_index(idx.0[i], base.len())]))
     }
 
@@ -380,47 +375,6 @@ fn checked_index(idx: i32, len: usize) -> usize {
         "gather/scatter index {idx} out of bounds for slice of length {len}"
     );
     u
-}
-
-/// Hardware gather for `f32`/`i32`/`u32` × 16 when AVX-512 is available.
-///
-/// Falls back to `None` (portable path) for other shapes. Bounds are checked
-/// before issuing the hardware gather so safety never depends on the ISA.
-#[inline]
-fn native_gather<T: SimdElement, const N: usize>(
-    base: &[T],
-    idx: SimdVec<i32, N>,
-) -> Option<SimdVec<T, N>> {
-    if N != 16 || !avx512::available() {
-        return None;
-    }
-    for &i in idx.as_array().iter() {
-        let _ = checked_index(i, base.len());
-    }
-    let idx16: [i32; 16] = *idx.as_array().first_chunk::<16>()?;
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: T == f32 (checked via TypeId); indices validated above.
-        let out = unsafe {
-            avx512::gather_f32(
-                std::slice::from_raw_parts(base.as_ptr().cast::<f32>(), base.len()),
-                idx16,
-            )
-        };
-        let lanes = unsafe { std::mem::transmute_copy::<[f32; 16], [T; N]>(&out) };
-        return Some(SimdVec(lanes));
-    }
-    if TypeId::of::<T>() == TypeId::of::<i32>() || TypeId::of::<T>() == TypeId::of::<u32>() {
-        // SAFETY: T is a 32-bit integer (checked via TypeId); indices validated.
-        let out = unsafe {
-            avx512::gather_i32(
-                std::slice::from_raw_parts(base.as_ptr().cast::<i32>(), base.len()),
-                idx16,
-            )
-        };
-        let lanes = unsafe { std::mem::transmute_copy::<[i32; 16], [T; N]>(&out) };
-        return Some(SimdVec(lanes));
-    }
-    None
 }
 
 macro_rules! impl_arith {
