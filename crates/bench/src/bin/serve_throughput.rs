@@ -420,15 +420,13 @@ fn print_json(
     // Stats recording rides the sharded invector-obs registry: per-thread
     // relaxed atomics merged on read. The Mutex<ServeStats> that used to
     // sit on the epoch path is gone, so the numbers above include no
-    // stats-lock contention; an obs-disabled build must land within noise
-    // (the regression budget is ±3% on quantum-4096 native throughput).
+    // stats-lock contention.
     println!(
-        "  \"notes\": \"stats recorded via the sharded lock-free obs registry; \
-         the former Mutex<ServeStats> epoch-path contention point is removed, \
-         so an obs-disabled build must match within ~3%\","
+        "  \"notes\": \"stats recorded via the sharded lock-free obs registry, \
+         compiled into every build; the former Mutex<ServeStats> epoch-path \
+         contention point is removed\","
     );
-    // The last swept cell's service-registry snapshot (series read zero in
-    // obs-disabled builds, but the document shape is stable).
+    // The last swept cell's service-registry snapshot.
     let obs = cells.last().map_or("{}", |c| c.obs.as_str());
     println!("  \"obs\": {obs},");
     // Cross-sweep engine/SIMD counters from the global registry.

@@ -46,8 +46,7 @@
 //! per-caller accounting keeps working unchanged while the process-wide
 //! total (`count::global_total`, exported to the metric registry) counts
 //! each instruction once. Batches and worker tasks also publish counters
-//! and spans to [`invector_obs`]; with the `obs` feature disabled those
-//! calls compile to no-ops.
+//! and spans to [`invector_obs`].
 
 pub mod pool;
 
@@ -69,8 +68,7 @@ pub use crate::backend::{Backend, BackendChoice};
 /// Engine counters on the global metric registry, registered on first use.
 ///
 /// Handles are cached in a `OnceLock` so the steady state is one load plus
-/// a relaxed shard add per event; with the `obs` feature disabled every
-/// `add` compiles to a no-op.
+/// a relaxed shard add per event.
 struct ExecMetrics {
     plans: invector_obs::Counter,
     chunk_runs: invector_obs::Counter,

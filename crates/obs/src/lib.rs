@@ -1,6 +1,5 @@
 //! Unified observability for the invector stack: a process-wide metric
-//! registry, lightweight span tracing, and exporters — zero overhead when
-//! disabled.
+//! registry, lightweight span tracing, and exporters.
 //!
 //! # Layers
 //!
@@ -18,18 +17,13 @@
 //!
 //! # Disabling
 //!
-//! Two switches compose:
-//!
-//! - The **`obs` cargo feature** (on by default): compiled out, every
-//!   record-side call is a no-op the optimizer deletes, and [`enabled`] is
-//!   a constant `false`.
-//! - The **runtime flag** ([`set_enabled`]): gates span recording and
-//!   opt-in publishers (the harness `--obs` path). One relaxed load plus
-//!   one branch on the hot path; off by default, switched on by servers
-//!   and the CLI's `--obs` flag. Registry counters tied to coarse events
-//!   (epoch boundaries, engine task dispatch) record whenever the feature
-//!   is compiled in, since their cost is amortized over thousands of
-//!   updates.
+//! The subsystem is compiled into every build; its one switch is the
+//! **runtime flag** ([`set_enabled`]), which gates span recording and
+//! opt-in publishers (the harness `--obs` path). One relaxed load plus one
+//! branch on the hot path; off by default, switched on by servers and the
+//! CLI's `--obs` flag. Registry counters tied to coarse events (epoch
+//! boundaries, engine task dispatch) record whatever the flag says, since
+//! their cost is amortized over thousands of updates.
 
 #![warn(missing_docs)]
 
@@ -46,25 +40,16 @@ pub use span::{drain_spans, span_with_cached_id, Span, SpanRecord, RING_CAPACITY
 
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// `true` when the `obs` feature is compiled in **and** the runtime flag
-/// is on. This is the single branch guarding span recording and opt-in
-/// publishers; with the feature compiled out it is a constant `false`.
+/// `true` when the runtime flag is on. This is the single branch guarding
+/// span recording and opt-in publishers.
 #[inline(always)]
 pub fn enabled() -> bool {
-    cfg!(feature = "obs") && RUNTIME_ENABLED.load(Ordering::Relaxed)
+    RUNTIME_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Switches runtime observability on or off (process-wide). A no-op
-/// without the `obs` feature.
+/// Switches runtime observability on or off (process-wide).
 pub fn set_enabled(on: bool) {
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// `true` when the crate was compiled with the `obs` feature (the
-/// default).
-#[inline]
-pub const fn compiled() -> bool {
-    cfg!(feature = "obs")
 }
 
 /// Serializes tests (across this crate's modules) that toggle the global
@@ -77,10 +62,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn runtime_flag_round_trips_under_the_feature() {
+    fn runtime_flag_round_trips() {
         let _flag = TEST_FLAG_LOCK.lock().unwrap();
         set_enabled(true);
-        assert_eq!(enabled(), compiled());
+        assert!(enabled());
         set_enabled(false);
         assert!(!enabled());
     }

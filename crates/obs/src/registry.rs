@@ -326,9 +326,6 @@ impl Counter {
     /// Adds `n`. Lock-free: one relaxed `fetch_add` on this thread's shard.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !cfg!(feature = "obs") {
-            return;
-        }
         let shard = shard_for(&self.inner);
         shard.slots[self.slot].fetch_add(n, Ordering::Relaxed);
     }
@@ -357,9 +354,6 @@ impl Gauge {
     /// Stores `v` (last write wins; a single relaxed store).
     #[inline]
     pub fn set(&self, v: f64) {
-        if !cfg!(feature = "obs") {
-            return;
-        }
         self.inner.globals.slots[self.slot].store(v.to_bits(), Ordering::Relaxed);
     }
 
@@ -382,7 +376,7 @@ impl Histogram {
     /// slot is single-writer per shard (only the owning thread writes it),
     /// so a relaxed read-modify-write needs no CAS loop.
     pub fn observe_n(&self, v: f64, n: u64) {
-        if !cfg!(feature = "obs") || n == 0 {
+        if n == 0 {
             return;
         }
         let shard = shard_for(&self.inner);
@@ -401,8 +395,7 @@ impl Histogram {
     }
 
     /// Bucket-interpolated quantile of the merged histogram — the
-    /// pull-side shorthand for `snapshot().quantile(q)`. `0.0` when empty
-    /// (and always, with the `obs` feature compiled out).
+    /// pull-side shorthand for `snapshot().quantile(q)`. `0.0` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         self.snapshot().quantile(q)
     }
@@ -512,11 +505,7 @@ mod tests {
         c.add(5);
         let c2 = c.clone();
         std::thread::spawn(move || c2.add(7)).join().unwrap();
-        if cfg!(feature = "obs") {
-            assert_eq!(c.value(), 12);
-        } else {
-            assert_eq!(c.value(), 0);
-        }
+        assert_eq!(c.value(), 12);
     }
 
     #[test]
@@ -526,9 +515,7 @@ mod tests {
         let b = r.counter("dup", "second");
         a.inc();
         b.inc();
-        if cfg!(feature = "obs") {
-            assert_eq!(a.value(), 2, "same slot behind both handles");
-        }
+        assert_eq!(a.value(), 2, "same slot behind both handles");
         assert!(std::panic::catch_unwind(|| r.gauge("dup", "kind clash")).is_err());
     }
 
@@ -538,12 +525,9 @@ mod tests {
         let g = r.gauge("ratio", "test");
         g.set(0.25);
         g.set(0.75);
-        if cfg!(feature = "obs") {
-            assert_eq!(g.value(), 0.75);
-        }
+        assert_eq!(g.value(), 0.75);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn histogram_buckets_count_and_sum() {
         let r = Registry::new();
@@ -572,15 +556,10 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert_eq!(p50, h.snapshot().quantile(0.50), "helper is the snapshot quantile");
         assert!(p50 <= p99, "quantiles are monotone in q: {p50} > {p99}");
-        if cfg!(feature = "obs") {
-            assert!(p50 > 1.0 && p50 <= 10.0, "median in the (1, 10] bucket: {p50}");
-            assert!(p99 > 10.0 && p99 <= 100.0, "p99 in the (10, 100] bucket: {p99}");
-        } else {
-            assert_eq!(p99, 0.0, "records are no-ops without the obs feature");
-        }
+        assert!(p50 > 1.0 && p50 <= 10.0, "median in the (1, 10] bucket: {p50}");
+        assert!(p99 > 10.0 && p99 <= 100.0, "p99 in the (10, 100] bucket: {p99}");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn exact_boundary_lands_in_its_bucket() {
         let r = Registry::new();
@@ -590,7 +569,6 @@ mod tests {
         assert_eq!(s.buckets[0], 1);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn collectors_appear_in_snapshots() {
         let r = Registry::new();
@@ -607,7 +585,6 @@ mod tests {
         assert_eq!(sanitize("ok_name:x"), "ok_name:x");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn dropped_registries_do_not_leak_tls_entries() {
         // Touch many short-lived registries from this thread; the TLS

@@ -9,8 +9,8 @@
 //! matter how long the process runs.
 //!
 //! Recording is gated on the runtime flag ([`crate::enabled`]): with
-//! observability off (or the `obs` feature compiled out) opening a span is
-//! a single branch and records nothing.
+//! observability off, opening a span is a single branch and records
+//! nothing.
 //!
 //! Rings are read racily by the exporter ([`drain_spans`]): a record being
 //! overwritten concurrently can tear, which the reader tolerates by
@@ -198,7 +198,6 @@ mod tests {
     use super::*;
     use crate::TEST_FLAG_LOCK;
 
-    #[cfg(feature = "obs")]
     #[test]
     fn spans_record_when_enabled_and_wrap_at_capacity() {
         let _flag = TEST_FLAG_LOCK.lock().unwrap();

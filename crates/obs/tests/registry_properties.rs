@@ -4,8 +4,6 @@
 //! associative and lossless — and histogram merges preserve the count,
 //! sum, and per-bucket tallies exactly.
 
-#![cfg(feature = "obs")]
-
 use invector_obs::Registry;
 use proptest::prelude::*;
 

@@ -547,19 +547,11 @@ mod tests {
         assert_eq!(over_wire.bits(), in_process.bits(), "wire and core views agree bitwise");
 
         let stats = tcp.stats().expect("stats");
-        #[cfg(feature = "obs")]
         assert_eq!(stats.applied, 40);
-        #[cfg(not(feature = "obs"))]
-        assert_eq!(stats.applied, 0, "stats read as zero without the obs feature");
 
         let scraped = tcp.metrics().expect("metrics");
-        #[cfg(feature = "obs")]
-        {
-            assert!(scraped.contains("invector_serve_applied_total 40"), "{scraped}");
-            assert!(scraped.contains("invector_serve_epoch_latency_us_bucket"), "{scraped}");
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = scraped;
+        assert!(scraped.contains("invector_serve_applied_total 40"), "{scraped}");
+        assert!(scraped.contains("invector_serve_epoch_latency_us_bucket"), "{scraped}");
 
         let watermarks = tcp.shutdown().expect("shutdown");
         assert_eq!(watermarks, vec![40, 0]);

@@ -527,8 +527,6 @@ const LANES: u64 = 16;
 /// Every record-side call is lock-free (relaxed adds on the calling
 /// thread's registry shard), so the admission path and the epoch executor
 /// never serialize on a stats mutex; reads merge the shards on demand.
-/// With the `obs` feature disabled the handles still exist but every
-/// record is a no-op and reads return zero.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// `invector_serve_epochs_total`: epochs that applied ≥ 1 slice.
@@ -1047,7 +1045,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn stats_summary_reports_occupancy_and_percentiles() {
         let s = ServeStats::new(&Registry::new());
         let mut depth = DepthHistogram::new();
@@ -1079,7 +1076,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn stats_record_lane_utilization() {
         let s = ServeStats::new(&Registry::new());
         let report = EpochReport {

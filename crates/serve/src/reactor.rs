@@ -650,10 +650,10 @@ impl Poller {
 // Reactor metrics
 // ---------------------------------------------------------------------------
 
-/// Registry-backed reactor counters. Handles are lock-free on record and
-/// compile to no-ops when the `obs` feature is off; the open-connection
-/// count additionally lives in a plain atomic because admission control
-/// (`max_connections`) needs the number even with obs compiled out.
+/// Registry-backed reactor counters. Handles are lock-free on record; the
+/// open-connection count lives in a plain atomic, exported through a
+/// collector, because admission control (`max_connections`) reads it and
+/// it moves both ways, which a last-write-wins gauge cannot track.
 #[derive(Debug)]
 struct ReactorStats {
     /// Live accepted connections (source of truth for `max_connections`).

@@ -1602,7 +1602,6 @@ mod tests {
             }
         }
         core.flush();
-        #[cfg(feature = "obs")]
         assert!(core.stats_summary().rejected >= 6);
         assert_eq!(
             core.snapshot(0).unwrap().watermark,
@@ -1695,7 +1694,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn stats_track_applied_occupancy_and_conflict_depth() {
         let core = ServerCore::new(config()).unwrap();
         // All-conflict stream: every update hits slot 0.
@@ -1711,7 +1709,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn metrics_text_exposes_service_series() {
         let core = ServerCore::new(config()).unwrap();
         let updates: Vec<Update> = (0..16).map(|i| Update::i32(i, 0, 1)).collect();
@@ -1888,9 +1885,7 @@ mod tests {
             assert!(Instant::now() < deadline, "the core was never freed");
             std::thread::sleep(Duration::from_millis(1));
         }
-        if cfg!(feature = "obs") {
-            assert_eq!(applied.value(), 1 << 16, "the fold completed before the core went");
-        }
+        assert_eq!(applied.value(), 1 << 16, "the fold completed before the core went");
     }
 
     #[test]

@@ -529,17 +529,14 @@ fn follower_converges_bitwise_across_100_epochs_and_checkpoints() {
         assert_eq!(leader.bits(), follow.bits(), "table {t} bits differ");
     }
     assert!(matches!(follower.status(), FollowStatus::Tailing));
-    #[cfg(feature = "obs")]
-    {
-        let text = follower.core().metrics_text();
-        let verified: u64 = text
-            .lines()
-            .find(|l| l.starts_with("invector_serve_follower_epochs_verified_total"))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .expect("verified series");
-        assert!(verified >= 100, "only {verified} seals verified");
-    }
+    let text = follower.core().metrics_text();
+    let verified: u64 = text
+        .lines()
+        .find(|l| l.starts_with("invector_serve_follower_epochs_verified_total"))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .expect("verified series");
+    assert!(verified >= 100, "only {verified} seals verified");
 
     follower.stop();
     server.shutdown();

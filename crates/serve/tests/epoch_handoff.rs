@@ -141,9 +141,7 @@ fn every_read_after_a_tick_reflects_its_cut() {
                 reference.top_k(0, 5).expect("reference top-k"),
                 "{context}"
             );
-            if cfg!(feature = "obs") {
-                assert_eq!(core.stats_summary().applied, 3 * watermark, "{context}");
-            }
+            assert_eq!(core.stats_summary().applied, 3 * watermark, "{context}");
             let pinned = core.pin_state();
             for (t, table) in pinned.tables.iter().enumerate() {
                 let want = reference.snapshot(t as u16).expect("reference snapshot").bits();

@@ -6,9 +6,7 @@
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
-#[cfg(feature = "obs")]
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use invector_serve::protocol::{read_frame, write_frame, Reply, Request, Update, PROTOCOL_VERSION};
 use invector_serve::{
@@ -29,7 +27,6 @@ fn fnv64(bits: &[u32]) -> u64 {
 }
 
 /// The value of one counter series in a `metrics` scrape over `probe`.
-#[cfg(feature = "obs")]
 fn metric(probe: &mut TcpClient, name: &str) -> u64 {
     let text = probe.metrics().expect("metrics");
     text.lines()
@@ -98,7 +95,6 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
     // pause is safe: a debug build takes around 100 ms to encode the first
     // replies, and a client that drains before the socket fills keeps it
     // from ever filling.
-    #[cfg(feature = "obs")]
     {
         let mut probe = TcpClient::connect(addr).expect("probe connect");
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -109,8 +105,6 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    #[cfg(not(feature = "obs"))]
-    std::thread::sleep(Duration::from_millis(100));
 
     // Now drain: hello reply, every snapshot intact, then the update acks.
     let hello = read_frame(&mut reader).expect("hello reply").expect("frame");
@@ -132,14 +126,11 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
         }
     }
 
-    // The stall counters must have fired (visible with obs compiled in).
-    #[cfg(feature = "obs")]
-    {
-        let mut probe = TcpClient::connect(addr).expect("probe connect");
-        assert!(metric(&mut probe, "invector_serve_write_stalls_total") >= 1, "writes must stall");
-        assert!(metric(&mut probe, "invector_serve_read_stalls_total") >= 1, "reads must pause");
-        assert!(metric(&mut probe, "invector_serve_wakeups_total") >= 1);
-    }
+    // The stall counters must have fired.
+    let mut probe = TcpClient::connect(addr).expect("probe connect");
+    assert!(metric(&mut probe, "invector_serve_write_stalls_total") >= 1, "writes must stall");
+    assert!(metric(&mut probe, "invector_serve_read_stalls_total") >= 1, "reads must pause");
+    assert!(metric(&mut probe, "invector_serve_wakeups_total") >= 1);
 
     server.shutdown();
     server.join();
@@ -334,20 +325,17 @@ fn one_thousand_connections_round_trip_identical_snapshots() {
         }
     }
 
-    #[cfg(feature = "obs")]
-    {
-        let text = coordinator.metrics().expect("metrics");
-        let series_value = |name: &str| -> u64 {
-            text.lines()
-                .find(|l| l.starts_with(name) && !l.starts_with('#'))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
-        };
-        assert!(series_value("invector_serve_accepted_total") >= (CONNS + 1) as u64);
-        assert!(series_value("invector_serve_open_connections") >= 1);
-        assert!(series_value("invector_serve_readiness_batches_total") >= 1);
-    }
+    let text = coordinator.metrics().expect("metrics");
+    let series_value = |name: &str| -> u64 {
+        text.lines()
+            .find(|l| l.starts_with(name) && !l.starts_with('#'))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
+    };
+    assert!(series_value("invector_serve_accepted_total") >= (CONNS + 1) as u64);
+    assert!(series_value("invector_serve_open_connections") >= 1);
+    assert!(series_value("invector_serve_readiness_batches_total") >= 1);
 
     server.shutdown();
     server.join();

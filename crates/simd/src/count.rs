@@ -18,10 +18,10 @@
 //! # Per-thread views and the global total
 //!
 //! [`read`]/[`reset`]/[`take`]/[`with`] are **per-thread** views, exactly as
-//! a benchmark wants them. With the **`obs`** feature (also on by default)
-//! each thread's counter is additionally a process-visible atomic cell, and
-//! [`global_total`] sums every thread's cell — the number published into
-//! the `invector-obs` metric registry as `invector_simd_instructions_total`.
+//! a benchmark wants them. Each thread's counter is also a process-visible
+//! atomic cell, and [`global_total`] sums every thread's cell — the number
+//! published into the `invector-obs` metric registry as
+//! `invector_simd_instructions_total`.
 //!
 //! The execution engine *re-charges* its workers' counts to the calling
 //! thread (so a caller's [`read`] delta covers work it fanned out) via
@@ -39,9 +39,9 @@
 //! [`bump_backend`] records modeled instructions and vector iterations, and
 //! [`backend_instructions`]/[`backend_vectors`] read the cumulative totals.
 //! The portable path is charged under [`tag::PORTABLE`] with its measured
-//! emulated count, so per-ISA totals stay comparable. With the `obs` feature
-//! each series is exported as `invector_simd_instructions_{backend}_total`
-//! and `invector_simd_vectors_{backend}_total`.
+//! emulated count, so per-ISA totals stay comparable. Each series is
+//! exported as `invector_simd_instructions_{backend}_total` and
+//! `invector_simd_vectors_{backend}_total`.
 //!
 //! # Example
 //!
@@ -78,7 +78,7 @@ pub const fn enabled() -> bool {
 /// registered in a process-wide list, so [`global_total`] can merge every
 /// thread's count without any hot-path synchronization (the owning thread
 /// is the only writer of its cell).
-#[cfg(all(feature = "count", feature = "obs"))]
+#[cfg(feature = "count")]
 mod imp {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,46 +184,6 @@ mod imp {
     }
 }
 
-/// Counting without the `obs` feature: the original plain `Cell` path —
-/// per-thread views only, no cross-thread merge.
-#[cfg(all(feature = "count", not(feature = "obs")))]
-mod imp {
-    use std::cell::Cell;
-
-    thread_local! {
-        static SIMD_INSTRUCTIONS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    #[inline]
-    pub fn bump(n: u64) {
-        SIMD_INSTRUCTIONS.with(|c| c.set(c.get().wrapping_add(n)));
-    }
-
-    #[inline]
-    pub fn bump_recharged(n: u64) {
-        bump(n);
-    }
-
-    #[inline]
-    pub fn read() -> u64 {
-        SIMD_INSTRUCTIONS.with(Cell::get)
-    }
-
-    #[inline]
-    pub fn reset() {
-        SIMD_INSTRUCTIONS.with(|c| c.set(0));
-    }
-
-    #[inline]
-    pub fn take() -> u64 {
-        SIMD_INSTRUCTIONS.with(|c| c.replace(0))
-    }
-
-    pub fn global_total() -> u64 {
-        0
-    }
-}
-
 /// Counting compiled out: everything is a no-op reading zero.
 #[cfg(not(feature = "count"))]
 mod imp {
@@ -292,8 +252,8 @@ pub fn take() -> u64 {
 }
 
 /// The process-wide instruction total: every thread's executed count,
-/// merged, with engine re-charges counted once. `0` unless both the
-/// `count` and `obs` features are enabled. Unlike [`read`], this is never
+/// merged, with engine re-charges counted once. `0` without the `count`
+/// feature. Unlike [`read`], this is never
 /// reset — it is the cumulative series the metric registry exports.
 pub fn global_total() -> u64 {
     imp::global_total()
@@ -352,7 +312,6 @@ mod backend_imp {
 
     /// Bridges the per-backend totals into the metric registry exactly once
     /// per process, lazily on the first charge.
-    #[cfg(feature = "obs")]
     fn register() {
         static REGISTER: std::sync::Once = std::sync::Once::new();
         REGISTER.call_once(|| {
@@ -373,9 +332,6 @@ mod backend_imp {
             }
         });
     }
-
-    #[cfg(not(feature = "obs"))]
-    fn register() {}
 
     pub fn bump(backend: usize, instructions: u64, vectors: u64) {
         register();
@@ -504,7 +460,7 @@ mod tests {
         assert_eq!(read(), 9);
     }
 
-    #[cfg(all(feature = "count", feature = "obs"))]
+    #[cfg(feature = "count")]
     #[test]
     fn recharges_count_locally_but_not_globally() {
         // Spawn a dedicated thread so other tests' bumps cannot land on
@@ -551,7 +507,7 @@ mod tests {
         bump_backend(BACKEND_NAMES.len(), 1, 1);
     }
 
-    #[cfg(all(feature = "count", feature = "obs"))]
+    #[cfg(feature = "count")]
     #[test]
     fn global_total_survives_thread_local_resets() {
         std::thread::spawn(|| {

@@ -9,7 +9,7 @@
 //! every thread in the process, so nothing else may run concurrently for
 //! its deltas to be attributable.
 
-#![cfg(all(feature = "count", feature = "obs"))]
+#![cfg(feature = "count")]
 
 use invector_simd::{count, F32x16};
 

@@ -882,16 +882,14 @@ fn serve_smoke(spec: &RunSpec, exec: ExecOpts, net: NetOpts, clients: usize) -> 
         stats.p99_epoch_us
     );
     // The exposition must scrape over the wire and carry the service
-    // series (registration is unconditional, so this holds with the obs
-    // feature compiled out too — the values just read zero).
+    // series.
     let exposition = check.metrics()?;
     if !exposition.contains("invector_serve_epochs_total") {
         return Err("metrics scrape is missing the service series".into());
     }
     println!("  metrics scrape: {} bytes of exposition", exposition.len());
     // Reactor evidence: the connection and wakeup series must be present
-    // in the scrape (registration is unconditional; with the obs feature
-    // compiled out the values read zero).
+    // in the scrape.
     for series in [
         "invector_serve_open_connections",
         "invector_serve_wakeups_total",
