@@ -11,7 +11,7 @@ use invector_simd::{Avx2, Avx512, Isa, Neon, SimdElement, SimdVec};
 
 use crate::adaptive::AdaptiveReducer;
 use crate::backend::Backend;
-use crate::invec::reduce_alg1_with;
+use crate::invec::reduce_alg1;
 use crate::ops::ReduceOp;
 use crate::stats::DepthHistogram;
 
@@ -98,19 +98,12 @@ where
     Op: ReduceOp<T>,
 {
     assert_eq!(idx.len(), vals.len(), "index/value length mismatch");
-    invec_loop_with::<T, Op, N>(Backend::Portable, target, idx, vals)
+    invec_loop::<T, Op, N>(target, idx, vals)
 }
 
-/// The portable per-vector loop at `N` lanes, with the in-vector reduction
-/// itself dispatched through [`reduce_alg1_with`] (so on `Backend::Avx512`
-/// a target too long for the fused drivers, over `i32::MAX` slots, still
-/// reduces each vector natively).
-fn invec_loop_with<T, Op, const N: usize>(
-    backend: Backend,
-    target: &mut [T],
-    idx: &[i32],
-    vals: &[T],
-) -> InvecStats
+/// The portable per-vector loop at `N` lanes: each vector is reduced by
+/// the portable model's [`reduce_alg1`], whatever the backend.
+fn invec_loop<T, Op, const N: usize>(target: &mut [T], idx: &[i32], vals: &[T]) -> InvecStats
 where
     T: SimdElement,
     Op: ReduceOp<T>,
@@ -120,7 +113,7 @@ where
     while j < idx.len() {
         let (vidx, active) = SimdVec::<i32, N>::load_partial(&idx[j..], 0);
         let (mut vval, _) = SimdVec::<T, N>::load_partial(&vals[j..], Op::identity());
-        let (safe, d1) = reduce_alg1_with::<T, Op, N>(backend, active, vidx, &mut vval);
+        let (safe, d1) = reduce_alg1::<T, Op, N>(active, vidx, &mut vval);
         let old = SimdVec::<T, N>::zero().mask_gather(safe, target, vidx);
         let new = Op::combine_vec(old, vval);
         new.mask_scatter(safe, target, vidx);
@@ -138,11 +131,12 @@ where
 /// kernel in this workspace — the **whole stream** runs inside one fused
 /// `target_feature` function (the [`Isa::accumulate_add_f32`] family):
 /// gather, conflict detection, in-vector reduce, and scatter never leave
-/// vector registers, and tails run as masked vectors. Other pairs fall back
-/// to the portable per-vector loop **at the backend's lane width**, so
-/// statistics stay width-consistent. Results and depth statistics are
-/// bitwise identical to the portable driver at the same width
-/// ([`invec_accumulate_n`]).
+/// vector registers, and tails run as masked vectors. Other pairs, and a
+/// target over `i32::MAX` slots (which the fused drivers cannot index),
+/// fall back to the portable per-vector loop **at the backend's lane
+/// width**, so statistics stay width-consistent. Results and depth
+/// statistics are bitwise identical to the portable driver at the same
+/// width ([`invec_accumulate_n`]).
 ///
 /// Each call charges the backend-labeled counter series
 /// (`invector_simd::count::bump_backend`): fused native runs with the
@@ -183,9 +177,9 @@ where
         Backend::Portable => {}
     }
     let (stats, cost) = invector_simd::count::with(|| match backend.lanes() {
-        4 => invec_loop_with::<T, Op, 4>(backend, target, idx, vals),
-        8 => invec_loop_with::<T, Op, 8>(backend, target, idx, vals),
-        _ => invec_loop_with::<T, Op, 16>(backend, target, idx, vals),
+        4 => invec_loop::<T, Op, 4>(target, idx, vals),
+        8 => invec_loop::<T, Op, 8>(target, idx, vals),
+        _ => invec_loop::<T, Op, 16>(target, idx, vals),
     });
     invector_simd::count::bump_backend(backend.tag(), cost, stats.vectors);
     stats
