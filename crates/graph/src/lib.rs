@@ -32,7 +32,6 @@ pub mod datasets;
 mod frontier;
 pub mod gen;
 pub mod group;
-pub mod io;
 pub mod tile;
 
 pub use coo::EdgeList;

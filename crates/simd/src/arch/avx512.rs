@@ -606,46 +606,6 @@ mod imp {
         Max
     );
 
-    /// Fused whole-stream f32 summation via **Algorithm 2**: per vector,
-    /// first occurrences commit to `target` through a conflict-free masked
-    /// gather-add-scatter, second occurrences accumulate into the `aux`
-    /// shadow (`touched` records newly-used slots for an `O(touched)`
-    /// merge), and only third-and-later occurrences pay merge iterations.
-    /// The caller must fold `aux` into `target` afterwards, in `touched`
-    /// order, to match the portable `AuxArray::merge_into`.
-    ///
-    /// Records `depth[d2] += 1` per vector and returns the vector count.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` + `avx512cd`; `idx.len() == vals.len()`;
-    /// `aux.len() == target.len()`; `target.len() <= i32::MAX`. Out-of-range
-    /// (including negative) indices panic like the portable model, before
-    /// any lane of the offending vector commits.
-    #[target_feature(enable = "avx512f,avx512cd")]
-    pub unsafe fn accumulate_add_f32_alg2(
-        target: &mut [f32],
-        aux: &mut [f32],
-        touched: &mut Vec<i32>,
-        idx: &[i32],
-        vals: &[f32],
-        depth: &mut [u64; 17],
-    ) -> u64 {
-        // SAFETY: the features are enabled; forwarded contract. `alg2`
-        // returns the first occurrences, a conflict-free subset of
-        // `active`, whose lanes `j..` of both slices are readable.
-        unsafe {
-            lanes::stream::<Avx512, f32, Add>(target, idx, vals, depth, |active, vidx, j, vval| {
-                let mut data = [0.0f32; 16];
-                let lanes = active.count_ones() as usize;
-                data[..lanes].copy_from_slice(&vals[j..j + lanes]);
-                let step = alg2(active, vidx, idx.as_ptr().add(j), &mut data, aux, touched);
-                *vval = Avx512::load(ALL, data.as_ptr());
-                step
-            })
-        }
-    }
-
     /// The record-admission kernel
     /// ([`records::split_records`](crate::records::split_records)) at 16
     /// records per iteration: four unaligned 64-byte loads, a
@@ -740,11 +700,10 @@ mod imp {
 
 #[cfg(target_arch = "x86_64")]
 pub use imp::{
-    accumulate_add_f32, accumulate_add_f32_alg2, accumulate_add_i32, accumulate_max_f32,
-    accumulate_max_i32, accumulate_min_f32, accumulate_min_i32, alg2_add_f32,
-    conflict_free_subset_u16, conflict_i32, gather_f32, gather_i32, invec_add_arr_f32,
-    invec_add_f32, invec_add_i32, invec_max_f32, invec_max_i32, invec_min_f32, invec_min_i32,
-    scatter_f32, scatter_i32, split_records,
+    accumulate_add_f32, accumulate_add_i32, accumulate_max_f32, accumulate_max_i32,
+    accumulate_min_f32, accumulate_min_i32, alg2_add_f32, conflict_free_subset_u16, conflict_i32,
+    gather_f32, gather_i32, invec_add_arr_f32, invec_add_f32, invec_add_i32, invec_max_f32,
+    invec_max_i32, invec_min_f32, invec_min_i32, scatter_f32, scatter_i32, split_records,
 };
 
 #[cfg(test)]

@@ -743,55 +743,5 @@ mod raw {
             check_raw_driver!(arch::avx512::accumulate_min_i32, i32, Min, |v: i32| v, items, init_i32);
             check_raw_driver!(arch::avx512::accumulate_max_i32, i32, Max, |v: i32| v, items, init_i32);
         }
-
-        #[test]
-        fn raw_fused_alg2_driver_matches_portable_alg2_stream(items in stream()) {
-            skip_without_avx512!();
-            let idx: Vec<i32> = items.iter().map(|&(i, _)| i).collect();
-            let vals: Vec<f32> = items.iter().map(|&(_, v)| v as f32 * 0.5).collect();
-
-            // Portable counterpart of the fused Algorithm 2 driver: per-16
-            // reduce_alg2 + conflict-free commit, final shadow merge.
-            let mut portable = init_f32(24);
-            let mut aux = AuxArray::<f32, Sum>::new(24);
-            let mut pdepth = [0u64; 17];
-            let mut pvectors = 0u64;
-            let mut j = 0;
-            while j < idx.len() {
-                let (vidx, active) = I32x16::load_partial(&idx[j..], 0);
-                let (mut vval, _) = SimdVec::<f32, 16>::load_partial(&vals[j..], 0.0);
-                let (safe, d2) = reduce_alg2::<f32, Sum, 16>(active, vidx, &mut vval, &mut aux);
-                pdepth[d2 as usize] += 1;
-                let old = SimdVec::<f32, 16>::zero().mask_gather(safe, &portable, vidx);
-                Sum::combine_vec(old, vval).mask_scatter(safe, &mut portable, vidx);
-                pvectors += 1;
-                j += 16;
-            }
-            aux.merge_into(&mut portable);
-
-            let mut nat = init_f32(24);
-            let mut shadow = vec![0.0f32; 24];
-            let mut touched = Vec::new();
-            let mut ndepth = [0u64; 17];
-            // SAFETY: availability checked above; indices in 0..24, lengths
-            // match, shadow has the target's length.
-            let nvectors = unsafe {
-                arch::avx512::accumulate_add_f32_alg2(
-                    &mut nat, &mut shadow, &mut touched, &idx, &vals, &mut ndepth,
-                )
-            };
-            // Mirror `AuxArray::merge_into`: reset each slot after folding
-            // so duplicate `touched` entries (a zero-valued first write)
-            // stay idempotent.
-            for &t in &touched {
-                nat[t as usize] += shadow[t as usize];
-                shadow[t as usize] = 0.0;
-            }
-            prop_assert_eq!(pvectors, nvectors, "vector iterations");
-            prop_assert_eq!(pdepth, ndepth, "depth buckets");
-            for (k, (a, b)) in portable.iter().zip(&nat).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "slot {}", k);
-            }
-        }
     }
 }
