@@ -1,23 +1,12 @@
-//! Substrate micro-benchmark: `vpconflictd` emulation versus the real
-//! AVX-512 instruction (when the host supports it).
+//! Substrate micro-benchmark: the portable model's `vpconflictd`
+//! (`conflict_detect`, software on every host) versus the real AVX-512
+//! instruction (when the host supports it).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use invector_simd::arch::avx512;
 use invector_simd::{conflict_detect, conflict_free_subset, I32x16, Mask16};
-
-fn portable_reference(idx: [i32; 16]) -> [i32; 16] {
-    std::array::from_fn(|i| {
-        let mut bits = 0i32;
-        for j in 0..i {
-            if idx[j] == idx[i] {
-                bits |= 1 << j;
-            }
-        }
-        bits
-    })
-}
 
 fn bench_conflict(c: &mut Criterion) {
     let mut group = c.benchmark_group("conflict_detect");
@@ -27,10 +16,7 @@ fn bench_conflict(c: &mut Criterion) {
         ("all-equal", [7; 16]),
     ];
     for (name, idx) in inputs {
-        group.bench_with_input(BenchmarkId::new("portable_reference", name), &idx, |b, &idx| {
-            b.iter(|| black_box(portable_reference(black_box(idx))))
-        });
-        group.bench_with_input(BenchmarkId::new("dispatched", name), &idx, |b, &idx| {
+        group.bench_with_input(BenchmarkId::new("model", name), &idx, |b, &idx| {
             let v = I32x16::from_array(idx);
             b.iter(|| black_box(conflict_detect(black_box(v))))
         });
