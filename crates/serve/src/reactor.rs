@@ -378,6 +378,14 @@ mod sys {
     pub const POLLHUP: i16 = 0x10;
     pub const POLLNVAL: i16 = 0x20;
 
+    // The kernel's layouts, which the declarations above mirror: a packed
+    // 12-byte `epoll_event` on x86-64 (16 bytes, `data` aligned, elsewhere)
+    // and an 8-byte `pollfd`.
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+    );
+    const _: () = assert!(std::mem::size_of::<PollFd>() == 8);
+
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -402,10 +410,14 @@ struct EpollPoller {
 impl EpollPoller {
     fn new() -> std::io::Result<EpollPoller> {
         use std::os::fd::FromRawFd;
+        // SAFETY: `epoll_create1` takes no pointer; its result is checked
+        // below before any use.
         let fd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(std::io::Error::last_os_error());
         }
+        // SAFETY: `fd` is the fresh descriptor just returned, checked
+        // `>= 0`, and nothing else owns it.
         let epfd = unsafe { std::os::fd::OwnedFd::from_raw_fd(fd) };
         Ok(EpollPoller { epfd, buf: vec![sys::EpollEvent { events: 0, data: 0 }; 256] })
     }
@@ -430,6 +442,7 @@ impl EpollPoller {
     ) -> std::io::Result<()> {
         use std::os::fd::AsRawFd;
         let mut ev = sys::EpollEvent { events: Self::mask(interest), data: token as u64 };
+        // SAFETY: `ev` is a live local `epoll_event` for the whole call.
         let rc = unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
         if rc < 0 {
             return Err(std::io::Error::last_os_error());
@@ -439,6 +452,9 @@ impl EpollPoller {
 
     fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> std::io::Result<()> {
         use std::os::fd::AsRawFd;
+        // SAFETY: the kernel writes at most `buf.len()` events, the
+        // capacity passed, into `buf`; only `buf[..n]` is read, after `n`
+        // is checked.
         let n = unsafe {
             sys::epoll_wait(
                 self.epfd.as_raw_fd(),
@@ -507,6 +523,8 @@ impl PollSet {
     }
 
     fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> std::io::Result<()> {
+        // SAFETY: `fds` holds `fds.len()` initialized entries, the count
+        // passed, and the kernel writes only their `revents`.
         let n = unsafe {
             sys::poll(self.fds.as_mut_ptr(), self.fds.len() as std::os::raw::c_ulong, timeout_ms)
         };
