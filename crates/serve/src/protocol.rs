@@ -118,9 +118,9 @@ impl Slot for f32 {
 }
 
 /// Writes each slot's bit pattern, little-endian, in slot order. Slots are
-/// staged through a fixed buffer, so the sink sees long runs (the CRC's
-/// slicing-by-8 fast path, a file's buffered writes) and nothing the size
-/// of the table is allocated.
+/// staged through a fixed buffer, so the sink sees long runs (4 KiB writes
+/// take the CRC's PCLMULQDQ folding path where the CPU has it, and suit a
+/// file's buffered writes) and nothing the size of the table is allocated.
 fn write_slot_bits<S: Slot, W: Write + ?Sized>(out: &mut W, slots: &[S]) -> std::io::Result<()> {
     let mut buf = [0u8; 4096];
     for chunk in slots.chunks(buf.len() / 4) {

@@ -325,17 +325,9 @@ fn one_thousand_connections_round_trip_identical_snapshots() {
         }
     }
 
-    let text = coordinator.metrics().expect("metrics");
-    let series_value = |name: &str| -> u64 {
-        text.lines()
-            .find(|l| l.starts_with(name) && !l.starts_with('#'))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
-    };
-    assert!(series_value("invector_serve_accepted_total") >= (CONNS + 1) as u64);
-    assert!(series_value("invector_serve_open_connections") >= 1);
-    assert!(series_value("invector_serve_readiness_batches_total") >= 1);
+    assert!(metric(&mut coordinator, "invector_serve_accepted_total") >= (CONNS + 1) as u64);
+    assert!(metric(&mut coordinator, "invector_serve_open_connections") >= 1);
+    assert!(metric(&mut coordinator, "invector_serve_readiness_batches_total") >= 1);
 
     server.shutdown();
     server.join();

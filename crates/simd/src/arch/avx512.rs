@@ -455,29 +455,33 @@ mod imp {
         (safe as u16, d1)
     }
 
-    /// Algorithm 2's in-vector step (aux-array realization, §3.4) over the
-    /// `f32` lanes in `data`, indexed by `vidx` (`keys[l]` is lane `l`'s
-    /// index): first occurrences stay in `data` for the caller to commit
-    /// (returned mask), second occurrences accumulate into the `aux`
-    /// shadow (pushing newly-touched indices onto `touched`), and only
-    /// third-and-later occurrences run merge iterations (returned `D2`).
+    /// Native Algorithm 2 (aux-array realization, §3.4) over `f32` sums:
+    /// first occurrences stay in `data` for the caller to scatter (returned
+    /// mask), second occurrences accumulate into the `aux` shadow (pushing
+    /// newly-touched indices onto `touched`), and only third-and-later
+    /// occurrences run merge iterations.
+    ///
+    /// Returns the main-target conflict-free mask and `D2`.
     ///
     /// # Safety
     ///
-    /// `avx512f` and `avx512cd` are enabled; `keys` holds the `active`
-    /// lanes. `aux` writes are bounds-checked (panicking like the portable
-    /// model on a bad index).
-    #[inline(always)]
-    unsafe fn alg2(
-        active: u32,
-        vidx: __m512i,
-        keys: *const i32,
+    /// Requires `avx512f` and `avx512cd`. `aux` writes are bounds-checked
+    /// (panicking like the portable model on a bad index), so indices need
+    /// no prior validation.
+    #[target_feature(enable = "avx512f,avx512cd")]
+    pub unsafe fn alg2_add_f32(
+        active: u16,
+        idx: [i32; 16],
         data: &mut [f32; 16],
         aux: &mut [f32],
         touched: &mut Vec<i32>,
-    ) -> (u32, u32) {
-        // SAFETY: forwarded contract.
-        unsafe {
+    ) -> (u16, u32) {
+        let keys = idx.as_ptr();
+        // SAFETY: the features are enabled; `keys` points at all 16 lanes of
+        // `idx`, so it holds every lane `active` names.
+        let (safe, d2) = unsafe {
+            let vidx = Avx512::load_idx(ALL, keys);
+            let active = u32::from(active);
             let first_occ = Avx512::conflict_free(active, vidx);
             let second_occ = Avx512::conflict_free(active & !first_occ, vidx);
             // Each group of the remaining lanes, minus the second
@@ -500,34 +504,6 @@ mod imp {
                 bits &= bits - 1;
             }
             (first_occ, d2)
-        }
-    }
-
-    /// Native Algorithm 2 (aux-array realization, §3.4) over `f32` sums:
-    /// first occurrences stay in `data` for the caller to scatter (returned
-    /// mask), second occurrences accumulate into the `aux` shadow (pushing
-    /// newly-touched indices onto `touched`), and only third-and-later
-    /// occurrences run merge iterations.
-    ///
-    /// Returns the main-target conflict-free mask and `D2`.
-    ///
-    /// # Safety
-    ///
-    /// Requires `avx512f` and `avx512cd`. `aux` writes are bounds-checked
-    /// (panicking like the portable model on a bad index), so indices need
-    /// no prior validation.
-    #[target_feature(enable = "avx512f,avx512cd")]
-    pub unsafe fn alg2_add_f32(
-        active: u16,
-        idx: [i32; 16],
-        data: &mut [f32; 16],
-        aux: &mut [f32],
-        touched: &mut Vec<i32>,
-    ) -> (u16, u32) {
-        // SAFETY: the features are enabled; `idx` holds 16 lanes.
-        let (safe, d2) = unsafe {
-            let vidx = Avx512::load_idx(ALL, idx.as_ptr());
-            alg2(u32::from(active), vidx, idx.as_ptr(), data, aux, touched)
         };
         (safe as u16, d2)
     }
