@@ -11,8 +11,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, EdgeOp, ProtoError, Reply, Request, SnapshotAssembler,
-    SnapshotMetaTable, StatsSummary, Update, PROTOCOL_VERSION,
+    read_frame_into, read_slots, read_snapshot_head, skip, write_frame, EdgeOp, ProtoError, Reply,
+    Request, SnapshotAssembler, SnapshotHead, SnapshotMetaTable, StatsSummary, Update,
+    PROTOCOL_VERSION,
 };
 use crate::server::{LogTailPage, ServerCore, Snapshot, SubmitOutcome, TopKPage, WindowSnapshot};
 use crate::table::{TableData, TableSpec, ValueKind};
@@ -174,8 +175,9 @@ impl ServeClient for LocalClient {
     fn snapshot(&mut self, table: u16) -> Result<Snapshot, String> {
         let snap = self.core.snapshot(table)?;
         // Same verification the TCP path performs on received bytes: the
-        // checksum the server stamped must match the data it handed over.
-        let computed = crate::protocol::snapshot_checksum(&snap.bits());
+        // checksum the server stamped must match the data it handed over,
+        // computed over the typed slots in place.
+        let computed = snap.data.slot_crc();
         if computed != snap.checksum {
             return Err(format!(
                 "snapshot checksum mismatch for table {table}: computed {computed:#010x}, \
@@ -205,6 +207,17 @@ impl ServeClient for LocalClient {
 /// internally before surfacing the rejection to the caller.
 const MAX_SUBMIT_ATTEMPTS: u32 = 8;
 
+/// The error of a round trip whose reply never came.
+const CLOSED: &str = "server closed the connection";
+
+/// The error text of a failed reply read.
+fn receive_error(e: ProtoError) -> String {
+    match e {
+        ProtoError::Io(e) => format!("receive: {e}"),
+        e => e.to_string(),
+    }
+}
+
 /// TCP client: one connection, `Hello`-handshaken, synchronous
 /// request/reply.
 ///
@@ -213,10 +226,16 @@ const MAX_SUBMIT_ATTEMPTS: u32 = 8;
 /// `MAX_SUBMIT_ATTEMPTS` times before the caller ever sees a
 /// `Rejected` outcome, so transient backpressure never surfaces to every
 /// call site.
+///
+/// Replies are read into one receive buffer the client keeps, except a
+/// `Snapshot` reply's slot image, which [`snapshot`](ServeClient::snapshot)
+/// reads from the socket straight into the vector it returns.
 #[derive(Debug)]
 pub struct TcpClient {
     reader: std::io::BufReader<TcpStream>,
     writer: std::io::BufWriter<TcpStream>,
+    /// Receive buffer for reply frames, reused across round trips.
+    rbuf: Vec<u8>,
     quantum: u32,
     tables: Vec<TableSpec>,
     backoffs: u64,
@@ -234,7 +253,14 @@ impl TcpClient {
         let reader =
             std::io::BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
         let writer = std::io::BufWriter::new(stream);
-        let mut client = TcpClient { reader, writer, quantum: 0, tables: Vec::new(), backoffs: 0 };
+        let mut client = TcpClient {
+            reader,
+            writer,
+            rbuf: Vec::new(),
+            quantum: 0,
+            tables: Vec::new(),
+            backoffs: 0,
+        };
         match client.round_trip(&Request::Hello { version: PROTOCOL_VERSION })? {
             Reply::Hello { version, quantum, tables, .. } => {
                 if version != PROTOCOL_VERSION {
@@ -280,13 +306,16 @@ impl TcpClient {
         }
     }
 
+    fn send(&mut self, request: &Request) -> Result<(), String> {
+        write_frame(&mut self.writer, &request.encode()).map_err(|e| format!("send: {e}"))
+    }
+
     fn round_trip(&mut self, request: &Request) -> Result<Reply, String> {
-        write_frame(&mut self.writer, &request.encode()).map_err(|e| format!("send: {e}"))?;
-        match read_frame(&mut self.reader) {
-            Ok(Some(body)) => Reply::decode(&body).map_err(|e| e.to_string()),
-            Ok(None) => Err("server closed the connection".into()),
-            Err(ProtoError::Io(e)) => Err(format!("receive: {e}")),
-            Err(e) => Err(e.to_string()),
+        self.send(request)?;
+        match read_frame_into(&mut self.reader, &mut self.rbuf) {
+            Ok(true) => Reply::decode(&self.rbuf).map_err(|e| e.to_string()),
+            Ok(false) => Err(CLOSED.into()),
+            Err(e) => Err(receive_error(e)),
         }
     }
 
@@ -462,34 +491,45 @@ impl ServeClient for TcpClient {
         }
     }
 
+    /// Streams the reply's slot image from the socket straight into the
+    /// returned table, checksumming each step as it lands: one copy out of
+    /// the socket and one CRC pass. The header's count must match the
+    /// frame length and its table must have been announced before anything
+    /// is allocated for the slots.
     fn snapshot(&mut self, table: u16) -> Result<Snapshot, String> {
-        match self.round_trip(&Request::Snapshot { table })? {
-            Reply::Snapshot { table, watermark, checksum, values } => {
-                let computed = crate::protocol::snapshot_checksum(&values);
-                if computed != checksum {
-                    return Err(format!(
-                        "snapshot checksum mismatch for table {table}: computed {computed:#010x} \
-                         over received values, server stamped {checksum:#010x}",
-                    ));
-                }
-                let spec = self
-                    .tables
-                    .get(table as usize)
-                    .ok_or_else(|| format!("snapshot for unannounced table {table}"))?;
-                // In place: the decoded bit vector's allocation is reused.
-                let data = match spec.kind {
-                    ValueKind::F32 => {
-                        TableData::F32(values.into_iter().map(f32::from_bits).collect())
-                    }
-                    ValueKind::I32 => {
-                        TableData::I32(values.into_iter().map(|b| b as i32).collect())
-                    }
-                };
-                Ok(Snapshot { table, watermark, checksum, data })
+        self.send(&Request::Snapshot { table })?;
+        let head = match read_snapshot_head(&mut self.reader, &mut self.rbuf) {
+            Ok(Some(SnapshotHead::Snapshot(head))) => head,
+            Ok(Some(SnapshotHead::Other(Reply::Error(m)))) => return Err(m),
+            Ok(Some(SnapshotHead::Other(other))) => {
+                return Err(format!("unexpected snapshot reply {other:?}"))
             }
-            Reply::Error(m) => Err(m),
-            other => Err(format!("unexpected snapshot reply {other:?}")),
+            Ok(None) => return Err(CLOSED.into()),
+            Err(e) => return Err(receive_error(e)),
+        };
+        let (table, checksum) = (head.table, head.checksum);
+        let Some(spec) = self.tables.get(table as usize) else {
+            skip(&mut self.reader, 4 * head.count).map_err(receive_error)?;
+            return Err(format!("snapshot for unannounced table {table}"));
+        };
+        let mut crc = invector_replog::Crc32::new();
+        let data = match spec.kind {
+            ValueKind::F32 => {
+                read_slots(&mut self.reader, head.count, &mut crc).map(TableData::F32)
+            }
+            ValueKind::I32 => {
+                read_slots(&mut self.reader, head.count, &mut crc).map(TableData::I32)
+            }
         }
+        .map_err(|e| format!("receive: {e}"))?;
+        let computed = crc.finish();
+        if computed != checksum {
+            return Err(format!(
+                "snapshot checksum mismatch for table {table}: computed {computed:#010x} \
+                 over received values, server stamped {checksum:#010x}",
+            ));
+        }
+        Ok(Snapshot { table, watermark: head.watermark, checksum, data })
     }
 
     fn stats(&mut self) -> Result<StatsSummary, String> {
@@ -517,6 +557,7 @@ impl ServeClient for TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_frame;
     use crate::server::{ServeConfig, Server};
     use crate::table::OpKind;
 

@@ -94,14 +94,25 @@ pub fn snapshot_checksum(values: &[u32]) -> u32 {
 
 /// A 32-bit slot value. Its bit pattern is what goes on the wire, into
 /// checkpoints and into the slot CRC.
-pub(crate) trait Slot: Copy {
+///
+/// Implemented for `u32`, `i32` and `f32` only: four-byte values with the
+/// layout of `u32` for which every bit pattern is valid (for `f32` that
+/// includes every NaN payload, -0.0 and the subnormals). The byte views
+/// ([`slot_bytes`], [`slot_bytes_mut`]) rely on both.
+pub(crate) trait Slot: Copy + Default {
     /// The slot's bit pattern.
     fn bits(self) -> u32;
+    /// The slot with bit pattern `bits`.
+    fn from_bits(bits: u32) -> Self;
 }
 
 impl Slot for u32 {
     fn bits(self) -> u32 {
         self
+    }
+
+    fn from_bits(bits: u32) -> u32 {
+        bits
     }
 }
 
@@ -109,19 +120,69 @@ impl Slot for i32 {
     fn bits(self) -> u32 {
         self as u32
     }
+
+    fn from_bits(bits: u32) -> i32 {
+        bits as i32
+    }
 }
 
 impl Slot for f32 {
     fn bits(self) -> u32 {
         self.to_bits()
     }
+
+    fn from_bits(bits: u32) -> f32 {
+        f32::from_bits(bits)
+    }
 }
 
-/// Writes each slot's bit pattern, little-endian, in slot order. Slots are
-/// staged through a fixed buffer, so the sink sees long runs (4 KiB writes
-/// take the CRC's PCLMULQDQ folding path where the CPU has it, and suit a
-/// file's buffered writes) and nothing the size of the table is allocated.
+/// A slot slice's memory as bytes, `4 * len` of them. On little-endian
+/// targets that is the slots' image (each bit pattern, little-endian, in
+/// slot order). The byte view of slots: [`write_slot_bits`] writes it,
+/// and [`slot_bytes_mut`] is its twin for [`read_slots`].
+fn slot_bytes<S: Slot>(slots: &[S]) -> &[u8] {
+    const {
+        assert!(std::mem::size_of::<S>() == std::mem::size_of::<u32>());
+        assert!(std::mem::align_of::<S>() == std::mem::align_of::<u32>());
+    }
+    // SAFETY: a `Slot` is 4 bytes with no padding (the const block above
+    // checks the size), so the slice's `4 * len` bytes are all initialized.
+    // `u8` has alignment 1, and the view borrows `slots`, so the memory
+    // outlives it and cannot change under it.
+    unsafe { std::slice::from_raw_parts(slots.as_ptr().cast::<u8>(), std::mem::size_of_val(slots)) }
+}
+
+/// [`slot_bytes`], writable: bytes written through the view become the
+/// slots' bit patterns (in native byte order).
+fn slot_bytes_mut<S: Slot>(slots: &mut [S]) -> &mut [u8] {
+    const {
+        assert!(std::mem::size_of::<S>() == std::mem::size_of::<u32>());
+        assert!(std::mem::align_of::<S>() == std::mem::align_of::<u32>());
+    }
+    // SAFETY: as in `slot_bytes`, the view covers exactly the slice's
+    // `4 * len` initialized bytes. Every byte pattern written through it
+    // leaves each slot a valid value, because `Slot` is implemented only
+    // for `u32`, `i32` and `f32`, for which every 32-bit pattern is valid.
+    // The view borrows `slots` mutably, so nothing else reads or writes the
+    // slots while it lives.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            slots.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(slots),
+        )
+    }
+}
+
+/// Writes each slot's bit pattern, little-endian, in slot order. On
+/// little-endian targets that is the slots' own memory ([`slot_bytes`]),
+/// written in one call: one `memcpy` into a buffer, one CRC pass over the
+/// slots in place. Big-endian targets stage the slots through a fixed
+/// 4 KiB buffer, so nothing the size of the table is allocated there
+/// either.
 fn write_slot_bits<S: Slot, W: Write + ?Sized>(out: &mut W, slots: &[S]) -> std::io::Result<()> {
+    if cfg!(target_endian = "little") {
+        return out.write_all(slot_bytes(slots));
+    }
     let mut buf = [0u8; 4096];
     for chunk in slots.chunks(buf.len() / 4) {
         let bytes = &mut buf[..4 * chunk.len()];
@@ -131,6 +192,41 @@ fn write_slot_bits<S: Slot, W: Write + ?Sized>(out: &mut W, slots: &[S]) -> std:
         out.write_all(bytes)?;
     }
     Ok(())
+}
+
+/// Bytes of slot image [`read_slots`] reads, and checksums, a step: small
+/// enough to stay in cache between the copy in and the CRC.
+const SLOT_READ_CHUNK: usize = 256 << 10;
+
+/// Reads `count` slots of a slot image (the bit patterns after its count
+/// field) from `r` straight into the returned vector, passing each
+/// [`SLOT_READ_CHUNK`]-byte step's wire bytes to `digest` (a CRC, or
+/// `io::sink()`) as it lands. The one slot-image reader, over frame bytes
+/// ([`Cursor::slots`]) and over a socket (`TcpClient::snapshot`). The
+/// caller has checked that the frame carries `count` slots, so nothing is
+/// allocated for a count it cannot carry.
+///
+/// # Errors
+///
+/// Propagates `r`'s errors, `UnexpectedEof` for an image cut short among
+/// them, and `digest`'s.
+pub(crate) fn read_slots<S: Slot>(
+    r: &mut impl Read,
+    count: usize,
+    digest: &mut impl Write,
+) -> std::io::Result<Vec<S>> {
+    let mut slots = vec![S::default(); count];
+    for chunk in slots.chunks_mut(SLOT_READ_CHUNK / 4) {
+        let bytes = slot_bytes_mut(chunk);
+        r.read_exact(bytes)?;
+        digest.write_all(bytes)?;
+        if cfg!(target_endian = "big") {
+            for slot in chunk.iter_mut() {
+                *slot = S::from_bits(u32::from_le(slot.bits()));
+            }
+        }
+    }
+    Ok(slots)
 }
 
 /// Writes a slot image, `count:u32 count x bits:u32` — the layout of the
@@ -147,17 +243,112 @@ pub(crate) fn write_slots<S: Slot, W: Write + ?Sized>(
 /// CRC-32 over a slot image: the slots' bit patterns in slot order,
 /// little-endian. The one state checksum behind snapshots, WAL seals
 /// ([`TableState::checksum`](crate::table::TableState::checksum)) and
-/// checkpoint loads.
+/// checkpoint loads. On little-endian targets it reads the slots in place
+/// ([`write_slot_bits`]): one CRC pass over the table's memory, no copy.
 pub(crate) fn slot_crc<S: Slot>(slots: &[S]) -> u32 {
     let mut crc = invector_replog::Crc32::new();
     write_slot_bits(&mut crc, slots).expect("a CRC sink accepts every write");
     crc.finish()
 }
 
-/// Body length of a `Snapshot` reply over `slots` slots: opcode, table,
-/// watermark, checksum and slot count, then 4 bytes a slot.
+/// Bytes of a `Snapshot` reply body before its slots: opcode, table,
+/// watermark, checksum and slot count.
+pub(crate) const SNAPSHOT_HEADER_LEN: usize = 1 + 2 + 8 + 4 + 4;
+
+/// Body length of a `Snapshot` reply over `slots` slots: the header, then
+/// 4 bytes a slot.
 pub(crate) fn snapshot_reply_len(slots: usize) -> usize {
-    1 + 2 + 8 + 4 + 4 + 4 * slots
+    SNAPSHOT_HEADER_LEN + 4 * slots
+}
+
+/// The fixed part of a `Snapshot` reply body.
+#[derive(Debug)]
+pub(crate) struct SnapshotHeader {
+    /// Table id.
+    pub(crate) table: u16,
+    /// Stream positions applied.
+    pub(crate) watermark: u64,
+    /// Slot CRC the server stamped.
+    pub(crate) checksum: u32,
+    /// Slots in the image that follows.
+    pub(crate) count: usize,
+}
+
+impl SnapshotHeader {
+    /// Parses the first [`SNAPSHOT_HEADER_LEN`] bytes of a `Snapshot` reply
+    /// body that is `len` bytes long, and checks that `len` is exactly the
+    /// header plus `4 * count`: the check that comes before any slot is
+    /// allocated. Together with [`read_slots`], the one `Snapshot` body
+    /// reader, over frame bytes ([`Reply::decode`]) and over a socket
+    /// (`TcpClient::snapshot`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtoError::Malformed`] for a short header, another
+    /// opcode, or a length that disagrees with the count.
+    pub(crate) fn parse(head: &[u8], len: usize) -> Result<SnapshotHeader, ProtoError> {
+        let mut c = Cursor::new(head.get(..SNAPSHOT_HEADER_LEN).unwrap_or(head));
+        if c.u8()? != 0x84 {
+            return Err(ProtoError::Malformed("not a Snapshot reply".into()));
+        }
+        let (table, watermark, checksum) = (c.u16()?, c.u64()?, c.u32()?);
+        let count = c.u32()? as usize;
+        let needed = count.checked_mul(4).and_then(|n| n.checked_add(SNAPSHOT_HEADER_LEN));
+        if needed != Some(len) {
+            return Err(ProtoError::Malformed(format!(
+                "snapshot length mismatch: a body of {len} bytes cannot carry {count} slots"
+            )));
+        }
+        Ok(SnapshotHeader { table, watermark, checksum, count })
+    }
+}
+
+/// What [`read_snapshot_head`] found at the front of a reply frame.
+#[derive(Debug)]
+pub(crate) enum SnapshotHead {
+    /// A `Snapshot` reply whose header has been read and checked; its
+    /// `count` slots are still to be read ([`read_slots`]).
+    Snapshot(SnapshotHeader),
+    /// Any other reply, read whole and decoded.
+    Other(Reply),
+}
+
+/// Reads the front of the reply to a `Snapshot` request from `r`: a
+/// `Snapshot` reply's header, leaving its slot image in the stream for
+/// [`read_slots`] to land where the caller wants it, or any other reply
+/// whole, through `rbuf` (whose allocation is reused), decoded by
+/// [`Reply::decode`]. `Ok(None)` is a clean EOF at a frame boundary.
+///
+/// # Errors
+///
+/// Returns [`ProtoError::Io`] for stream failures and
+/// [`ProtoError::Malformed`] for frames over [`MAX_FRAME_LEN`], a
+/// `Snapshot` header whose count disagrees with the frame length (the rest
+/// of that frame is skipped, unread into memory, so the stream stays at a
+/// frame boundary) and other replies that do not decode.
+pub(crate) fn read_snapshot_head(
+    r: &mut impl Read,
+    rbuf: &mut Vec<u8>,
+) -> Result<Option<SnapshotHead>, ProtoError> {
+    let Some(len) = read_frame_len(r)? else {
+        return Ok(None);
+    };
+    let mut head = [0u8; SNAPSHOT_HEADER_LEN];
+    let got = len.min(SNAPSHOT_HEADER_LEN);
+    r.read_exact(&mut head[..got])?;
+    if got < SNAPSHOT_HEADER_LEN || head[0] != 0x84 {
+        rbuf.clear();
+        rbuf.extend_from_slice(&head[..got]);
+        fill(r, rbuf, len - got)?;
+        return Reply::decode(rbuf).map(|reply| Some(SnapshotHead::Other(reply)));
+    }
+    match SnapshotHeader::parse(&head, len) {
+        Ok(header) => Ok(Some(SnapshotHead::Snapshot(header))),
+        Err(e) => {
+            skip(r, len - got)?;
+            Err(e)
+        }
+    }
 }
 
 /// Writes a `Snapshot` reply body: header, then the slot image. The one
@@ -801,9 +992,10 @@ impl<'a> Cursor<'a> {
         self.counted(UPDATE_WIRE_LEN).map(UpdatesView::new)
     }
 
-    /// Reads a slot image ([`write_slots`]).
-    pub(crate) fn slots(&mut self) -> Result<Vec<u32>, ProtoError> {
-        Ok(self.counted(4)?.chunks_exact(4).map(le_u32).collect())
+    /// Reads a slot image ([`write_slots`]) into slots of type `S`.
+    pub(crate) fn slots<S: Slot>(&mut self) -> Result<Vec<S>, ProtoError> {
+        let image = self.counted(4)?;
+        Ok(read_slots(&mut &image[..], image.len() / 4, &mut std::io::sink())?)
     }
 
     pub(crate) fn finish(self) -> Result<(), ProtoError> {
@@ -1320,12 +1512,13 @@ impl Reply {
                 retry_after_ms: c.u32()?,
                 reason: RejectReason::from_byte(c.u8()?)?,
             },
-            0x84 => Reply::Snapshot {
-                table: c.u16()?,
-                watermark: c.u64()?,
-                checksum: c.u32()?,
-                values: c.slots()?,
-            },
+            0x84 => {
+                let SnapshotHeader { table, watermark, checksum, count } =
+                    SnapshotHeader::parse(body, body.len())?;
+                c.take(SNAPSHOT_HEADER_LEN - 1)?;
+                let values = read_slots(&mut c.take(4 * count)?, count, &mut std::io::sink())?;
+                Reply::Snapshot { table, watermark, checksum, values }
+            }
             0x85 => Reply::Stats(StatsSummary {
                 epochs: c.u64()?,
                 slices: c.u64()?,
@@ -1434,13 +1627,38 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
 }
 
 /// Reads one length-prefixed frame body. Returns `Ok(None)` on a clean EOF
-/// at a frame boundary (the peer closed the connection).
+/// at a frame boundary (the peer closed the connection). A fresh buffer
+/// per frame, filled by the crate's one frame reader.
 ///
 /// # Errors
 ///
 /// Returns [`ProtoError::Malformed`] for frames over [`MAX_FRAME_LEN`] and
 /// [`ProtoError::Io`] for mid-frame stream failures.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, &mut body)?.then_some(body))
+}
+
+/// Reads one length-prefixed frame body into `body`, replacing its
+/// contents and reusing its allocation; the bytes land in the buffer's
+/// spare capacity, which is not zeroed first. The one frame reader.
+/// Returns `Ok(false)` on a clean EOF at a frame boundary.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub(crate) fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<bool, ProtoError> {
+    let Some(len) = read_frame_len(r)? else {
+        return Ok(false);
+    };
+    body.clear();
+    fill(r, body, len)?;
+    Ok(true)
+}
+
+/// Reads a frame's length prefix and checks it against [`MAX_FRAME_LEN`].
+/// `Ok(None)` is a clean EOF before the prefix.
+fn read_frame_len(r: &mut impl Read) -> Result<Option<usize>, ProtoError> {
     let mut len = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -1459,9 +1677,29 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::Malformed(format!("frame of {len} bytes exceeds limit")));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    Ok(Some(len))
+}
+
+/// Appends exactly `n` bytes from `r` to `buf`, in its spare capacity.
+fn fill(r: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> Result<(), ProtoError> {
+    buf.reserve(n);
+    if r.by_ref().take(n as u64).read_to_end(buf)? < n {
+        return Err(eof_inside_frame());
+    }
+    Ok(())
+}
+
+/// Reads `n` bytes off `r` and drops them, a few KiB at a time: the rest
+/// of a frame the reader refuses, so the stream stays at a frame boundary.
+pub(crate) fn skip(r: &mut impl Read, n: usize) -> Result<(), ProtoError> {
+    if std::io::copy(&mut r.by_ref().take(n as u64), &mut std::io::sink())? < n as u64 {
+        return Err(eof_inside_frame());
+    }
+    Ok(())
+}
+
+fn eof_inside_frame() -> ProtoError {
+    ProtoError::Io(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "EOF inside frame body"))
 }
 
 #[cfg(test)]

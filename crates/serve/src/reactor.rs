@@ -23,8 +23,9 @@
 //! connections, and accept overflow, are exported through the core's metric
 //! registry.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -74,9 +75,10 @@ impl std::fmt::Display for ReactorKind {
     }
 }
 
-/// Poll timeout. The reactor has no wake-fd; stop flags and the
-/// cross-thread connection inboxes are checked every wakeup, so this bounds
-/// both shutdown latency and new-connection registration latency.
+/// Poll timeout: the backstop for the wake sockets ([`Control`]). The stop
+/// flag and the cross-thread connection inboxes are checked every wakeup;
+/// a thread is woken as soon as either needs it, and this bounds how long
+/// a lost wake could delay it.
 const WAIT_MS: i32 = 5;
 
 /// Size of one socket `read` call.
@@ -92,6 +94,9 @@ const CLOSE_GRACE: Duration = Duration::from_millis(250);
 
 /// Token reserved for the listener in thread 0's poller.
 const LISTENER_TOKEN: usize = usize::MAX;
+
+/// Token reserved for the wake socket in every thread's poller.
+const WAKE_TOKEN: usize = usize::MAX - 1;
 
 // ---------------------------------------------------------------------------
 // Ring buffer
@@ -185,32 +190,6 @@ impl Ring {
         self.len += bytes.len();
     }
 
-    /// Appends one length-prefixed frame of a `len`-byte body that `body`
-    /// writes into the ring. Room for the whole frame is made first, so
-    /// `body` never grows the ring. A failed `body`, or one that writes
-    /// other than `len` bytes, leaves nothing of the frame buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns `body`'s error, or a message for a body of the wrong length.
-    pub fn push_frame(
-        &mut self,
-        len: usize,
-        body: impl FnOnce(&mut Ring) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.reserve(4 + len);
-        let start = self.len;
-        self.push(&(len as u32).to_le_bytes());
-        let result = body(self).and_then(|()| match self.len - start - 4 {
-            n if n == len => Ok(()),
-            n => Err(format!("frame body of {n} bytes, sized as {len}")),
-        });
-        if result.is_err() {
-            self.len = start;
-        }
-        result
-    }
-
     /// Drops `n` bytes from the head.
     pub fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.len);
@@ -235,12 +214,11 @@ impl Ring {
     pub fn write_to(&mut self, w: &mut impl Write) -> std::io::Result<bool> {
         while self.len > 0 {
             let (a, _) = self.front_slices();
-            match w.write(a) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.consume(n),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+            let want = a.len();
+            let n = send(w, a)?;
+            self.consume(n);
+            if n < want {
+                return Ok(false);
             }
         }
         Ok(true)
@@ -307,17 +285,20 @@ impl Default for Ring {
     }
 }
 
-/// Replies can be written straight into the ring ([`Ring::push_frame`]).
-/// Writes never fail.
-impl Write for Ring {
-    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        self.push(bytes);
-        Ok(bytes.len())
+/// Writes `bytes` to `w` until all are written or `w` would block; returns
+/// how many went out.
+fn send(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<usize> {
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match w.write(&bytes[sent..]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+    Ok(sent)
 }
 
 // ---------------------------------------------------------------------------
@@ -793,6 +774,29 @@ impl Conn {
     }
 }
 
+/// A reply's way out to one connection: straight into the socket while
+/// nothing is queued ahead of it, and into the write ring from the first
+/// byte the socket does not take, so replies keep their order. Counts the
+/// bytes it is given.
+struct Outbound<'a> {
+    stream: &'a TcpStream,
+    ring: &'a mut Ring,
+    written: usize,
+}
+
+impl Write for Outbound<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let sent = if self.ring.is_empty() { send(&mut self.stream, bytes)? } else { 0 };
+        self.ring.push(&bytes[sent..]);
+        self.written += bytes.len();
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Encodes `reply` as a length-prefixed frame into a write ring.
 fn queue_reply(wbuf: &mut Ring, reply: &Reply) {
     let body = reply.encode();
@@ -800,32 +804,84 @@ fn queue_reply(wbuf: &mut Ring, reply: &Reply) {
     wbuf.push(&body);
 }
 
+/// The reactor's stop flag and its I/O threads' wake sockets, held by the
+/// server and by every I/O thread.
+///
+/// Each thread's poller holds the read end of a nonblocking socket pair
+/// under [`WAKE_TOKEN`]; a byte written to the other end ends that
+/// thread's wait at once. The accept path wakes the thread it hands a
+/// connection to, and [`stop`](Control::stop) wakes them all, so neither
+/// waits out the poll timeout ([`WAIT_MS`]).
+#[derive(Debug)]
+pub(crate) struct Control {
+    stop: AtomicBool,
+    /// One wake socket pair per I/O thread: the end a wake is written to,
+    /// and the end the thread polls. Both live as long as the control, so
+    /// a wake is never written to a socket whose reader has closed.
+    wakes: Vec<(UnixStream, UnixStream)>,
+}
+
+impl Control {
+    /// Sets the stop flag and wakes every I/O thread to act on it (the
+    /// `Shutdown` verb and `Server::shutdown`).
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        for thread in 0..self.wakes.len() {
+            self.wake(thread);
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Ends I/O thread `thread`'s poll wait. A write that fails finds the
+    /// socket full, so a wake is already pending and nothing is lost.
+    fn wake(&self, thread: usize) {
+        let _ = (&self.wakes[thread].0).write(&[1]);
+    }
+}
+
+/// Reads every pending wake byte off a thread's wake socket.
+fn drain_wakes(mut wake: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!(wake.read(&mut buf), Ok(n) if n > 0) {}
+}
+
 /// State shared by every reactor thread.
 struct Shared {
     core: Arc<ServerCore>,
-    stop: Arc<AtomicBool>,
+    control: Arc<Control>,
     stats: Arc<ReactorStats>,
     /// Per-thread handoff queues: the accept path (thread 0) pushes fresh
-    /// streams here; the owning thread adopts them on its next wakeup.
+    /// streams here and wakes the owning thread, which adopts them.
     inboxes: Vec<Mutex<Vec<TcpStream>>>,
     /// Round-robin assignment cursor.
     next_thread: AtomicUsize,
 }
 
 /// Spawns the reactor: `io_threads` event-loop threads, thread 0 owning the
-/// (nonblocking) listener. Returns the join handles.
+/// (nonblocking) listener. Returns the join handles and the reactor's
+/// [`Control`].
 pub(crate) fn spawn(
     core: Arc<ServerCore>,
     listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
+) -> std::io::Result<(Vec<std::thread::JoinHandle<()>>, Arc<Control>)> {
     let config = core.config();
     let io_threads = config.io_threads.max(1);
     let kind = config.reactor;
     let stats = ReactorStats::new(core.registry());
+    let mut wakes = Vec::with_capacity(io_threads);
+    for _ in 0..io_threads {
+        let (waker, wake) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        wakes.push((waker, wake));
+    }
+    let control = Arc::new(Control { stop: AtomicBool::new(false), wakes });
     let shared = Arc::new(Shared {
         core,
-        stop,
+        control: Arc::clone(&control),
         stats,
         inboxes: (0..io_threads).map(|_| Mutex::new(Vec::new())).collect(),
         next_thread: AtomicUsize::new(0),
@@ -841,7 +897,7 @@ pub(crate) fn spawn(
                 .expect("spawn reactor thread"),
         );
     }
-    Ok(handles)
+    Ok((handles, control))
 }
 
 /// One event-loop thread: poll, adopt handed-off connections, accept (thread
@@ -858,6 +914,8 @@ fn io_loop(thread_idx: usize, shared: &Shared, listener: Option<TcpListener>, ki
     if let Some(l) = &listener {
         let _ = poller.register(l.as_raw_fd(), LISTENER_TOKEN, INTEREST_READ);
     }
+    let wake = &shared.control.wakes[thread_idx].1;
+    let _ = poller.register(wake.as_raw_fd(), WAKE_TOKEN, INTEREST_READ);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
@@ -871,6 +929,12 @@ fn io_loop(thread_idx: usize, shared: &Shared, listener: Option<TcpListener>, ki
         if !events.is_empty() {
             shared.stats.readiness_batches.inc();
             shared.stats.readiness_events.add(events.len() as u64);
+        }
+
+        // Drain the wake socket before the inbox, so a wake that arrives
+        // after this point stays pending for the next wait.
+        if events.iter().any(|ev| ev.token == WAKE_TOKEN) {
+            drain_wakes(wake);
         }
 
         // Adopt connections handed off by the accept path.
@@ -892,11 +956,14 @@ fn io_loop(thread_idx: usize, shared: &Shared, listener: Option<TcpListener>, ki
             }
         }
 
-        let stopping = shared.stop.load(Ordering::Acquire);
+        let stopping = shared.control.stopping();
 
         // The scan poller reports every connection ready each pass; epoll
         // and poll report only what fired. Either way, drive what's listed.
         for ev in events.iter().copied() {
+            if ev.token == WAKE_TOKEN {
+                continue;
+            }
             if ev.token == LISTENER_TOKEN {
                 if let Some(l) = &listener {
                     accept_ready(l, shared, stopping);
@@ -978,6 +1045,7 @@ fn accept_ready(listener: &TcpListener, shared: &Shared, stopping: bool) {
                 shared.stats.accepted.inc();
                 let t = shared.next_thread.fetch_add(1, Ordering::Relaxed) % shared.inboxes.len();
                 shared.inboxes[t].lock().expect("inbox lock").push(stream);
+                shared.control.wake(t);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -1084,7 +1152,7 @@ fn process(conn: &mut Conn, shared: &Shared, _stopping: bool) -> Result<(), ()> 
     let write_cap = shared.core.config().write_buffer_cap;
     // Disjoint field borrows: the decoded frame borrows rbuf/scratch while
     // the reply path mutates wbuf/greeted/closing.
-    let Conn { rbuf, scratch, wbuf, greeted, closing, pinned, .. } = conn;
+    let Conn { stream, rbuf, scratch, wbuf, greeted, closing, pinned, .. } = conn;
     loop {
         if *closing || wbuf.len() >= write_cap {
             return Ok(());
@@ -1108,7 +1176,7 @@ fn process(conn: &mut Conn, shared: &Shared, _stopping: bool) -> Result<(), ()> 
             }
             Err(ProtoError::Io(_)) => return Err(()),
         };
-        respond(greeted, closing, pinned, wbuf, shared, request);
+        respond(greeted, closing, pinned, wbuf, stream, shared, request);
     }
 }
 
@@ -1120,6 +1188,7 @@ fn respond(
     closing: &mut bool,
     pinned: &mut Option<std::sync::Arc<crate::server::PinnedState>>,
     wbuf: &mut Ring,
+    stream: &TcpStream,
     shared: &Shared,
     request: RequestView<'_>,
 ) {
@@ -1183,14 +1252,28 @@ fn respond(
         }
         (true, RequestView::Snapshot { table }) => match core.config().tables.get(table as usize) {
             None => Reply::Error(format!("unknown table {table}")),
-            // Sized from the spec and reserved before the table lock is
-            // taken, so the lock covers only the copy out of the table.
-            Some(spec) => match wbuf
-                .push_frame(snapshot_reply_len(spec.len), |w| core.write_snapshot_reply(table, w))
-            {
-                Ok(()) => return,
-                Err(m) => Reply::Error(m),
-            },
+            Some(spec) => {
+                // Written from the locked table straight into the socket
+                // when nothing is queued ahead of it, so the kernel's copy
+                // is the only one; what the socket does not take goes into
+                // the ring, which is sized from the spec before the lock is
+                // taken. A frame cut short, or of other than its announced
+                // length, leaves the stream unusable, so the connection
+                // closes.
+                let len = snapshot_reply_len(spec.len);
+                wbuf.reserve(4 + len);
+                let mut out =
+                    BufWriter::with_capacity(64, Outbound { stream, ring: wbuf, written: 0 });
+                let sent = out
+                    .write_all(&(len as u32).to_le_bytes())
+                    .map_err(|e| e.to_string())
+                    .and_then(|()| core.write_snapshot_reply(table, &mut out))
+                    .and_then(|()| out.flush().map_err(|e| e.to_string()));
+                if sent.is_err() || out.get_ref().written != 4 + len {
+                    *closing = true;
+                }
+                return;
+            }
         },
         (true, RequestView::SnapshotBegin) => {
             let pin = core.pin_state();
@@ -1238,7 +1321,7 @@ fn respond(
         (true, RequestView::Shutdown) => {
             let watermarks = core.begin_shutdown();
             *closing = true;
-            shared.stop.store(true, Ordering::Release);
+            shared.control.stop();
             Reply::Bye { watermarks }
         }
     };

@@ -1437,7 +1437,7 @@ impl Handoff {
 pub struct Server {
     core: Arc<ServerCore>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    control: Arc<reactor::Control>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -1453,9 +1453,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let mut threads = reactor::spawn(Arc::clone(&core), listener, Arc::clone(&stop))?;
+        let (mut threads, control) = reactor::spawn(Arc::clone(&core), listener)?;
 
         let epoch_core = Arc::clone(&core);
         let epoch = std::thread::Builder::new()
@@ -1464,7 +1462,7 @@ impl Server {
             .expect("spawn epoch thread");
         threads.push(epoch);
 
-        Ok(Server { core, addr, stop, threads })
+        Ok(Server { core, addr, control, threads })
     }
 
     /// Binds `addr` over an existing core without starting an epoch
@@ -1478,9 +1476,8 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let threads = reactor::spawn(Arc::clone(&core), listener, Arc::clone(&stop))?;
-        Ok(Server { core, addr, stop, threads })
+        let (threads, control) = reactor::spawn(Arc::clone(&core), listener)?;
+        Ok(Server { core, addr, control, threads })
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -1497,7 +1494,7 @@ impl Server {
     /// same path a `Shutdown` frame takes).
     pub fn shutdown(&self) -> Vec<u64> {
         let watermarks = self.core.begin_shutdown();
-        self.stop.store(true, Ordering::Release);
+        self.control.stop();
         watermarks
     }
 

@@ -216,6 +216,16 @@ impl TableData {
         }
     }
 
+    /// CRC-32 over the slot bit patterns, little-endian
+    /// ([`crate::protocol::snapshot_checksum`] of [`to_bits`](Self::to_bits)),
+    /// computed over the typed slots in place.
+    pub(crate) fn slot_crc(&self) -> u32 {
+        match self {
+            TableData::F32(v) => slot_crc(v),
+            TableData::I32(v) => slot_crc(v),
+        }
+    }
+
     /// Slots widened to `f64` (exact for both kinds), for harness records.
     pub fn to_f64(&self) -> Vec<f64> {
         match self {
@@ -616,10 +626,7 @@ impl TableState {
                 return crc;
             }
         }
-        let out = match &self.data {
-            TableData::F32(v) => slot_crc(v),
-            TableData::I32(v) => slot_crc(v),
-        };
+        let out = self.data.slot_crc();
         self.checksum_cache.set(Some((wm, out)));
         out
     }

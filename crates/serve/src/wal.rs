@@ -41,7 +41,7 @@ use std::path::PathBuf;
 
 use invector_replog::{CheckpointWriter, SnapshotStore, SyncPolicy, Wal};
 
-use crate::protocol::{encode_updates, slot_crc, write_slots, Cursor, ProtoError, Update};
+use crate::protocol::{encode_updates, write_slots, Cursor, ProtoError, Update};
 use crate::table::{OpKind, TableData, TableSpec, ValueKind};
 
 /// Durability configuration: where the log lives and how hard it syncs.
@@ -266,21 +266,20 @@ pub fn decode_checkpoint_table(
     let mut c = Cursor::new(payload);
     let table = c.u16()?;
     let watermark = c.u64()?;
-    let bits = c.slots()?;
+    let data = match spec.kind {
+        ValueKind::F32 => TableData::F32(c.slots()?),
+        ValueKind::I32 => TableData::I32(c.slots()?),
+    };
     c.finish()?;
-    if bits.len() != spec.len {
+    if data.len() != spec.len {
         return Err(ProtoError::Malformed(format!(
             "checkpoint of {} slots for table '{}' of {} slots",
-            bits.len(),
+            data.len(),
             spec.name,
             spec.len
         )));
     }
-    let checksum = slot_crc(&bits);
-    let data = match spec.kind {
-        ValueKind::F32 => TableData::F32(bits.into_iter().map(f32::from_bits).collect()),
-        ValueKind::I32 => TableData::I32(bits.into_iter().map(|b| b as i32).collect()),
-    };
+    let checksum = data.slot_crc();
     Ok((table, watermark, data, checksum))
 }
 
