@@ -349,9 +349,18 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Propagates write failures; on error the on-disk tail may be torn,
-    /// which a later [`recover`] repairs.
+    /// `InvalidInput` for a payload over [`MAX_RECORD_LEN`], before
+    /// anything is written: [`recover`] would read such a record as a torn
+    /// tail and drop it with every record after it. Otherwise propagates
+    /// write failures; on error the on-disk tail may be torn, which a later
+    /// [`recover`] repairs.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        if payload.len() > MAX_RECORD_LEN {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("record length {} exceeds {MAX_RECORD_LEN}", payload.len()),
+            ));
+        }
         self.buf.clear();
         frame_into(&mut self.buf, payload);
         self.file.write_all(&self.buf)?;
@@ -903,6 +912,29 @@ mod tests {
         drop(wal);
         let rec = recover(&path).unwrap();
         assert_eq!(rec.records, vec![b"after".to_vec()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_before_anything_is_written() {
+        let dir = temp_dir("toolong");
+        let path = dir.join("wal.log");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(b"good").unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // Zeroed by the allocator and never read: the length check comes
+        // first, so the pages stay untouched.
+        let oversized = vec![0u8; MAX_RECORD_LEN + 1];
+        let err = wal.append(&oversized).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "nothing written");
+        assert_eq!((wal.records(), wal.bytes()), (1, before.len() as u64));
+        // The log goes on, and recovery keeps every record after the refusal.
+        wal.append(b"after").unwrap();
+        drop(wal);
+        let rec = recover(&path).unwrap();
+        assert_eq!(rec.records, vec![b"good".to_vec(), b"after".to_vec()]);
+        assert!(rec.torn.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

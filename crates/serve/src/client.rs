@@ -12,25 +12,12 @@ use std::time::Duration;
 
 use crate::protocol::{
     read_frame_into, read_slots, read_snapshot_head, skip, write_frame, EdgeOp, ProtoError, Reply,
-    Request, SnapshotAssembler, SnapshotHead, SnapshotMetaTable, StatsSummary, Update,
-    PROTOCOL_VERSION,
+    Request, SnapshotHead, StatsSummary, Update, PROTOCOL_VERSION,
 };
-use crate::server::{LogTailPage, ServerCore, Snapshot, SubmitOutcome, TopKPage, WindowSnapshot};
+use crate::server::{
+    LogTailPage, PinnedState, ServerCore, Snapshot, SubmitOutcome, TopKPage, WindowSnapshot,
+};
 use crate::table::{TableData, TableSpec, ValueKind};
-
-/// A pinned chunked-snapshot transfer plan, as announced by
-/// `SnapshotMeta`: what to fetch and what it must hash to.
-#[derive(Debug, Clone)]
-pub struct SnapshotPlan {
-    /// Checkpoint generation of the pinned log position.
-    pub checkpoint: u64,
-    /// Log index the pinned tables correspond to.
-    pub index: u64,
-    /// Values per chunk frame.
-    pub chunk_values: u32,
-    /// Per-table watermark, length, and checksum.
-    pub tables: Vec<SnapshotMetaTable>,
-}
 
 /// Transport-independent client surface.
 pub trait ServeClient {
@@ -229,7 +216,8 @@ fn receive_error(e: ProtoError) -> String {
 ///
 /// Replies are read into one receive buffer the client keeps, except a
 /// `Snapshot` reply's slot image, which [`snapshot`](ServeClient::snapshot)
-/// reads from the socket straight into the vector it returns.
+/// and [`snapshot_begin`](Self::snapshot_begin) read from the socket
+/// straight into the tables they return.
 #[derive(Debug)]
 pub struct TcpClient {
     reader: std::io::BufReader<TcpStream>,
@@ -319,42 +307,34 @@ impl TcpClient {
         }
     }
 
-    /// Pins a consistent all-table state server-side for chunked
-    /// transfer; returns the transfer plan (per-table lengths, checksums,
-    /// chunk geometry, and the matching log position).
+    /// Fetches the leader's pinned state (the follower bootstrap): every
+    /// table at one epoch boundary plus the matching log position, in one
+    /// request. The `SnapshotMeta` reply must announce as many tables as
+    /// `Hello` did, and the `Snapshot` frame after it for table `k` must be
+    /// table `k`'s; each is read like a [`snapshot`](ServeClient::snapshot)
+    /// reply and checksummed as it lands.
     ///
     /// # Errors
     ///
-    /// Returns a message for transport failures or unexpected replies.
-    pub fn snapshot_begin(&mut self) -> Result<SnapshotPlan, String> {
-        match self.round_trip(&Request::SnapshotBegin)? {
-            Reply::SnapshotMeta { checkpoint, index, chunk_values, tables } => {
-                Ok(SnapshotPlan { checkpoint, index, chunk_values, tables })
-            }
-            Reply::Error(m) => Err(m),
-            other => Err(format!("unexpected snapshot-begin reply {other:?}")),
+    /// Returns a message for transport failures, an `Error` reply, a table
+    /// count unlike `Hello`'s and any frame [`snapshot`](ServeClient::snapshot)
+    /// would refuse. Nothing is returned unless every table arrived intact;
+    /// the connection's place in the reply stream is then unknown, so drop
+    /// the client.
+    pub fn snapshot_begin(&mut self) -> Result<PinnedState, String> {
+        let (checkpoint, index, count) = match self.round_trip(&Request::SnapshotBegin)? {
+            Reply::SnapshotMeta { checkpoint, index, tables } => (checkpoint, index, tables),
+            Reply::Error(m) => return Err(m),
+            other => return Err(format!("unexpected snapshot-begin reply {other:?}")),
+        };
+        if count as usize != self.tables.len() {
+            return Err(format!(
+                "bootstrap of {count} tables from a leader that announced {} at Hello",
+                self.tables.len()
+            ));
         }
-    }
-
-    /// Fetches one chunk of a pinned table's bit stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for transport failures, server-side errors
-    /// (no pin, chunk out of range), or replies for the wrong chunk.
-    pub fn snapshot_chunk(&mut self, table: u16, chunk: u32) -> Result<Vec<u32>, String> {
-        match self.round_trip(&Request::SnapshotChunk { table, chunk })? {
-            Reply::SnapshotChunk { table: t, chunk: c, values } => {
-                if t != table || c != chunk {
-                    return Err(format!(
-                        "asked for table {table} chunk {chunk}, got table {t} chunk {c}"
-                    ));
-                }
-                Ok(values)
-            }
-            Reply::Error(m) => Err(m),
-            other => Err(format!("unexpected snapshot-chunk reply {other:?}")),
-        }
+        let tables = (0..count).map(|t| self.read_snapshot(t)).collect::<Result<_, _>>()?;
+        Ok(PinnedState { checkpoint, index, tables })
     }
 
     /// Fetches admitted-batch log records from `index` within checkpoint
@@ -379,30 +359,59 @@ impl TcpClient {
         }
     }
 
-    /// Downloads one pinned table through the chunked verbs, verifying
-    /// chunk order, total length, and the announced checksum.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for transport failures or any assembly/integrity
-    /// violation (out-of-order chunk, length or checksum mismatch).
-    pub fn fetch_pinned_table(
-        &mut self,
-        plan: &SnapshotPlan,
-        table: u16,
-    ) -> Result<Vec<u32>, String> {
-        let meta = plan
-            .tables
-            .iter()
-            .find(|m| m.table == table)
-            .ok_or_else(|| format!("table {table} not in the snapshot plan"))?;
-        let mut asm = SnapshotAssembler::new(table, meta.len, meta.checksum, plan.chunk_values);
-        while !asm.complete() {
-            let chunk = asm.next_chunk();
-            let values = self.snapshot_chunk(table, chunk)?;
-            asm.push(table, chunk, &values).map_err(|e| e.to_string())?;
+    /// Reads one `Snapshot` reply for `table` off the socket: the one
+    /// `Snapshot` frame reader, behind [`snapshot`](ServeClient::snapshot)
+    /// and [`snapshot_begin`](Self::snapshot_begin). Before anything is
+    /// allocated for the slots, the frame must be as long as its count
+    /// says, name `table`, and carry as many slots as `Hello` announced for
+    /// it; a frame that fails is skipped, unread into memory, so the stream
+    /// stays at a frame boundary. The slot image then streams from the
+    /// socket straight into the returned table, checksummed each step as it
+    /// lands: one copy out of the socket and one CRC pass.
+    fn read_snapshot(&mut self, table: u16) -> Result<Snapshot, String> {
+        let head = match read_snapshot_head(&mut self.reader, &mut self.rbuf) {
+            Ok(Some(SnapshotHead::Snapshot(head))) => head,
+            Ok(Some(SnapshotHead::Other(Reply::Error(m)))) => return Err(m),
+            Ok(Some(SnapshotHead::Other(other))) => {
+                return Err(format!("unexpected snapshot reply {other:?}"))
+            }
+            Ok(None) => return Err(CLOSED.into()),
+            Err(e) => return Err(receive_error(e)),
+        };
+        let refusal = match self.tables.get(head.table as usize) {
+            None => Some(format!("snapshot for unannounced table {}", head.table)),
+            Some(_) if head.table != table => {
+                Some(format!("snapshot of table {} where table {table} was expected", head.table))
+            }
+            Some(spec) if head.count != spec.len => Some(format!(
+                "snapshot of table {table} carries {} slots, announced with {}",
+                head.count, spec.len
+            )),
+            Some(_) => None,
+        };
+        if let Some(refusal) = refusal {
+            skip(&mut self.reader, 4 * head.count).map_err(receive_error)?;
+            return Err(refusal);
         }
-        asm.finish().map_err(|e| e.to_string())
+        let mut crc = invector_replog::Crc32::new();
+        let data = match self.tables[table as usize].kind {
+            ValueKind::F32 => {
+                read_slots(&mut self.reader, head.count, &mut crc).map(TableData::F32)
+            }
+            ValueKind::I32 => {
+                read_slots(&mut self.reader, head.count, &mut crc).map(TableData::I32)
+            }
+        }
+        .map_err(|e| format!("receive: {e}"))?;
+        let (watermark, checksum) = (head.watermark, head.checksum);
+        let computed = crc.finish();
+        if computed != checksum {
+            return Err(format!(
+                "snapshot checksum mismatch for table {table}: computed {computed:#010x} \
+                 over received values, server stamped {checksum:#010x}",
+            ));
+        }
+        Ok(Snapshot { table, watermark, checksum, data })
     }
 
     /// Asks the server to drain and stop; returns the final per-table
@@ -492,44 +501,12 @@ impl ServeClient for TcpClient {
     }
 
     /// Streams the reply's slot image from the socket straight into the
-    /// returned table, checksumming each step as it lands: one copy out of
-    /// the socket and one CRC pass. The header's count must match the
-    /// frame length and its table must have been announced before anything
-    /// is allocated for the slots.
+    /// returned table (the `Snapshot` frame reader `snapshot_begin` also
+    /// uses). The reply must be for `table`, as long as `Hello` announced
+    /// it, before anything is allocated for the slots.
     fn snapshot(&mut self, table: u16) -> Result<Snapshot, String> {
         self.send(&Request::Snapshot { table })?;
-        let head = match read_snapshot_head(&mut self.reader, &mut self.rbuf) {
-            Ok(Some(SnapshotHead::Snapshot(head))) => head,
-            Ok(Some(SnapshotHead::Other(Reply::Error(m)))) => return Err(m),
-            Ok(Some(SnapshotHead::Other(other))) => {
-                return Err(format!("unexpected snapshot reply {other:?}"))
-            }
-            Ok(None) => return Err(CLOSED.into()),
-            Err(e) => return Err(receive_error(e)),
-        };
-        let (table, checksum) = (head.table, head.checksum);
-        let Some(spec) = self.tables.get(table as usize) else {
-            skip(&mut self.reader, 4 * head.count).map_err(receive_error)?;
-            return Err(format!("snapshot for unannounced table {table}"));
-        };
-        let mut crc = invector_replog::Crc32::new();
-        let data = match spec.kind {
-            ValueKind::F32 => {
-                read_slots(&mut self.reader, head.count, &mut crc).map(TableData::F32)
-            }
-            ValueKind::I32 => {
-                read_slots(&mut self.reader, head.count, &mut crc).map(TableData::I32)
-            }
-        }
-        .map_err(|e| format!("receive: {e}"))?;
-        let computed = crc.finish();
-        if computed != checksum {
-            return Err(format!(
-                "snapshot checksum mismatch for table {table}: computed {computed:#010x} \
-                 over received values, server stamped {checksum:#010x}",
-            ));
-        }
-        Ok(Snapshot { table, watermark: head.watermark, checksum, data })
+        self.read_snapshot(table)
     }
 
     fn stats(&mut self) -> Result<StatsSummary, String> {
@@ -610,6 +587,34 @@ mod tests {
         assert!(matches!(Reply::decode(&body).expect("decode"), Reply::Error(_)));
         server.shutdown();
         server.join();
+    }
+
+    #[test]
+    fn protocol_3_peers_are_refused_at_hello() {
+        // A protocol 3 client: the server answers its `Hello` with an error.
+        let server = server();
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = std::io::BufWriter::new(stream);
+        write_frame(&mut writer, &Request::Hello { version: 3 }.encode()).expect("send");
+        let body = read_frame(&mut reader).expect("read").expect("reply");
+        let refusal = Reply::Error(format!("protocol version 3 != {PROTOCOL_VERSION}"));
+        assert_eq!(Reply::decode(&body).expect("decode"), refusal);
+        server.shutdown();
+        server.join();
+
+        // A protocol 3 server: the client refuses its `Hello`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let v3 = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            read_frame(&mut &stream).expect("hello").expect("a hello frame");
+            let hello = Reply::Hello { version: 3, shards: 1, quantum: 16, tables: Vec::new() };
+            write_frame(&mut &stream, &hello.encode()).expect("send hello");
+        });
+        let err = TcpClient::connect(addr).expect_err("a protocol 3 server");
+        assert_eq!(err, format!("server speaks protocol 3, not {PROTOCOL_VERSION}"));
+        v3.join().expect("protocol 3 server");
     }
 
     #[test]

@@ -575,6 +575,9 @@ pub struct ServeStats {
     /// `invector_serve_follower_epochs_verified_total`: seal checksums a
     /// follower matched against its own state.
     follower_verified: Counter,
+    /// `invector_serve_follower_bootstraps_total`: pinned leader states a
+    /// follower installed (its first, then one per checkpoint reset).
+    follower_bootstraps: Counter,
 }
 
 impl ServeStats {
@@ -645,6 +648,10 @@ impl ServeStats {
                 "invector_serve_follower_epochs_verified_total",
                 "seal checksums a follower matched against its own state",
             ),
+            follower_bootstraps: registry.counter(
+                "invector_serve_follower_bootstraps_total",
+                "pinned leader states a follower installed",
+            ),
         }
     }
 
@@ -677,6 +684,11 @@ impl ServeStats {
     /// Records one seal checksum a follower verified. Lock-free.
     pub fn record_follower_verified(&self) {
         self.follower_verified.inc();
+    }
+
+    /// Records one bootstrap a follower installed. Lock-free.
+    pub fn record_follower_bootstrap(&self) {
+        self.follower_bootstraps.inc();
     }
 
     /// Records one executed epoch. Lock-free on the record side; the

@@ -10,20 +10,20 @@
 //! The lifecycle:
 //!
 //! 1. **Bootstrap**: `SnapshotBegin` pins a consistent all-table state on
-//!    the leader plus the log position it corresponds to; the tables
-//!    stream over in bounded `SnapshotChunk` frames (so no table size ever
-//!    approaches the single-frame cap) and each is verified against the
-//!    announced checksum before install.
+//!    the leader plus the log position it corresponds to; the reply is that
+//!    position and one ordinary `Snapshot` frame per table, each read
+//!    straight into a typed table and verified against its checksum as it
+//!    lands. Nothing is installed unless every table arrived intact.
 //! 2. **Tail**: `LogTail` pages admitted-batch records from the pinned
 //!    position; each `Batch` replays through the normal epoch path and
 //!    each `Seal` is verified against the follower's own state checksum.
 //! 3. **Reset**: if the leader checkpoints past the follower's position,
 //!    the fetch comes back `reset` and the follower re-bootstraps.
 //!
-//! Any integrity failure — a scrambled chunk, a checksum mismatch, a seal
-//! that disagrees with replayed state — parks the follower in
-//! [`FollowStatus::Diverged`] with the reason; it never serves silently
-//! drifted data.
+//! Any integrity failure — a frame for the wrong table, a checksum
+//! mismatch, a seal that disagrees with replayed state — parks the
+//! follower in [`FollowStatus::Diverged`] with the reason; it never serves
+//! silently drifted data.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,7 +31,6 @@ use std::time::Duration;
 
 use crate::client::TcpClient;
 use crate::server::{ServeConfig, ServerCore};
-use crate::table::{TableData, ValueKind};
 use crate::wal::WalRecord;
 
 /// Where a follower is in its lifecycle.
@@ -140,32 +139,13 @@ impl Drop for Follower {
     }
 }
 
-/// Pins and downloads the leader's state, verifying each table's checksum,
-/// and installs it into the fresh core. Returns the pinned log position.
+/// Fetches the leader's pinned state, every table checksummed as it lands,
+/// and installs it into the core. Returns the pinned log position.
 fn bootstrap(client: &mut TcpClient, core: &ServerCore) -> Result<(u64, u64), String> {
-    let plan = client.snapshot_begin()?;
-    let specs = client.tables().to_vec();
-    if plan.tables.len() != specs.len() {
-        return Err(format!(
-            "snapshot plan covers {} tables, leader announced {}",
-            plan.tables.len(),
-            specs.len()
-        ));
-    }
-    let mut installs = Vec::with_capacity(plan.tables.len());
-    for (t, spec) in specs.iter().enumerate() {
-        let meta = plan.tables[t];
-        // The assembler verifies chunk order, total length, and checksum.
-        let bits = client.fetch_pinned_table(&plan, t as u16)?;
-        // In place: the assembled bit vector's allocation is reused.
-        let data = match spec.kind {
-            ValueKind::F32 => TableData::F32(bits.into_iter().map(f32::from_bits).collect()),
-            ValueKind::I32 => TableData::I32(bits.into_iter().map(|b| b as i32).collect()),
-        };
-        installs.push((data, meta.watermark));
-    }
-    core.install_snapshot(installs)?;
-    Ok((plan.checkpoint, plan.index))
+    let pin = client.snapshot_begin()?;
+    core.install_snapshot(pin.tables.into_iter().map(|s| (s.data, s.watermark)).collect())?;
+    core.note_follower_bootstrap();
+    Ok((pin.checkpoint, pin.index))
 }
 
 /// The tail loop: fetch → decode → replay → verify, re-bootstrapping on a

@@ -65,20 +65,20 @@ pub mod server;
 pub mod table;
 pub mod wal;
 
-pub use client::{LocalClient, ServeClient, SnapshotPlan, TcpClient};
+pub use client::{LocalClient, ServeClient, TcpClient};
 pub use epoch::{EpochReport, ReorderBuffer, ServeStats};
 pub use follower::{FollowStatus, Follower};
 pub use invector_core::tune::{EpochPolicy, PolicyTrace, TraceEntry, TuneConfig};
 pub use invector_replog::SyncPolicy;
 pub use invector_streamkit::{AggOp, StreamKind};
 pub use protocol::{
-    snapshot_checksum, EdgeOp, RejectReason, RequestView, SnapshotAssembler, StatsSummary, Update,
-    UpdatesView, PROTOCOL_VERSION, SNAPSHOT_CHUNK_VALUES,
+    snapshot_checksum, EdgeOp, RejectReason, RequestView, StatsSummary, Update, UpdatesView,
+    PROTOCOL_VERSION,
 };
 pub use reactor::{ReactorKind, Ring};
 pub use server::{
-    LogTailPage, PinnedState, PinnedTable, ServeConfig, Server, ServerCore, Snapshot,
-    SubmitOutcome, TopKPage, TuneMode, WindowSnapshot,
+    LogTailPage, PinnedState, ServeConfig, Server, ServerCore, Snapshot, SubmitOutcome, TopKPage,
+    TuneMode, WindowSnapshot,
 };
 pub use table::{OpKind, SliceReport, TableData, TableSpec, ValueKind};
 pub use wal::{ManifestEntry, WalOptions, WalRecord, WalState};

@@ -21,7 +21,6 @@
 //!   0x06 Shutdown
 //!   0x07 Metrics
 //!   0x08 SnapshotBegin
-//!   0x09 SnapshotChunk table:u16 chunk:u32
 //!   0x0A LogTail   checkpoint:u64 index:u64 max_bytes:u32
 //!   0x0B EdgeOps   table:u16 count:u32 count x (seq:u64 src:u32 dstflag:u32)
 //!                  (dstflag bit 31 set = delete, low 31 bits = dst vertex)
@@ -41,9 +40,7 @@
 //!   0x85 Stats     5 x u64 then 5 x f64 (see [`StatsSummary`])
 //!   0x86 Bye       tables:u16 tables x watermark:u64
 //!   0x87 Metrics   text_len:u32 text:utf8
-//!   0x88 SnapshotMeta checkpoint:u64 index:u64 chunk_values:u32 tables:u16
-//!                  tables x (table:u16 watermark:u64 len:u64 checksum:u32)
-//!   0x89 SnapshotChunk table:u16 chunk:u32 count:u32 count x bits:u32
+//!   0x88 SnapshotMeta checkpoint:u64 index:u64 tables:u16
 //!   0x8A LogRecords checkpoint:u64 next_index:u64 head:u64 reset:u8
 //!                  count:u32 count x (len:u32 bytes)
 //!   0x8B Window    table:u16 watermark:u64 bucket:u64 expired:u64
@@ -53,11 +50,12 @@
 //!   0xFF Error     msg_len:u16 msg:utf8
 //! ```
 //!
-//! The chunked-snapshot verbs (`SnapshotBegin` + `SnapshotChunk`) pin a
-//! consistent all-table state server-side and stream it in bounded frames,
-//! so a table of any size transfers without ever approaching
-//! [`MAX_FRAME_LEN`]; `LogTail` streams the admitted-batch log from the
-//! pinned position — together they are the follower bootstrap path.
+//! `SnapshotBegin` pins a consistent all-table state server-side and is
+//! answered by a `SnapshotMeta` frame, then one ordinary `Snapshot` frame
+//! per table, in table-id order; `LogTail` streams the admitted-batch log
+//! from the pinned position. Together they are the follower bootstrap path.
+//! A `Snapshot` frame is bounded by the table it claims to be, not by
+//! [`MAX_FRAME_LEN`], so a table of any servable size bootstraps.
 
 use std::borrow::Cow;
 use std::io::{Read, Write};
@@ -70,24 +68,28 @@ use crate::table::{OpKind, TableSpec, ValueKind};
 /// change; the server rejects mismatched clients at `Hello`. Version 2
 /// added the `Snapshot` checksum field and the chunked-snapshot /
 /// log-tail verbs; version 3 added stream table kinds to the `Hello`
-/// table registry and the edge-op / window-query / top-k verbs.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// table registry and the edge-op / window-query / top-k verbs; version 4
+/// answers `SnapshotBegin` with a `SnapshotMeta` frame and one `Snapshot`
+/// frame per table, and drops the chunk verb (opcodes 0x09 and 0x89).
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on one frame body, protecting the decoder from hostile or
-/// corrupt length prefixes. A single-frame snapshot is bounded by this
-/// (64 MiB covers a 16M-slot table); larger tables transfer through the
-/// chunked verbs, which never exceed [`SNAPSHOT_CHUNK_VALUES`] values per
-/// frame.
+/// corrupt length prefixes. Every frame but a `Snapshot` reply is held to
+/// it. A `Snapshot` reply is bounded by the table it claims to be: the
+/// client checks its table, its count against that table's announced
+/// length and its length against the count before reading the slots, so
+/// it never allocates more than a table it was told about. A server
+/// refuses tables whose `Snapshot` frame a `u32` length cannot prefix
+/// (over 1,073,741,819 slots).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Values per `SnapshotChunk` frame (4 MiB of payload): the fixed chunk
-/// geometry both sides derive chunk counts from. The last chunk of a table
-/// is the only one allowed to be smaller.
-pub const SNAPSHOT_CHUNK_VALUES: usize = 1 << 20;
+/// The most slots a table may have: a `Snapshot` reply of more could not
+/// be length-prefixed (`19 + 4 * slots` must fit a `u32`).
+pub(crate) const MAX_SNAPSHOT_SLOTS: usize = (u32::MAX as usize - SNAPSHOT_HEADER_LEN) / 4;
 
 /// Checksum of a snapshot value stream: CRC-32 over the slot bit patterns
 /// in slot order, little-endian — the integrity check carried by
-/// `Reply::Snapshot` and verified chunk-assembled transfers.
+/// `Reply::Snapshot`.
 pub fn snapshot_checksum(values: &[u32]) -> u32 {
     slot_crc(values)
 }
@@ -230,8 +232,8 @@ pub(crate) fn read_slots<S: Slot>(
 }
 
 /// Writes a slot image, `count:u32 count x bits:u32` — the layout of the
-/// `Snapshot`, `SnapshotChunk` and `Window` replies and of checkpoint
-/// table records; [`Cursor::slots`] reads it back. The one slot writer.
+/// `Snapshot` and `Window` replies and of checkpoint table records;
+/// [`Cursor::slots`] reads it back. The one slot writer.
 pub(crate) fn write_slots<S: Slot, W: Write + ?Sized>(
     out: &mut W,
     slots: &[S],
@@ -313,16 +315,20 @@ pub(crate) enum SnapshotHead {
     Other(Reply),
 }
 
-/// Reads the front of the reply to a `Snapshot` request from `r`: a
+/// Reads the front of a reply that may be a `Snapshot` from `r`: a
 /// `Snapshot` reply's header, leaving its slot image in the stream for
 /// [`read_slots`] to land where the caller wants it, or any other reply
 /// whole, through `rbuf` (whose allocation is reused), decoded by
 /// [`Reply::decode`]. `Ok(None)` is a clean EOF at a frame boundary.
 ///
+/// A `Snapshot` frame is not held to [`MAX_FRAME_LEN`]: the caller bounds
+/// it by the table it expects before reading the image (`TcpClient`'s one
+/// `Snapshot` frame reader), and [`skip`]s a frame it refuses.
+///
 /// # Errors
 ///
 /// Returns [`ProtoError::Io`] for stream failures and
-/// [`ProtoError::Malformed`] for frames over [`MAX_FRAME_LEN`], a
+/// [`ProtoError::Malformed`] for other frames over [`MAX_FRAME_LEN`], a
 /// `Snapshot` header whose count disagrees with the frame length (the rest
 /// of that frame is skipped, unread into memory, so the stream stays at a
 /// frame boundary) and other replies that do not decode.
@@ -337,6 +343,7 @@ pub(crate) fn read_snapshot_head(
     let got = len.min(SNAPSHOT_HEADER_LEN);
     r.read_exact(&mut head[..got])?;
     if got < SNAPSHOT_HEADER_LEN || head[0] != 0x84 {
+        check_frame_len(len)?;
         rbuf.clear();
         rbuf.extend_from_slice(&head[..got]);
         fill(r, rbuf, len - got)?;
@@ -366,122 +373,6 @@ pub(crate) fn write_snapshot_reply<S: Slot, W: Write + ?Sized>(
     out.write_all(&watermark.to_le_bytes())?;
     out.write_all(&checksum.to_le_bytes())?;
     write_slots(out, slots)
-}
-
-/// Reassembles one table's value stream from `SnapshotChunk` replies.
-///
-/// Chunks must arrive strictly in order (`0, 1, 2, …`): the assembler
-/// rejects an out-of-order or repeated chunk id immediately rather than
-/// buffering holes, so a scrambled transfer fails deterministically at the
-/// first wrong frame. [`SnapshotAssembler::finish`] then verifies the total
-/// length and the checksum announced in `SnapshotMeta`, making a chunked
-/// transfer exactly as trustworthy as a single checksummed frame.
-#[derive(Debug)]
-pub struct SnapshotAssembler {
-    table: u16,
-    expected_len: usize,
-    expected_checksum: u32,
-    chunk_values: usize,
-    next_chunk: u32,
-    values: Vec<u32>,
-}
-
-impl SnapshotAssembler {
-    /// Starts assembly for `table` from its `SnapshotMeta` row and the
-    /// transfer's chunk geometry.
-    pub fn new(table: u16, len: u64, checksum: u32, chunk_values: u32) -> SnapshotAssembler {
-        SnapshotAssembler {
-            table,
-            expected_len: len as usize,
-            expected_checksum: checksum,
-            chunk_values: (chunk_values as usize).max(1),
-            next_chunk: 0,
-            values: Vec::new(),
-        }
-    }
-
-    /// Number of chunks the full transfer takes (an empty table is a
-    /// zero-chunk transfer).
-    pub fn chunk_count(&self) -> u32 {
-        (self.expected_len.div_ceil(self.chunk_values)) as u32
-    }
-
-    /// The next chunk id [`push`](Self::push) will accept.
-    pub fn next_chunk(&self) -> u32 {
-        self.next_chunk
-    }
-
-    /// True once every chunk has been pushed.
-    pub fn complete(&self) -> bool {
-        self.next_chunk == self.chunk_count()
-    }
-
-    /// Accepts the next chunk in sequence.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a chunk for the wrong table, an out-of-order or repeated
-    /// chunk id, a full-size chunk that is not exactly `chunk_values` long,
-    /// or a final chunk that overruns the announced length.
-    pub fn push(&mut self, table: u16, chunk: u32, values: &[u32]) -> Result<(), ProtoError> {
-        if table != self.table {
-            return Err(ProtoError::Malformed(format!(
-                "snapshot chunk for table {table}, expected table {}",
-                self.table
-            )));
-        }
-        if chunk != self.next_chunk {
-            return Err(ProtoError::Malformed(format!(
-                "out-of-order snapshot chunk {chunk}, expected {}",
-                self.next_chunk
-            )));
-        }
-        if chunk >= self.chunk_count() {
-            return Err(ProtoError::Malformed(format!(
-                "snapshot chunk {chunk} beyond the {}-chunk transfer",
-                self.chunk_count()
-            )));
-        }
-        let expected = if (chunk + 1) == self.chunk_count() {
-            self.expected_len - self.chunk_values * chunk as usize
-        } else {
-            self.chunk_values
-        };
-        if values.len() != expected {
-            return Err(ProtoError::Malformed(format!(
-                "snapshot chunk {chunk} carries {} values, expected {expected}",
-                values.len()
-            )));
-        }
-        self.values.extend_from_slice(values);
-        self.next_chunk += 1;
-        Ok(())
-    }
-
-    /// Verifies completeness and checksum, yielding the value stream.
-    ///
-    /// # Errors
-    ///
-    /// Fails if chunks are missing or the assembled stream's checksum does
-    /// not match the one announced in `SnapshotMeta`.
-    pub fn finish(self) -> Result<Vec<u32>, ProtoError> {
-        if !self.complete() {
-            return Err(ProtoError::Malformed(format!(
-                "snapshot transfer incomplete: {} of {} chunks",
-                self.next_chunk,
-                self.chunk_count()
-            )));
-        }
-        debug_assert_eq!(self.values.len(), self.expected_len);
-        let got = snapshot_checksum(&self.values);
-        if got != self.expected_checksum {
-            return Err(ProtoError::Malformed(format!(
-                "snapshot checksum mismatch for table {}: computed {got:#010x}, announced {:#010x}",
-                self.table, self.expected_checksum
-            )));
-        }
-        Ok(self.values)
-    }
 }
 
 /// One associative update: apply `value` (a raw 32-bit pattern) to
@@ -696,17 +587,9 @@ pub enum Request {
     /// registries (additive in protocol version 1).
     Metrics,
     /// Pin a consistent all-table snapshot plus the matching log position
-    /// for chunked transfer; answered by `SnapshotMeta`. Re-pinning
-    /// releases the previous pin on the same connection.
+    /// (the follower bootstrap); answered by `SnapshotMeta`, then one
+    /// `Snapshot` reply per table, in table-id order.
     SnapshotBegin,
-    /// Fetch one chunk of a pinned table ([`SNAPSHOT_CHUNK_VALUES`] values
-    /// per chunk, the final chunk possibly smaller).
-    SnapshotChunk {
-        /// Table id.
-        table: u16,
-        /// Zero-based chunk index.
-        chunk: u32,
-    },
     /// Stream admitted-batch log records from `(checkpoint, index)`,
     /// bounded by `max_bytes` of payload per reply.
     LogTail {
@@ -796,26 +679,16 @@ pub enum Reply {
         /// Applied watermark per table, in id order.
         watermarks: Vec<u64>,
     },
-    /// Answer to `SnapshotBegin`: the pinned state's geometry.
+    /// Answer to `SnapshotBegin`: the pinned log position and the number
+    /// of `Snapshot` replies that follow, one per table in id order.
     SnapshotMeta {
         /// Checkpoint epoch of the pinned log position.
         checkpoint: u64,
         /// Record index of the pinned log position (the first record a
         /// tail from this pin should fetch).
         index: u64,
-        /// Chunk geometry the server will answer `SnapshotChunk` with.
-        chunk_values: u32,
-        /// Per-table geometry of the pinned snapshot, in id order.
-        tables: Vec<SnapshotMetaTable>,
-    },
-    /// One chunk of a pinned table's value stream.
-    SnapshotChunk {
-        /// Table id.
-        table: u16,
-        /// Zero-based chunk index.
-        chunk: u32,
-        /// Value bit patterns of this chunk, in slot order.
-        values: Vec<u32>,
+        /// Tables pinned: the `Snapshot` replies that follow.
+        tables: u16,
     },
     /// Answer to `LogTail`: admitted-batch log records from the requested
     /// position.
@@ -861,20 +734,6 @@ pub enum Reply {
     },
     /// The request could not be served.
     Error(String),
-}
-
-/// One table's entry in a `SnapshotMeta` reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMetaTable {
-    /// Table id.
-    pub table: u16,
-    /// Applied watermark of the pinned state.
-    pub watermark: u64,
-    /// Slot count (chunk count is `len.div_ceil(chunk_values)`).
-    pub len: u64,
-    /// [`snapshot_checksum`] of the table's full value stream; verified
-    /// after chunk reassembly.
-    pub checksum: u32,
 }
 
 /// Decode/transport failure.
@@ -1128,15 +987,8 @@ pub enum RequestView<'a> {
     Shutdown,
     /// Request the Prometheus exposition.
     Metrics,
-    /// Pin a consistent state for chunked transfer.
+    /// Pin a consistent state for the follower bootstrap.
     SnapshotBegin,
-    /// Fetch one chunk of a pinned table.
-    SnapshotChunk {
-        /// Table id.
-        table: u16,
-        /// Zero-based chunk index.
-        chunk: u32,
-    },
     /// Stream log records from a position.
     LogTail {
         /// Checkpoint epoch the index counts from.
@@ -1188,7 +1040,6 @@ impl<'a> RequestView<'a> {
             0x06 => RequestView::Shutdown,
             0x07 => RequestView::Metrics,
             0x08 => RequestView::SnapshotBegin,
-            0x09 => RequestView::SnapshotChunk { table: c.u16()?, chunk: c.u32()? },
             0x0A => {
                 RequestView::LogTail { checkpoint: c.u64()?, index: c.u64()?, max_bytes: c.u32()? }
             }
@@ -1214,7 +1065,6 @@ impl<'a> RequestView<'a> {
             RequestView::Shutdown => Request::Shutdown,
             RequestView::Metrics => Request::Metrics,
             RequestView::SnapshotBegin => Request::SnapshotBegin,
-            RequestView::SnapshotChunk { table, chunk } => Request::SnapshotChunk { table, chunk },
             RequestView::LogTail { checkpoint, index, max_bytes } => {
                 Request::LogTail { checkpoint, index, max_bytes }
             }
@@ -1252,11 +1102,6 @@ impl Request {
             Request::Shutdown => out.push(0x06),
             Request::Metrics => out.push(0x07),
             Request::SnapshotBegin => out.push(0x08),
-            Request::SnapshotChunk { table, chunk } => {
-                out.push(0x09);
-                put_u16(&mut out, *table);
-                put_u32(&mut out, *chunk);
-            }
             Request::LogTail { checkpoint, index, max_bytes } => {
                 out.push(0x0A);
                 put_u64(&mut out, *checkpoint);
@@ -1423,25 +1268,11 @@ impl Reply {
                     put_u64(&mut out, w);
                 }
             }
-            Reply::SnapshotMeta { checkpoint, index, chunk_values, tables } => {
+            Reply::SnapshotMeta { checkpoint, index, tables } => {
                 out.push(0x88);
                 put_u64(&mut out, *checkpoint);
                 put_u64(&mut out, *index);
-                put_u32(&mut out, *chunk_values);
-                put_u16(&mut out, tables.len() as u16);
-                for t in tables {
-                    put_u16(&mut out, t.table);
-                    put_u64(&mut out, t.watermark);
-                    put_u64(&mut out, t.len);
-                    put_u32(&mut out, t.checksum);
-                }
-            }
-            Reply::SnapshotChunk { table, chunk, values } => {
-                out.reserve(11 + 4 * values.len());
-                out.push(0x89);
-                put_u16(&mut out, *table);
-                put_u32(&mut out, *chunk);
-                put_slots(&mut out, values);
+                put_u16(&mut out, *tables);
             }
             Reply::LogRecords { checkpoint, next_index, head, reset, records } => {
                 out.push(0x8A);
@@ -1546,23 +1377,7 @@ impl Reply {
                 }
                 Reply::Bye { watermarks }
             }
-            0x88 => {
-                let checkpoint = c.u64()?;
-                let index = c.u64()?;
-                let chunk_values = c.u32()?;
-                let count = c.u16()? as usize;
-                let mut tables = Vec::with_capacity(count);
-                for _ in 0..count {
-                    tables.push(SnapshotMetaTable {
-                        table: c.u16()?,
-                        watermark: c.u64()?,
-                        len: c.u64()?,
-                        checksum: c.u32()?,
-                    });
-                }
-                Reply::SnapshotMeta { checkpoint, index, chunk_values, tables }
-            }
-            0x89 => Reply::SnapshotChunk { table: c.u16()?, chunk: c.u32()?, values: c.slots()? },
+            0x88 => Reply::SnapshotMeta { checkpoint: c.u64()?, index: c.u64()?, tables: c.u16()? },
             0x8A => {
                 let checkpoint = c.u64()?;
                 let next_index = c.u64()?;
@@ -1651,13 +1466,14 @@ pub(crate) fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<b
     let Some(len) = read_frame_len(r)? else {
         return Ok(false);
     };
+    check_frame_len(len)?;
     body.clear();
     fill(r, body, len)?;
     Ok(true)
 }
 
-/// Reads a frame's length prefix and checks it against [`MAX_FRAME_LEN`].
-/// `Ok(None)` is a clean EOF before the prefix.
+/// Reads a frame's length prefix. `Ok(None)` is a clean EOF before the
+/// prefix.
 fn read_frame_len(r: &mut impl Read) -> Result<Option<usize>, ProtoError> {
     let mut len = [0u8; 4];
     let mut filled = 0;
@@ -1673,11 +1489,16 @@ fn read_frame_len(r: &mut impl Read) -> Result<Option<usize>, ProtoError> {
             n => filled += n,
         }
     }
-    let len = u32::from_le_bytes(len) as usize;
+    Ok(Some(u32::from_le_bytes(len) as usize))
+}
+
+/// Refuses a frame body over [`MAX_FRAME_LEN`] before anything is read
+/// into memory for it.
+fn check_frame_len(len: usize) -> Result<(), ProtoError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::Malformed(format!("frame of {len} bytes exceeds limit")));
     }
-    Ok(Some(len))
+    Ok(())
 }
 
 /// Appends exactly `n` bytes from `r` to `buf`, in its spare capacity.
@@ -1730,7 +1551,6 @@ mod tests {
         round_trip_request(Request::Shutdown);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::SnapshotBegin);
-        round_trip_request(Request::SnapshotChunk { table: 9, chunk: u32::MAX });
         round_trip_request(Request::LogTail { checkpoint: 7, index: 1 << 40, max_bytes: 65536 });
         round_trip_request(Request::EdgeOps {
             table: 4,
@@ -1774,21 +1594,8 @@ mod tests {
             checksum: snapshot_checksum(&values),
             values,
         });
-        round_trip_reply(Reply::SnapshotMeta {
-            checkpoint: 3,
-            index: 41,
-            chunk_values: SNAPSHOT_CHUNK_VALUES as u32,
-            tables: vec![
-                SnapshotMetaTable {
-                    table: 0,
-                    watermark: 1024,
-                    len: 1 << 24,
-                    checksum: 0xdead_beef,
-                },
-                SnapshotMetaTable { table: 1, watermark: 0, len: 0, checksum: 0 },
-            ],
-        });
-        round_trip_reply(Reply::SnapshotChunk { table: 1, chunk: 17, values: vec![5, 0, 9] });
+        round_trip_reply(Reply::SnapshotMeta { checkpoint: 3, index: 41, tables: 2 });
+        round_trip_reply(Reply::SnapshotMeta { checkpoint: u64::MAX, index: 0, tables: 0 });
         round_trip_reply(Reply::LogRecords {
             checkpoint: 3,
             next_index: 44,
@@ -1900,11 +1707,6 @@ mod tests {
         let reset_at = 1 + 8 + 8 + 8;
         body[reset_at] = 2;
         assert!(Reply::decode(&body).is_err());
-        // SnapshotChunk whose count field exceeds what the frame holds.
-        let mut body = vec![0x89, 0, 0];
-        body.extend_from_slice(&7u32.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Reply::decode(&body).is_err());
         // LogRecords record length running past the frame.
         let mut body = vec![0x8A];
         body.extend_from_slice(&1u64.to_le_bytes());
@@ -1914,55 +1716,5 @@ mod tests {
         body.extend_from_slice(&1u32.to_le_bytes());
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Reply::decode(&body).is_err());
-    }
-
-    #[test]
-    fn snapshot_assembler_accepts_an_in_order_transfer() {
-        let values: Vec<u32> = (0..10).collect();
-        let mut asm = SnapshotAssembler::new(2, 10, snapshot_checksum(&values), 4);
-        assert_eq!(asm.chunk_count(), 3);
-        asm.push(2, 0, &values[0..4]).unwrap();
-        asm.push(2, 1, &values[4..8]).unwrap();
-        assert!(!asm.complete());
-        asm.push(2, 2, &values[8..10]).unwrap();
-        assert!(asm.complete());
-        assert_eq!(asm.finish().unwrap(), values);
-    }
-
-    #[test]
-    fn snapshot_assembler_rejects_out_of_order_and_corrupt_chunks() {
-        let values: Vec<u32> = (0..8).collect();
-        let checksum = snapshot_checksum(&values);
-        // Skipped chunk id.
-        let mut asm = SnapshotAssembler::new(0, 8, checksum, 4);
-        assert!(asm.push(0, 1, &values[4..8]).is_err());
-        // Repeated chunk id.
-        asm.push(0, 0, &values[0..4]).unwrap();
-        assert!(asm.push(0, 0, &values[0..4]).is_err());
-        // Wrong table.
-        assert!(asm.push(1, 1, &values[4..8]).is_err());
-        // Wrong chunk size for a non-final chunk.
-        let mut asm = SnapshotAssembler::new(0, 8, checksum, 4);
-        assert!(asm.push(0, 0, &values[0..3]).is_err());
-        // Chunk past the end of the transfer.
-        let mut asm = SnapshotAssembler::new(0, 8, checksum, 4);
-        asm.push(0, 0, &values[0..4]).unwrap();
-        asm.push(0, 1, &values[4..8]).unwrap();
-        assert!(asm.push(0, 2, &[]).is_err());
-        // Incomplete transfer refuses to finish.
-        let mut asm = SnapshotAssembler::new(0, 8, checksum, 4);
-        asm.push(0, 0, &values[0..4]).unwrap();
-        assert!(asm.finish().is_err());
-        // Bit flip fails the final checksum, not any per-chunk step.
-        let mut asm = SnapshotAssembler::new(0, 8, checksum, 4);
-        let mut flipped = values.clone();
-        flipped[6] ^= 1;
-        asm.push(0, 0, &flipped[0..4]).unwrap();
-        asm.push(0, 1, &flipped[4..8]).unwrap();
-        assert!(asm.finish().is_err());
-        // Empty table: zero chunks, immediate finish.
-        let asm = SnapshotAssembler::new(0, 0, snapshot_checksum(&[]), 4);
-        assert!(asm.complete());
-        assert_eq!(asm.finish().unwrap(), Vec::<u32>::new());
     }
 }

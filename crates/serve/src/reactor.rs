@@ -33,10 +33,9 @@ use std::time::{Duration, Instant};
 use invector_obs::{Counter, Registry};
 
 use crate::protocol::{
-    snapshot_reply_len, ProtoError, Reply, RequestView, SnapshotMetaTable, MAX_FRAME_LEN,
-    PROTOCOL_VERSION, SNAPSHOT_CHUNK_VALUES,
+    snapshot_reply_len, ProtoError, Reply, RequestView, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use crate::server::{PinnedState, ServerCore, SubmitOutcome};
+use crate::server::{ServerCore, Snapshot, SubmitOutcome};
 
 /// Which readiness backend the reactor drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -739,9 +738,6 @@ struct Conn {
     read_paused: bool,
     /// Interest bits currently registered with the poller.
     interest: u8,
-    /// State pinned by `SnapshotBegin` for chunked transfer; replaced by
-    /// the next `SnapshotBegin`, dropped with the connection.
-    pinned: Option<std::sync::Arc<crate::server::PinnedState>>,
 }
 
 impl Conn {
@@ -757,7 +753,6 @@ impl Conn {
             peer_eof: false,
             read_paused: false,
             interest: INTEREST_READ,
-            pinned: None,
         }
     }
 
@@ -794,6 +789,24 @@ impl Write for Outbound<'_> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+/// Writes reply frames through [`Outbound`]: `write` writes them, length
+/// prefixes included, and they should come to `len` bytes. A write that
+/// fails, or a reply of other than `len` bytes, leaves the stream unusable,
+/// so the connection closes.
+fn stream_reply<E>(
+    stream: &TcpStream,
+    wbuf: &mut Ring,
+    closing: &mut bool,
+    len: usize,
+    write: impl FnOnce(&mut BufWriter<Outbound<'_>>) -> Result<(), E>,
+) {
+    let mut out = BufWriter::with_capacity(64, Outbound { stream, ring: wbuf, written: 0 });
+    let sent = write(&mut out).is_ok() && out.flush().is_ok();
+    if !sent || out.get_ref().written != len {
+        *closing = true;
     }
 }
 
@@ -1152,7 +1165,7 @@ fn process(conn: &mut Conn, shared: &Shared, _stopping: bool) -> Result<(), ()> 
     let write_cap = shared.core.config().write_buffer_cap;
     // Disjoint field borrows: the decoded frame borrows rbuf/scratch while
     // the reply path mutates wbuf/greeted/closing.
-    let Conn { stream, rbuf, scratch, wbuf, greeted, closing, pinned, .. } = conn;
+    let Conn { stream, rbuf, scratch, wbuf, greeted, closing, .. } = conn;
     loop {
         if *closing || wbuf.len() >= write_cap {
             return Ok(());
@@ -1176,7 +1189,7 @@ fn process(conn: &mut Conn, shared: &Shared, _stopping: bool) -> Result<(), ()> 
             }
             Err(ProtoError::Io(_)) => return Err(()),
         };
-        respond(greeted, closing, pinned, wbuf, stream, shared, request);
+        respond(greeted, closing, wbuf, stream, shared, request);
     }
 }
 
@@ -1186,7 +1199,6 @@ fn process(conn: &mut Conn, shared: &Shared, _stopping: bool) -> Result<(), ()> 
 fn respond(
     greeted: &mut bool,
     closing: &mut bool,
-    pinned: &mut Option<std::sync::Arc<crate::server::PinnedState>>,
     wbuf: &mut Ring,
     stream: &TcpStream,
     shared: &Shared,
@@ -1257,53 +1269,40 @@ fn respond(
                 // when nothing is queued ahead of it, so the kernel's copy
                 // is the only one; what the socket does not take goes into
                 // the ring, which is sized from the spec before the lock is
-                // taken. A frame cut short, or of other than its announced
-                // length, leaves the stream unusable, so the connection
-                // closes.
+                // taken.
                 let len = snapshot_reply_len(spec.len);
                 wbuf.reserve(4 + len);
-                let mut out =
-                    BufWriter::with_capacity(64, Outbound { stream, ring: wbuf, written: 0 });
-                let sent = out
-                    .write_all(&(len as u32).to_le_bytes())
-                    .map_err(|e| e.to_string())
-                    .and_then(|()| core.write_snapshot_reply(table, &mut out))
-                    .and_then(|()| out.flush().map_err(|e| e.to_string()));
-                if sent.is_err() || out.get_ref().written != 4 + len {
-                    *closing = true;
-                }
+                stream_reply(stream, wbuf, closing, 4 + len, |out| {
+                    out.write_all(&(len as u32).to_le_bytes()).map_err(|e| e.to_string())?;
+                    core.write_snapshot_reply(table, out)
+                });
                 return;
             }
         },
         (true, RequestView::SnapshotBegin) => {
+            // Pinned under the tick lock; the meta frame and one `Snapshot`
+            // frame per table are written from the pin with no lock held,
+            // and the pin is dropped once they are written or queued.
             let pin = core.pin_state();
-            let tables = pin
-                .tables
-                .iter()
-                .enumerate()
-                .map(|(t, p)| SnapshotMetaTable {
-                    table: t as u16,
-                    watermark: p.watermark,
-                    len: p.bits.len() as u64,
-                    checksum: p.checksum,
-                })
-                .collect();
-            let reply = Reply::SnapshotMeta {
+            let meta = Reply::SnapshotMeta {
                 checkpoint: pin.checkpoint,
                 index: pin.index,
-                chunk_values: SNAPSHOT_CHUNK_VALUES as u32,
-                tables,
-            };
-            *pinned = Some(pin);
-            reply
+                tables: pin.tables.len() as u16,
+            }
+            .encode();
+            let len = |snap: &Snapshot| snapshot_reply_len(snap.data.len());
+            let total = 4 + meta.len() + pin.tables.iter().map(|s| 4 + len(s)).sum::<usize>();
+            stream_reply(stream, wbuf, closing, total, |out| {
+                out.write_all(&(meta.len() as u32).to_le_bytes())?;
+                out.write_all(&meta)?;
+                for snap in &pin.tables {
+                    out.write_all(&(len(snap) as u32).to_le_bytes())?;
+                    snap.write_reply(out)?;
+                }
+                Ok::<_, std::io::Error>(())
+            });
+            return;
         }
-        (true, RequestView::SnapshotChunk { table, chunk }) => match pinned.as_deref() {
-            None => Reply::Error("SnapshotChunk before SnapshotBegin".into()),
-            Some(pin) => match chunk_of(pin, table, chunk) {
-                Ok(values) => Reply::SnapshotChunk { table, chunk, values },
-                Err(m) => Reply::Error(m),
-            },
-        },
         (true, RequestView::LogTail { checkpoint, index, max_bytes }) => {
             match core.log_tail(checkpoint, index, max_bytes) {
                 Ok(page) => Reply::LogRecords {
@@ -1326,22 +1325,6 @@ fn respond(
         }
     };
     queue_reply(wbuf, &reply);
-}
-
-/// One chunk of a pinned table's bit stream, by fixed
-/// [`SNAPSHOT_CHUNK_VALUES`] geometry.
-fn chunk_of(pin: &PinnedState, table: u16, chunk: u32) -> Result<Vec<u32>, String> {
-    let bits = &pin
-        .tables
-        .get(table as usize)
-        .ok_or_else(|| format!("unknown table {table} in pinned state"))?
-        .bits;
-    let start = (chunk as usize) * SNAPSHOT_CHUNK_VALUES;
-    if start >= bits.len() && !(bits.is_empty() && chunk == 0) {
-        return Err(format!("chunk {chunk} beyond table {table} of {} values", bits.len()));
-    }
-    let end = (start + SNAPSHOT_CHUNK_VALUES).min(bits.len());
-    Ok(bits[start..end.max(start)].to_vec())
 }
 
 #[cfg(test)]

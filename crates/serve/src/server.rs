@@ -31,11 +31,13 @@ use invector_streamkit::{StreamKind, ValueRepr};
 use crate::epoch::{Admitted, EpochReport, ServeStats, Staging};
 use crate::protocol::{
     write_snapshot_reply, EdgeOp, RejectReason, StatsSummary, Update, UpdatesView,
+    MAX_SNAPSHOT_SLOTS,
 };
 use crate::reactor::{self, ReactorKind};
 use crate::table::{TableData, TableSpec, TableState, ValueKind};
 use crate::wal::{
-    checkpoint_table_len, encode_checkpoint_table, ManifestEntry, WalOptions, WalRecord, WalState,
+    batch_record_len, checkpoint_table_len, encode_checkpoint_table, ManifestEntry, WalOptions,
+    WalRecord, WalState,
 };
 
 /// Server configuration: the resident tables plus sizing/batching knobs.
@@ -152,9 +154,13 @@ impl ServeConfig {
         if let Some(t) = self.tables.iter().find(|t| t.len == 0) {
             return Err(format!("table '{}' has zero slots", t.name));
         }
-        // Keys travel to the kernel as `i32` columns.
-        if let Some(t) = self.tables.iter().find(|t| t.len > i32::MAX as usize) {
-            return Err(format!("table '{}' has more slots than i32 keys address", t.name));
+        // A `Snapshot` reply is length-prefixed by a `u32`. The bound also
+        // keeps every key an `i32`, as the kernel's key columns need.
+        if let Some(t) = self.tables.iter().find(|t| t.len > MAX_SNAPSHOT_SLOTS) {
+            return Err(format!(
+                "table '{}' has {} slots; a Snapshot reply carries at most {MAX_SNAPSHOT_SLOTS}",
+                t.name, t.len
+            ));
         }
         for t in &self.tables {
             t.validate_stream().map_err(|e| format!("table '{}': {e}", t.name))?;
@@ -178,6 +184,43 @@ impl ServeConfig {
             return Err("a WAL cannot be combined with online tuning (TuneMode::Auto); \
                         record a policy trace and use TuneMode::Replay"
                 .into());
+        }
+        if self.wal.is_some() {
+            self.validate_log_records()?;
+        }
+        Ok(())
+    }
+
+    /// Refuses a durable configuration whose checkpoint or batch records
+    /// would not fit one log record: the log refuses to write a longer
+    /// one, and recovery would read it as a torn tail.
+    fn validate_log_records(&self) -> Result<(), String> {
+        let limit = invector_replog::MAX_RECORD_LEN;
+        if let Some(t) = self.tables.iter().find(|t| checkpoint_table_len(t.len) > limit) {
+            return Err(format!(
+                "table '{}' has {} slots; its checkpoint record of {} bytes exceeds the log's \
+                 {limit}-byte record limit",
+                t.name,
+                t.len,
+                checkpoint_table_len(t.len)
+            ));
+        }
+        // A slice is at most one quantum of the policy in effect, and never
+        // more than the reorder window admits past the watermark.
+        let quantum = match &self.tune {
+            TuneMode::Replay(trace) => {
+                trace.iter().map(|e| e.policy.quantum).fold(self.quantum, usize::max)
+            }
+            _ => self.quantum,
+        };
+        let slice = (quantum as u64).min(self.window) as usize;
+        if batch_record_len(slice) > limit {
+            return Err(format!(
+                "slices of up to {slice} updates (quantum {quantum}, reorder window {}) make \
+                 batch records of {} bytes, over the log's {limit}-byte record limit",
+                self.window,
+                batch_record_len(slice)
+            ));
         }
         Ok(())
     }
@@ -229,6 +272,37 @@ impl Snapshot {
     pub fn bits(&self) -> Vec<u32> {
         self.data.to_bits()
     }
+
+    /// One table's snapshot, read under its lock.
+    fn of(table: u16, state: &TableState) -> Snapshot {
+        Snapshot {
+            table,
+            watermark: state.watermark(),
+            checksum: state.checksum(),
+            data: state.data().clone(),
+        }
+    }
+
+    /// Writes the snapshot as a `Snapshot` reply body
+    /// ([`write_table_reply`]).
+    pub(crate) fn write_reply(&self, out: &mut impl Write) -> std::io::Result<()> {
+        write_table_reply(out, self.table, self.watermark, self.checksum, &self.data)
+    }
+}
+
+/// Writes a `Snapshot` reply body over typed slots: header, then the slot
+/// image, read in place.
+fn write_table_reply(
+    out: &mut impl Write,
+    table: u16,
+    watermark: u64,
+    checksum: u32,
+    data: &TableData,
+) -> std::io::Result<()> {
+    match data {
+        TableData::F32(v) => write_snapshot_reply(out, table, watermark, checksum, v),
+        TableData::I32(v) => write_snapshot_reply(out, table, watermark, checksum, v),
+    }
 }
 
 /// One window-bucket read ([`ServerCore::window_query`]): the bucket's
@@ -260,10 +334,12 @@ pub struct TopKPage {
     pub entries: Vec<(u32, u32)>,
 }
 
-/// A consistent all-table state pinned for chunked transfer
-/// ([`ServerCore::pin_state`]): every table at the same epoch boundary,
-/// plus the log position the tables correspond to — the follower
-/// bootstrap point.
+/// A consistent all-table state ([`ServerCore::pin_state`]): every table
+/// at the same epoch boundary, plus the log position the tables
+/// correspond to — the follower bootstrap point. The leader pins one per
+/// `SnapshotBegin` and drops it once the reply is written;
+/// [`TcpClient::snapshot_begin`](crate::TcpClient::snapshot_begin) returns
+/// the one it received.
 #[derive(Debug)]
 pub struct PinnedState {
     /// Checkpoint generation of the pinned log position.
@@ -271,19 +347,8 @@ pub struct PinnedState {
     /// Log index within the generation (records before it are already
     /// folded into the pinned tables).
     pub index: u64,
-    /// Per-table pinned contents, in id order.
-    pub tables: Vec<PinnedTable>,
-}
-
-/// One table inside a [`PinnedState`].
-#[derive(Debug)]
-pub struct PinnedTable {
-    /// Applied watermark at the pin point.
-    pub watermark: u64,
-    /// CRC-32 over `bits` ([`crate::protocol::snapshot_checksum`]).
-    pub checksum: u32,
-    /// Slot bit patterns at the pin point.
-    pub bits: Vec<u32>,
+    /// Every table's snapshot at the pin point, in id order.
+    pub tables: Vec<Snapshot>,
 }
 
 /// A follower's log-tail fetch result ([`ServerCore::log_tail`]).
@@ -576,7 +641,7 @@ impl ServerCore {
             return self.reject(0, total, RejectReason::Draining);
         }
         let limit = self.watermarks[t].load(Ordering::Acquire).saturating_add(self.config.window);
-        // `validate` bounds every table's slot count by `i32::MAX`.
+        // `validate` bounds every table's slot count below `i32::MAX`.
         let Admitted { accepted, refused } =
             staged.admit(updates, spec.len as u32, limit, self.backend);
         // Counted under the lock: the epoch subtracts what it takes under
@@ -938,9 +1003,7 @@ impl ServerCore {
             .ok_or_else(|| format!("unknown table {table}"))?
             .lock()
             .expect("table lock");
-        let data = state.data().clone();
-        let checksum = state.checksum();
-        Ok(Snapshot { table, watermark: state.watermark(), checksum, data })
+        Ok(Snapshot::of(table, &state))
     }
 
     /// Writes one table's `Snapshot` reply body — header, then slot image —
@@ -959,12 +1022,8 @@ impl ServerCore {
             .ok_or_else(|| format!("unknown table {table}"))?
             .lock()
             .expect("table lock");
-        let (watermark, checksum) = (state.watermark(), state.checksum());
-        match state.data() {
-            TableData::F32(v) => write_snapshot_reply(out, table, watermark, checksum, v),
-            TableData::I32(v) => write_snapshot_reply(out, table, watermark, checksum, v),
-        }
-        .map_err(|e| format!("write snapshot of table {table}: {e}"))
+        write_table_reply(out, table, state.watermark(), state.checksum(), state.data())
+            .map_err(|e| format!("write snapshot of table {table}: {e}"))
     }
 
     /// Admits a batch of edge ops for a graph stream table (the `EdgeOps`
@@ -1109,26 +1168,21 @@ impl ServerCore {
         Ok(TopKPage { table, watermark: state.watermark(), entries })
     }
 
-    /// Pins a consistent all-table state for chunked transfer: every
-    /// table's bits at one epoch boundary, plus the log position they
-    /// correspond to (generation 0, index 0 without a WAL). Runs under
-    /// the tick lock so no epoch can interleave between tables.
-    pub fn pin_state(&self) -> Arc<PinnedState> {
+    /// Pins a consistent all-table state (the follower bootstrap): a copy
+    /// of every table at one epoch boundary, plus the log position it
+    /// corresponds to (generation 0, index 0 without a WAL). Runs under the
+    /// tick lock so no epoch can interleave between tables; the copy is
+    /// what the reactor writes to the socket, with no lock held.
+    pub fn pin_state(&self) -> PinnedState {
         let epoch = self.tick_lock.lock().expect("tick lock");
         let (checkpoint, index) = epoch.wal.as_ref().map_or((0, 0), |w| (w.checkpoint(), w.head()));
         let tables = self
             .tables
             .iter()
-            .map(|table| {
-                let state = table.lock().expect("table lock");
-                PinnedTable {
-                    watermark: state.watermark(),
-                    checksum: state.checksum(),
-                    bits: state.data().to_bits(),
-                }
-            })
+            .enumerate()
+            .map(|(t, table)| Snapshot::of(t as u16, &table.lock().expect("table lock")))
             .collect();
-        Arc::new(PinnedState { checkpoint, index, tables })
+        PinnedState { checkpoint, index, tables }
     }
 
     /// Serves a follower's log fetch from `index` within `checkpoint`. The
@@ -1181,9 +1235,9 @@ impl ServerCore {
         self.read_only.store(read_only, Ordering::Release);
     }
 
-    /// Installs bootstrap state on a fresh core: every table's bits and
-    /// watermark from an assembled snapshot transfer (follower) or a
-    /// recovered checkpoint (restart).
+    /// Installs bootstrap state on a fresh core: every table's contents and
+    /// watermark from a leader's pinned state (follower) or a recovered
+    /// checkpoint (restart).
     ///
     /// # Errors
     ///
@@ -1270,6 +1324,11 @@ impl ServerCore {
     /// The follower-lag gauge hook (records still to fetch).
     pub fn note_follower_lag(&self, records: u64) {
         self.stats.set_follower_lag(records);
+    }
+
+    /// The follower-bootstrap counter hook: one pinned state installed.
+    pub fn note_follower_bootstrap(&self) {
+        self.stats.record_follower_bootstrap();
     }
 
     /// Current aggregate statistics, after any epoch still folding on the
@@ -1536,6 +1595,57 @@ mod tests {
         let mut c = config();
         c.tables[0].len = i32::MAX as usize + 1;
         assert!(ServerCore::new(c).is_err());
+    }
+
+    #[test]
+    fn tables_and_slices_the_formats_cannot_frame_are_refused() {
+        // `ServerCore::new` validates before it allocates a table or opens a
+        // log, so checking `validate` alone allocates nothing.
+        let refused = |c: ServeConfig| c.validate().expect_err("refused");
+        let mut c = config();
+        c.tables[0].len = MAX_SNAPSHOT_SLOTS + 1;
+        let err = refused(c.clone());
+        assert_eq!(
+            err,
+            "table 'counts' has 1073741820 slots; a Snapshot reply carries at most 1073741819"
+        );
+        c.tables[0].len = MAX_SNAPSHOT_SLOTS;
+        assert_eq!(c.validate(), Ok(()), "the largest table whose reply can be framed");
+
+        let durable = || ServeConfig { wal: Some(WalOptions::new("unused")), ..config() };
+        let mut c = durable();
+        c.tables[1].len = 67_108_861;
+        let err = refused(c.clone());
+        assert_eq!(
+            err,
+            "table 'mins' has 67108861 slots; its checkpoint record of 268435458 bytes exceeds \
+             the log's 268435456-byte record limit"
+        );
+        c.tables[1].len = 67_108_860;
+        assert_eq!(c.validate(), Ok(()), "the largest table a checkpoint record carries");
+
+        // A slice is at most the quantum, and at most the reorder window.
+        let mut c = durable();
+        (c.quantum, c.window) = (1 << 24, 1 << 30);
+        let err = refused(c.clone());
+        assert_eq!(
+            err,
+            "slices of up to 16777216 updates (quantum 16777216, reorder window 1073741824) make \
+             batch records of 268435463 bytes, over the log's 268435456-byte record limit"
+        );
+        c.window = (1 << 24) - 1;
+        assert_eq!(c.validate(), Ok(()), "the window bounds the slice");
+        (c.quantum, c.window) = ((1 << 24) - 1, 1 << 30);
+        assert_eq!(c.validate(), Ok(()), "the largest slice a batch record carries");
+        // A replayed trace's largest quantum counts as well.
+        let mut c = durable();
+        c.window = 1 << 30;
+        let policy = EpochPolicy::new(c.policy(), 1 << 24);
+        c.tune = TuneMode::Replay(vec![TraceEntry { epoch: 3, policy, at: vec![64, 0] }]);
+        assert!(refused(c.clone()).starts_with("slices of up to 16777216 updates"));
+        // Without a WAL nothing is logged, so nothing bounds the slice.
+        c.wal = None;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

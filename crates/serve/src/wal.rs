@@ -41,7 +41,7 @@ use std::path::PathBuf;
 
 use invector_replog::{CheckpointWriter, SnapshotStore, SyncPolicy, Wal};
 
-use crate::protocol::{encode_updates, write_slots, Cursor, ProtoError, Update};
+use crate::protocol::{encode_updates, write_slots, Cursor, ProtoError, Update, UPDATE_WIRE_LEN};
 use crate::table::{OpKind, TableData, TableSpec, ValueKind};
 
 /// Durability configuration: where the log lives and how hard it syncs.
@@ -228,6 +228,12 @@ pub fn decode_manifest(payload: &[u8]) -> Result<(u64, Vec<ManifestEntry>), Prot
 /// Length of a checkpoint table record over `slots` slots.
 pub fn checkpoint_table_len(slots: usize) -> usize {
     2 + 8 + 4 + 4 * slots
+}
+
+/// Length of a `Batch` record of `updates` updates (saturating, so any
+/// quantum can be checked against the log's record limit).
+pub(crate) fn batch_record_len(updates: usize) -> usize {
+    UPDATE_WIRE_LEN.saturating_mul(updates).saturating_add(1 + 2 + 4)
 }
 
 /// Writes one table's checkpoint record (`table watermark` plus the

@@ -1,13 +1,15 @@
 //! Byte-exact pins for the serving byte formats: the 16-byte update record
-//! (`Update` and `EdgeOps` requests, WAL batches), the WAL seal, and the
-//! slot image (`count:u32 count x bits:u32`) carried by the `Snapshot`,
-//! `SnapshotChunk` and `Window` replies and by checkpoint table records.
+//! (`Update` and `EdgeOps` requests, WAL batches), the WAL seal, the
+//! follower bootstrap's `SnapshotMeta` reply, and the slot image
+//! (`count:u32 count x bits:u32`) carried by the `Snapshot` and `Window`
+//! replies and by checkpoint table records.
 //!
 //! Every expected encoding below is written out by hand, byte by byte, so a
 //! codec change that moves any byte fails here no matter how the encoder
 //! and decoder agree with each other. Checkpoint records are written by the
 //! streamed writer the core uses, and `Snapshot` replies are also written
-//! straight from a table, by the core and through a live server. The
+//! straight from a table, by the core and through a live server, alone and
+//! as the frames of a bootstrap. The
 //! slot-image decoders must also refuse a count that overruns the body
 //! without allocating it, and the four ways of checksumming a slot image
 //! must agree.
@@ -138,10 +140,6 @@ fn slot_image_replies_match_hand_written_bytes() {
             format!("84 0100 ffffffffffffffff 01020304 {SLOT_IMAGE}"),
         ),
         (
-            Reply::SnapshotChunk { table: 1, chunk: 2, values: values.clone() },
-            format!("89 0100 02000000 {SLOT_IMAGE}"),
-        ),
-        (
             Reply::Window {
                 table: 0xffff,
                 watermark: 9,
@@ -157,8 +155,25 @@ fn slot_image_replies_match_hand_written_bytes() {
         assert_eq!(reply.encode(), expect, "{reply:?}");
         assert_eq!(Reply::decode(&expect).expect("decode"), reply);
     }
-    let empty = Reply::SnapshotChunk { table: 0, chunk: 0, values: Vec::new() };
-    assert_eq!(empty.encode(), hex("89 0000 00000000 00000000"));
+    let empty = Reply::Window { table: 0, watermark: 0, bucket: 0, expired: 0, values: Vec::new() };
+    assert_eq!(
+        empty.encode(),
+        hex("8b 0000 0000000000000000 0000000000000000 0000000000000000 00000000")
+    );
+}
+
+#[test]
+fn the_bootstrap_verbs_match_hand_written_bytes() {
+    assert_eq!(Request::SnapshotBegin.encode(), hex("08"));
+    assert_eq!(Request::decode(&hex("08")).expect("decode"), Request::SnapshotBegin);
+    let meta =
+        Reply::SnapshotMeta { checkpoint: 0x0102_0304_0506_0708, index: u64::MAX, tables: 3 };
+    let expect = hex("88 0807060504030201 ffffffffffffffff 0300");
+    assert_eq!(meta.encode(), expect);
+    assert_eq!(Reply::decode(&expect).expect("decode"), meta);
+    // Opcodes 0x09 and 0x89 are unknown: no chunk verb in protocol 4.
+    assert!(Request::decode(&hex("09 0000 00000000")).is_err());
+    assert!(Reply::decode(&hex("89 0000 00000000 00000000")).is_err());
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -210,8 +225,8 @@ fn a_core_checkpoint_file_matches_hand_written_frames() {
 }
 
 /// A served table's `Snapshot` reply over `n` slots of the cycled
-/// [`SLOTS`], written by the core and sent by the reactor, must equal
-/// `expect(table)`.
+/// [`SLOTS`], written by the core and sent by the reactor, alone and as a
+/// bootstrap's frame, must equal `expect(table)`.
 fn check_served_snapshots(n: usize, expect: impl Fn(u16) -> Vec<u8>) {
     let bits: Vec<u32> = (0..n).map(|i| SLOTS[i % SLOTS.len()]).collect();
     let specs = vec![TableSpec::f32("f", OpKind::Max, n), TableSpec::i32("i", OpKind::Min, n)];
@@ -239,6 +254,14 @@ fn check_served_snapshots(n: usize, expect: impl Fn(u16) -> Vec<u8>) {
     }
     let unknown = Reply::decode(&round_trip(Request::Snapshot { table: 2 })).expect("decode");
     assert!(matches!(unknown, Reply::Error(_)), "unknown table: {unknown:?}");
+    // A bootstrap: the log position (none without a WAL) and the table
+    // count, then each table's `Snapshot` frame, byte for byte the same.
+    let meta = round_trip(Request::SnapshotBegin);
+    assert_eq!(meta, hex("88 0000000000000000 0000000000000000 0200"), "{n} slots");
+    for table in 0..2u16 {
+        let sent = read_frame(&mut reader).expect("receive").expect("a bootstrap frame");
+        assert_eq!(sent, expect(table), "{n} slots of table {table}, sent in a bootstrap");
+    }
     server.shutdown();
     server.join();
 }
@@ -291,7 +314,6 @@ fn slot_image_decoders_refuse_overrunning_counts_without_allocating() {
     let n = values.len() as u32;
     let replies = [
         (Reply::Snapshot { table: 0, watermark: 1, checksum: 2, values: values.clone() }, 15),
-        (Reply::SnapshotChunk { table: 0, chunk: 1, values: values.clone() }, 7),
         (Reply::Window { table: 0, watermark: 1, bucket: 2, expired: 3, values }, 27),
         // Top-k entries are pairs, but go through the same counted reader.
         (Reply::TopK { table: 0, watermark: 1, entries: vec![(7, 9); SLOTS.len()] }, 11),

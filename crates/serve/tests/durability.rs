@@ -13,7 +13,8 @@
 //!    reason.
 //! 4. **Follower convergence.** A follower tailing a leader over loopback
 //!    TCP verifies every epoch seal and converges bitwise, through
-//!    checkpoint resets; a tampered record parks it in `Diverged`.
+//!    checkpoint resets and from a table whose `Snapshot` frame is over the
+//!    frame cap; a tampered record parks it in `Diverged`.
 //! 5. **Interrupted publishes and a log cut behind a live leader.** A
 //!    checkpoint publish cut off halfway leaves a partial temporary file
 //!    that recovery ignores and the next publish replaces; a log file cut
@@ -29,7 +30,9 @@ use rand::{Rng, SeedableRng, SmallRng};
 
 use invector_core::exec::ExecVariant;
 use invector_replog::recover;
-use invector_serve::protocol::{read_frame, write_frame, Reply, Request, PROTOCOL_VERSION};
+use invector_serve::protocol::{
+    read_frame, write_frame, Reply, Request, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use invector_serve::{
     EpochPolicy, FollowStatus, Follower, LocalClient, OpKind, ServeClient, ServeConfig, Server,
     ServerCore, SubmitOutcome, SyncPolicy, TableSpec, TcpClient, TraceEntry, TuneMode, Update,
@@ -459,7 +462,7 @@ fn in_order_cuts_log_the_same_slices_as_the_reorder_buffer() {
     }
 }
 
-/// Leader/follower loopback: a follower bootstraps from a chunked snapshot,
+/// Leader/follower loopback: a follower bootstraps from a streamed snapshot,
 /// tails the log through >=100 epochs of concurrent ingest (crossing
 /// several checkpoint resets), verifies every seal, and finishes bitwise
 /// identical to the leader.
@@ -537,7 +540,65 @@ fn follower_converges_bitwise_across_100_epochs_and_checkpoints() {
         .and_then(|v| v.parse().ok())
         .expect("verified series");
     assert!(verified >= 100, "only {verified} seals verified");
+    let bootstraps = follower_bootstraps(&follower);
+    assert!(bootstraps >= 2, "{bootstraps} bootstraps: no checkpoint reset re-bootstrapped");
 
+    follower.stop();
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The follower's `invector_serve_follower_bootstraps_total`.
+fn follower_bootstraps(follower: &Follower) -> u64 {
+    follower
+        .core()
+        .metrics_text()
+        .lines()
+        .find_map(|l| l.strip_prefix("invector_serve_follower_bootstraps_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("bootstrap series")
+}
+
+/// A table whose `Snapshot` frame is longer than `MAX_FRAME_LEN` still
+/// bootstraps: the frame is bounded by the table it claims to be, not by
+/// the frame cap. Updates from before the bootstrap arrive in the pinned
+/// image and later ones through the log, and the follower converges
+/// bitwise.
+#[test]
+fn a_table_whose_snapshot_frame_exceeds_the_frame_cap_bootstraps() {
+    let slots = (1usize << 24) + 1;
+    assert!(4 * slots > MAX_FRAME_LEN);
+    let dir = temp_dir("over-cap");
+    let mut config = config_with_wal(&dir, 64);
+    config.tables = vec![TableSpec::i32("wide", OpKind::Add, slots)];
+    let server = Server::bind(config, "127.0.0.1:0").expect("bind leader");
+    let addr = server.local_addr().to_string();
+    let mut ingest = TcpClient::connect(&addr).expect("ingest client");
+    let batch = |from: u64| -> Vec<Update> {
+        (from..from + 256)
+            .map(|seq| Update::i32(seq, (seq * 65_537 % slots as u64) as u32, seq as i32 - 99))
+            .collect()
+    };
+    ingest.submit_all(0, &batch(0)).expect("submit");
+    ingest.flush().expect("flush");
+
+    let follower = Follower::start(&addr, ServeConfig::new(Vec::new())).expect("follower");
+    ingest.submit_all(0, &batch(256)).expect("submit");
+    ingest.flush().expect("flush");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while follower.core().watermarks() != [512] {
+        if let FollowStatus::Diverged(m) = follower.status() {
+            panic!("follower diverged: {m}");
+        }
+        assert!(std::time::Instant::now() < deadline, "follower failed to catch up");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let leader = server.core().snapshot(0).expect("leader snapshot");
+    let follow = follower.core().snapshot(0).expect("follower snapshot");
+    assert_eq!((follow.watermark, follow.checksum), (leader.watermark, leader.checksum));
+    assert!(follow.data == leader.data, "the follower's table differs from the leader's");
+    assert_eq!(follower_bootstraps(&follower), 1);
     follower.stop();
     server.shutdown();
     server.join();

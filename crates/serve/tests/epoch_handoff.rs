@@ -145,7 +145,7 @@ fn every_read_after_a_tick_reflects_its_cut() {
             let pinned = core.pin_state();
             for (t, table) in pinned.tables.iter().enumerate() {
                 let want = reference.snapshot(t as u16).expect("reference snapshot").bits();
-                assert_eq!((table.watermark, &table.bits), (watermark, &want), "{context}");
+                assert_eq!((table.watermark, table.bits()), (watermark, want), "{context}");
             }
             match &dir {
                 Some(_) => {

@@ -11,8 +11,8 @@ use std::net::TcpStream;
 use proptest::prelude::*;
 
 use invector_serve::protocol::{
-    read_frame, snapshot_checksum, write_frame, EdgeOp, Reply, Request, RequestView,
-    SnapshotAssembler, SnapshotMetaTable, StatsSummary, Update, PROTOCOL_VERSION,
+    read_frame, write_frame, EdgeOp, Reply, Request, RequestView, StatsSummary, Update,
+    PROTOCOL_VERSION,
 };
 use invector_serve::{
     OpKind, RejectReason, Ring, ServeConfig, Server, StreamKind, TableSpec, ValueKind,
@@ -29,7 +29,7 @@ fn arb_update() -> impl Strategy<Value = Update> {
 /// Every request variant, dispatched off a tag byte (the vendored proptest
 /// shim has no `prop_oneof`).
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0u8..13, any::<u16>(), any::<u32>(), any::<u64>(), prop::collection::vec(arb_update(), 0..40))
+    (0u8..12, any::<u16>(), any::<u32>(), any::<u64>(), prop::collection::vec(arb_update(), 0..40))
         .prop_map(|(tag, word, dword, qword, updates)| match tag {
             0 => Request::Hello { version: word },
             1 => Request::Update { table: word, updates },
@@ -39,13 +39,12 @@ fn arb_request() -> impl Strategy<Value = Request> {
             5 => Request::Shutdown,
             6 => Request::Metrics,
             7 => Request::SnapshotBegin,
-            8 => Request::SnapshotChunk { table: word, chunk: dword },
-            9 => Request::EdgeOps {
+            8 => Request::EdgeOps {
                 table: word,
                 ops: updates.into_iter().map(EdgeOp::from_update).collect(),
             },
-            10 => Request::WindowQuery { table: word, bucket: qword },
-            11 => Request::TopK { table: word, k: dword },
+            9 => Request::WindowQuery { table: word, bucket: qword },
+            10 => Request::TopK { table: word, k: dword },
             _ => Request::LogTail {
                 checkpoint: qword,
                 index: qword.rotate_left(17),
@@ -84,7 +83,7 @@ fn arb_table_spec() -> impl Strategy<Value = TableSpec> {
 /// Every reply variant, same tag-dispatch scheme.
 fn arb_reply() -> impl Strategy<Value = Reply> {
     (
-        0u8..13,
+        0u8..12,
         any::<u16>(),
         any::<u32>(),
         any::<u64>(),
@@ -110,21 +109,9 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 8 => Reply::SnapshotMeta {
                     checkpoint: watermark,
                     index: watermark.rotate_left(13),
-                    chunk_values: accepted,
-                    tables: values
-                        .iter()
-                        .take(6)
-                        .enumerate()
-                        .map(|(t, &v)| SnapshotMetaTable {
-                            table: t as u16,
-                            watermark: u64::from(v),
-                            len: u64::from(v).rotate_left(7),
-                            checksum: v,
-                        })
-                        .collect(),
+                    tables: word,
                 },
-                9 => Reply::SnapshotChunk { table: word, chunk: accepted, values },
-                10 => Reply::LogRecords {
+                9 => Reply::LogRecords {
                     checkpoint: watermark,
                     next_index: watermark.wrapping_add(u64::from(accepted)),
                     head: watermark.wrapping_mul(3),
@@ -145,14 +132,14 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 }),
                 5 => Reply::Metrics(text),
                 6 => Reply::Bye { watermarks: values.iter().map(|&v| u64::from(v)).collect() },
-                11 => Reply::Window {
+                10 => Reply::Window {
                     table: word,
                     watermark,
                     bucket: watermark.rotate_left(3),
                     expired: u64::from(accepted),
                     values,
                 },
-                12 => Reply::TopK {
+                11 => Reply::TopK {
                     table: word,
                     watermark,
                     entries: values.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect(),
@@ -211,8 +198,8 @@ proptest! {
         tag in any::<u8>(),
         payload in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        let known_request = (0x01..=0x0D).contains(&tag);
-        let known_reply = (0x81..=0x8C).contains(&tag) || tag == 0xFF;
+        let known_request = (0x01..=0x0D).contains(&tag) && tag != 0x09;
+        let known_reply = ((0x81..=0x8C).contains(&tag) && tag != 0x89) || tag == 0xFF;
         let mut body = vec![tag];
         body.extend_from_slice(&payload);
         if !known_request {
@@ -261,68 +248,26 @@ proptest! {
         let _ = RequestView::decode(&body);
     }
 
-    /// A chunked snapshot transfer delivered strictly in order assembles
-    /// to the original value stream under any (len, chunk_values)
-    /// geometry; a *truncated* chunk sequence — any strict prefix — is
-    /// refused at `finish`, never silently accepted.
+    /// The v4 `SnapshotMeta` round-trips at any log position and table
+    /// count; every strict prefix is refused, and so is a longer body such
+    /// as a v3 one, with its chunk geometry and per-table rows.
     #[test]
-    fn chunk_transfers_assemble_in_order_and_refuse_truncation(
-        values in prop::collection::vec(any::<u32>(), 0..120),
-        chunk_values in 1u32..16,
-        drop_tail in any::<usize>(),
+    fn snapshot_meta_round_trips_and_refuses_other_lengths(
+        checkpoint in any::<u64>(),
+        index in any::<u64>(),
+        tables in any::<u16>(),
+        extra in prop::collection::vec(any::<u8>(), 1..40),
     ) {
-        let checksum = snapshot_checksum(&values);
-        let mut asm = SnapshotAssembler::new(0, values.len() as u64, checksum, chunk_values);
-        let total = asm.chunk_count();
-        for chunk in 0..total {
-            let start = (chunk as usize) * chunk_values as usize;
-            let end = (start + chunk_values as usize).min(values.len());
-            asm.push(0, chunk, &values[start..end]).expect("in-order chunk");
+        let meta = Reply::SnapshotMeta { checkpoint, index, tables };
+        let body = meta.encode();
+        prop_assert_eq!(body.len(), 19);
+        prop_assert_eq!(Reply::decode(&body).unwrap(), meta);
+        for cut in 0..body.len() {
+            prop_assert!(Reply::decode(&body[..cut]).is_err(), "prefix of {} bytes", cut);
         }
-        prop_assert_eq!(asm.finish().expect("complete transfer"), values.clone());
-
-        if total > 0 {
-            // Stop after an arbitrary strict prefix of the chunk sequence.
-            let keep = drop_tail % total as usize;
-            let mut asm =
-                SnapshotAssembler::new(0, values.len() as u64, checksum, chunk_values);
-            for chunk in 0..keep as u32 {
-                let start = (chunk as usize) * chunk_values as usize;
-                let end = (start + chunk_values as usize).min(values.len());
-                asm.push(0, chunk, &values[start..end]).expect("in-order chunk");
-            }
-            prop_assert!(asm.finish().is_err(), "truncated sequence must be refused");
-        }
-    }
-
-    /// Delivering any chunk out of sequence is rejected immediately at
-    /// `push` — the assembler never buffers holes or reorders.
-    #[test]
-    fn out_of_order_chunk_ids_are_rejected_at_push(
-        values in prop::collection::vec(any::<u32>(), 2..120),
-        chunk_values in 1u32..8,
-        skew in any::<u32>(),
-    ) {
-        let checksum = snapshot_checksum(&values);
-        let mut asm = SnapshotAssembler::new(0, values.len() as u64, checksum, chunk_values);
-        let total = asm.chunk_count();
-        if total < 2 {
-            return Ok(());
-        }
-        // Any id other than the expected next one (0) must be refused,
-        // including ids past the end of the transfer.
-        let wrong = 1 + skew % (total + 3);
-        let start = ((wrong as usize) * chunk_values as usize).min(values.len());
-        let end = (start + chunk_values as usize).min(values.len());
-        prop_assert!(asm.push(0, wrong, &values[start..end]).is_err());
-        // The failed push must not have consumed the slot: the correct
-        // sequence still assembles afterwards.
-        for chunk in 0..total {
-            let start = (chunk as usize) * chunk_values as usize;
-            let end = (start + chunk_values as usize).min(values.len());
-            asm.push(0, chunk, &values[start..end]).expect("in-order chunk");
-        }
-        prop_assert_eq!(asm.finish().expect("complete transfer"), values);
+        let mut longer = body;
+        longer.extend_from_slice(&extra);
+        prop_assert!(Reply::decode(&longer).is_err());
     }
 
     /// A multi-frame stream delivered to the ring in arbitrary read-sized

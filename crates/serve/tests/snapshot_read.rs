@@ -3,11 +3,16 @@
 //! checksums it as it lands. It must return exactly what the core holds,
 //! across the read's chunk and the 4 KiB boundaries, and refuse every bad
 //! reply with an error, never a panic: a flipped bit, a count the frame
-//! cannot carry (before allocating the slots), an `Error` reply and a
-//! frame cut off inside the image. A refusal of a whole frame leaves the
+//! cannot carry or the table was not announced with, a reply for another
+//! table (each before allocating the slots), an `Error` reply and a frame
+//! cut off inside the image. A refusal of a whole frame leaves the
 //! connection usable. On the server side, a reply the socket cannot take
 //! at once goes out partly from the table and partly from the write ring,
 //! and must arrive whole and in order.
+//!
+//! A follower's bootstrap reads its `Snapshot` frames with the same
+//! reader, and refuses a bad one before anything is installed: a failed
+//! re-bootstrap parks the follower with its last good state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,8 +23,8 @@ use std::time::Duration;
 
 use invector_serve::protocol::{read_frame, write_frame, Reply, Request, PROTOCOL_VERSION};
 use invector_serve::{
-    snapshot_checksum, OpKind, ServeClient, ServeConfig, Server, ServerCore, TableData, TableSpec,
-    TcpClient,
+    snapshot_checksum, FollowStatus, Follower, OpKind, ServeClient, ServeConfig, Server,
+    ServerCore, TableData, TableSpec, TcpClient,
 };
 
 thread_local! {
@@ -168,13 +173,21 @@ fn replies_the_socket_cannot_take_at_once_arrive_whole_and_in_order() {
     server.join();
 }
 
-/// Slots of the scripted server's one announced table: past one read step.
+/// Slots of each of the scripted server's two announced tables: past one
+/// read step.
 const SLOTS: usize = (1 << 16) + 3;
+
+/// A `Snapshot` reply body for the scripted server's `table` at
+/// `watermark`: each table and watermark has its own slots.
+fn reply_for(table: u16, watermark: u64) -> Reply {
+    let mut values = slot_bits(SLOTS);
+    values.rotate_left(usize::from(table) * 7 + watermark as usize);
+    Reply::Snapshot { table, watermark, checksum: snapshot_checksum(&values), values }
+}
 
 /// The scripted server's good `Snapshot` reply body.
 fn good_reply() -> Reply {
-    let values = slot_bits(SLOTS);
-    Reply::Snapshot { table: 0, watermark: 99, checksum: snapshot_checksum(&values), values }
+    reply_for(0, 99)
 }
 
 /// `body` as a frame: length prefix, then the body.
@@ -184,10 +197,10 @@ fn framed(body: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// A server that answers `Hello` with one i32 table of [`SLOTS`] slots,
-/// then answers each request with the next of `replies` (raw bytes, which
-/// may stop short of a whole frame) and closes the connection after the
-/// last one.
+/// A server that answers `Hello` with an i32 and an f32 table of [`SLOTS`]
+/// slots each, then answers each request with the next of `replies` (raw
+/// bytes: several frames, or fewer than one) and closes the connection
+/// after the last one.
 fn scripted(replies: Vec<Vec<u8>>) -> (SocketAddr, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
@@ -197,7 +210,8 @@ fn scripted(replies: Vec<Vec<u8>>) -> (SocketAddr, JoinHandle<()>) {
         let mut writer = stream;
         let hello = read_frame(&mut reader).expect("hello").expect("a hello frame");
         assert!(matches!(Request::decode(&hello), Ok(Request::Hello { .. })));
-        let tables = vec![TableSpec::i32("t", OpKind::Add, SLOTS)];
+        let tables =
+            vec![TableSpec::i32("t", OpKind::Add, SLOTS), TableSpec::f32("u", OpKind::Max, SLOTS)];
         let hello = Reply::Hello { version: PROTOCOL_VERSION, shards: 1, quantum: 64, tables };
         write_frame(&mut writer, &hello.encode()).expect("send hello");
         for reply in replies {
@@ -261,6 +275,44 @@ fn a_count_the_frame_cannot_carry_is_refused_before_allocating() {
 }
 
 #[test]
+fn a_reply_for_another_table_is_refused_before_allocating() {
+    let other = reply_for(1, 99).encode();
+    let (addr, server) = scripted(vec![framed(&other), framed(&good_reply().encode())]);
+    let mut client = TcpClient::connect(addr).expect("connect");
+    let (result, peak) = largest_allocation(|| client.snapshot(0));
+    let err = result.expect_err("table 1's reply to a request for table 0");
+    assert_eq!(err, "snapshot of table 1 where table 0 was expected");
+    assert!(peak < 64 << 10, "allocated {peak} bytes");
+    assert_good_snapshot(&mut client);
+    server.join().expect("scripted server");
+}
+
+#[test]
+fn a_count_unlike_the_announced_length_is_refused_before_allocating() {
+    // Whole frames, each as long as its count says: one slot more than
+    // the table was announced with, and four times as many.
+    let longer = |count: usize| {
+        let values = slot_bits(count);
+        let checksum = snapshot_checksum(&values);
+        framed(&Reply::Snapshot { table: 0, watermark: 99, checksum, values }.encode())
+    };
+    let replies = vec![longer(SLOTS + 1), longer(4 * SLOTS), framed(&good_reply().encode())];
+    let (addr, server) = scripted(replies);
+    let mut client = TcpClient::connect(addr).expect("connect");
+    for count in [SLOTS + 1, 4 * SLOTS] {
+        let (result, peak) = largest_allocation(|| client.snapshot(0));
+        let err = result.expect_err("a count the table was not announced with");
+        assert_eq!(
+            err,
+            format!("snapshot of table 0 carries {count} slots, announced with {SLOTS}")
+        );
+        assert!(peak < 64 << 10, "{count} slots: allocated {peak} bytes");
+    }
+    assert_good_snapshot(&mut client);
+    server.join().expect("scripted server");
+}
+
+#[test]
 fn an_error_reply_carries_its_message_and_the_connection_stays_usable() {
     let error = Reply::Error("unknown table 3".into()).encode();
     let (addr, server) = scripted(vec![framed(&error), framed(&good_reply().encode())]);
@@ -294,4 +346,111 @@ fn a_frame_cut_off_inside_the_slot_image_fails_the_call() {
     server.join().expect("scripted server");
     let err = client.snapshot(0).expect_err("the server has gone");
     assert!(!err.is_empty());
+}
+
+/// A bootstrap reply: `SnapshotMeta` announcing `tables` tables, then
+/// `frames` (already framed).
+fn bootstrap_reply(tables: u16, frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut reply = framed(&Reply::SnapshotMeta { checkpoint: 0, index: 0, tables }.encode());
+    for frame in frames {
+        reply.extend_from_slice(frame);
+    }
+    reply
+}
+
+/// A good bootstrap of both tables at `watermark`.
+fn good_bootstrap(watermark: u64) -> Vec<u8> {
+    bootstrap_reply(2, &[0, 1].map(|t| framed(&reply_for(t, watermark).encode())))
+}
+
+/// Starts a follower on a scripted leader that serves a good bootstrap at
+/// watermark 99, answers the first log fetch with a checkpoint reset and
+/// the re-bootstrap with `rebootstrap`. The follower must park in
+/// `Diverged` with a message containing `want`, still holding the first
+/// bootstrap: nothing of the refused one is installed.
+fn assert_rebootstrap_refused(rebootstrap: Vec<u8>, want: &str) {
+    let reset =
+        Reply::LogRecords { checkpoint: 1, next_index: 0, head: 0, reset: true, records: vec![] };
+    let (addr, server) = scripted(vec![good_bootstrap(99), framed(&reset.encode()), rebootstrap]);
+    let follower =
+        Follower::start(&addr.to_string(), ServeConfig::new(Vec::new())).expect("first bootstrap");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let message = loop {
+        if let FollowStatus::Diverged(m) = follower.status() {
+            break m;
+        }
+        assert!(std::time::Instant::now() < deadline, "the re-bootstrap was not refused");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert!(message.contains(want), "{want:?} not in {message:?}");
+    for table in 0..2u16 {
+        let Reply::Snapshot { watermark, checksum, values, .. } = reply_for(table, 99) else {
+            unreachable!()
+        };
+        let held = follower.core().snapshot(table).expect("follower snapshot");
+        assert_eq!((held.watermark, held.checksum), (watermark, checksum), "table {table}");
+        assert_eq!(held.bits(), values, "table {table} holds the first bootstrap");
+    }
+    let bootstraps = follower
+        .core()
+        .metrics_text()
+        .lines()
+        .find_map(|l| l.strip_prefix("invector_serve_follower_bootstraps_total "))
+        .map(|v| v.trim().to_string());
+    assert_eq!(bootstraps.as_deref(), Some("1"), "only the first bootstrap installed");
+    drop(follower);
+    server.join().expect("scripted server");
+}
+
+#[test]
+fn a_bootstrap_with_a_flipped_slot_bit_installs_nothing() {
+    let mut flipped = framed(&reply_for(1, 150).encode());
+    let last = flipped.len() - 3;
+    flipped[last] ^= 0x04;
+    let rebootstrap = bootstrap_reply(2, &[framed(&reply_for(0, 150).encode()), flipped]);
+    assert_rebootstrap_refused(rebootstrap, "snapshot checksum mismatch for table 1");
+}
+
+#[test]
+fn a_bootstrap_with_frames_out_of_table_order_installs_nothing() {
+    let frames = [1, 0].map(|t| framed(&reply_for(t, 150).encode()));
+    assert_rebootstrap_refused(
+        bootstrap_reply(2, &frames),
+        "snapshot of table 1 where table 0 was expected",
+    );
+}
+
+#[test]
+fn a_bootstrap_frame_of_another_length_installs_nothing() {
+    let values = slot_bits(SLOTS + 1);
+    let checksum = snapshot_checksum(&values);
+    let longer = Reply::Snapshot { table: 1, watermark: 150, checksum, values };
+    let frames = [framed(&reply_for(0, 150).encode()), framed(&longer.encode())];
+    assert_rebootstrap_refused(
+        bootstrap_reply(2, &frames),
+        &format!("snapshot of table 1 carries {} slots, announced with {SLOTS}", SLOTS + 1),
+    );
+}
+
+#[test]
+fn a_bootstrap_announcing_other_than_hellos_table_count_installs_nothing() {
+    let frames = [framed(&reply_for(0, 150).encode())];
+    assert_rebootstrap_refused(
+        bootstrap_reply(1, &frames),
+        "bootstrap of 1 tables from a leader that announced 2 at Hello",
+    );
+}
+
+#[test]
+fn a_bootstrap_cut_short_installs_nothing() {
+    let mut rebootstrap = good_bootstrap(150);
+    // Inside table 1's image; then the leader closes the connection.
+    rebootstrap.truncate(rebootstrap.len() - 4 * 1000);
+    assert_rebootstrap_refused(rebootstrap, "receive: ");
+}
+
+#[test]
+fn a_bootstrap_refused_with_an_error_reply_installs_nothing() {
+    let error = framed(&Reply::Error("the leader is draining".into()).encode());
+    assert_rebootstrap_refused(error, "the leader is draining");
 }

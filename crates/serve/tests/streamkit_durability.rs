@@ -172,7 +172,7 @@ proptest! {
 }
 
 /// Leader/follower smoke over a streamkit workload: the follower bootstraps
-/// from a chunked snapshot (engine caches rebuilt from installed slots),
+/// from a streamed snapshot (engine caches rebuilt from installed slots),
 /// tails epochs of edge churn and window expiry with per-epoch seal
 /// verification, and converges bitwise on every stream table.
 #[test]
@@ -230,6 +230,14 @@ fn follower_converges_bitwise_on_a_streamkit_workload() {
         assert_eq!(leader.bits(), follow.bits(), "table {t} bits differ");
     }
     assert!(matches!(follower.status(), FollowStatus::Tailing));
+    let bootstraps: u64 = follower
+        .core()
+        .metrics_text()
+        .lines()
+        .find_map(|l| l.strip_prefix("invector_serve_follower_bootstraps_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("bootstrap series");
+    assert!(bootstraps >= 2, "{bootstraps} bootstraps: no checkpoint reset re-bootstrapped");
 
     // The follower's engines answer queries over the replicated state: its
     // current window aggregate and top-k agree with the leader's.

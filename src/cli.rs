@@ -919,7 +919,7 @@ fn serve_smoke(spec: &RunSpec, exec: ExecOpts, net: NetOpts, clients: usize) -> 
     Ok(())
 }
 
-/// Follower mode: bootstrap from the leader's chunked snapshot, tail its
+/// Follower mode: bootstrap from the leader's streamed snapshot, tail its
 /// log, and serve read-only snapshots on `addr` until interrupted.
 fn run_follow(addr: &str, leader: &str, exec: ExecOpts, net: NetOpts) -> Result<(), String> {
     let mut config = ServeConfig::new(Vec::new());
@@ -1148,6 +1148,21 @@ fn serve_smoke_follow(
             "  {name}: watermark {} checksum {:#010x} identical on both sides",
             follow_snap.watermark, follow_snap.checksum
         );
+    }
+    // The run must have crossed a checkpoint reset: the follower bootstraps
+    // once at start and again after each reset it meets.
+    let bootstraps = follower
+        .core()
+        .metrics_text()
+        .lines()
+        .find_map(|l| l.strip_prefix("invector_serve_follower_bootstraps_total "))
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .ok_or("no follower bootstrap series")?;
+    println!(
+        "  follower bootstrapped {bootstraps} times (once at start, then per checkpoint reset)"
+    );
+    if bootstraps < 2 {
+        return Err(format!("follower bootstrapped {bootstraps} times: no checkpoint reset met"));
     }
     // A follower front end is read-only: submits must be refused.
     match check.submit(0, &[Update::i32(u64::MAX, 0, 1)]) {
