@@ -4,6 +4,12 @@
 //! a skewed (hotspot-mixture) index distribution, with one row per native
 //! ISA the build host supports (AVX-512, AVX2, NEON).
 //!
+//! Every row's `speedup` is the median of ratios paired by repetition
+//! (portable over native, timed back to back), with the first and third
+//! quartiles of the same ratios (`speedup_q1`, `speedup_q3`): the ratio and
+//! its spread within one run are what can compare two builds, where the
+//! per-path times drift with the host between runs.
+//!
 //! Emits one JSON document on stdout. The `count_feature` field records
 //! whether the portable model charged its instruction counter, so the
 //! counter-on vs counter-off comparison is two runs of this binary:
@@ -60,7 +66,8 @@ struct Row {
     backend: &'static str,
     portable_secs: f64,
     native_secs: f64,
-    speedup: f64,
+    /// First quartile, median and third quartile of the paired ratios.
+    speedup: [f64; 3],
 }
 
 fn main() {
@@ -93,7 +100,8 @@ fn main() {
     // driver. Each repetition times every path back to back, so scheduler
     // noise (steal time, frequency shifts) hits all rows of a group alike;
     // the reported speedup is the median of the per-repetition ratios,
-    // which a few disturbed repetitions cannot drag around.
+    // which a few disturbed repetitions cannot drag around, with its
+    // quartiles.
     macro_rules! bench {
         ($name:literal, $t:ty, $op:ty, $vals:expr, $init:expr) => {
             for (generator, idx) in &generators {
@@ -138,7 +146,7 @@ fn main() {
                         backend: backend.name(),
                         portable_secs,
                         native_secs: native_best[k],
-                        speedup: median(&mut ratios[k]),
+                        speedup: quartiles(&mut ratios[k]),
                     });
                 }
             }
@@ -157,7 +165,9 @@ fn main() {
 /// End-to-end registry rows: each application's in-vector variant on the
 /// portable model vs every available native backend, through the harness
 /// pipeline. The micro rows above isolate the accumulation driver; these
-/// put the same backends under the full kernels.
+/// put the same backends under the full kernels. Each repetition runs the
+/// portable model, then every backend, and pairs their times; the times
+/// reported are each path's median.
 fn app_rows(scale: f64, backends: &[Backend]) -> Vec<AppRow> {
     let spec = RunSpec { scale, iters: 20, ..RunSpec::small() };
     let mut rows = Vec::new();
@@ -171,21 +181,29 @@ fn app_rows(scale: f64, backends: &[Backend]) -> Vec<AppRow> {
         };
         let time = |choice: BackendChoice| {
             let policy = ExecPolicy::default().backend(choice);
-            let mut best = f64::INFINITY;
-            for _ in 0..APP_REPS {
-                best = best.min(workload.run(Variant::Invec, &policy).elapsed().as_secs_f64());
-            }
-            best
+            workload.run(Variant::Invec, &policy).elapsed().as_secs_f64()
         };
-        let portable_secs = time(BackendChoice::Portable);
-        for &backend in backends {
-            let native_secs = time(backend_choice(backend));
+        let mut portable = Vec::with_capacity(APP_REPS);
+        let mut native = vec![Vec::with_capacity(APP_REPS); backends.len()];
+        let mut ratios = vec![Vec::with_capacity(APP_REPS); backends.len()];
+        for _ in 0..APP_REPS {
+            let p = time(BackendChoice::Portable);
+            portable.push(p);
+            for (k, &backend) in backends.iter().enumerate() {
+                let n = time(backend_choice(backend));
+                native[k].push(n);
+                ratios[k].push(p / n.max(1e-12));
+            }
+        }
+        let portable_secs = quartiles(&mut portable)[1];
+        for (k, &backend) in backends.iter().enumerate() {
             rows.push(AppRow {
                 app: app.name(),
                 input: workload.describe(),
                 backend: backend.name(),
                 portable_secs,
-                native_secs,
+                native_secs: quartiles(&mut native[k])[1],
+                speedup: quartiles(&mut ratios[k]),
             });
         }
         if backends.is_empty() {
@@ -195,14 +213,14 @@ fn app_rows(scale: f64, backends: &[Backend]) -> Vec<AppRow> {
                 backend: "portable",
                 portable_secs,
                 native_secs: portable_secs,
+                speedup: [1.0; 3],
             });
         }
     }
     rows
 }
 
-/// Repetitions per (app, backend); whole-kernel runs are long enough that
-/// best-of-few is stable.
+/// Paired repetitions per app.
 const APP_REPS: usize = 5;
 
 struct AppRow {
@@ -211,6 +229,8 @@ struct AppRow {
     backend: &'static str,
     portable_secs: f64,
     native_secs: f64,
+    /// First quartile, median and third quartile of the paired ratios.
+    speedup: [f64; 3],
 }
 
 /// Interleaved repetitions per (kernel, generator, path).
@@ -221,18 +241,25 @@ fn once(f: impl FnOnce() -> Duration) -> f64 {
     f().as_secs_f64()
 }
 
-/// Median of the paired per-repetition ratios.
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    let mid = xs.len() / 2;
+/// First quartile, median and third quartile of `xs`, interpolating
+/// linearly between order statistics (so the median of an even count is
+/// the mean of the middle two).
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
     if xs.is_empty() {
-        return f64::NAN;
+        return [f64::NAN; 3];
     }
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        0.5 * (xs[mid - 1] + xs[mid])
-    }
+    xs.sort_by(|a, b| a.total_cmp(b));
+    [0.25, 0.5, 0.75].map(|q| {
+        let pos = q * (xs.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+    })
+}
+
+/// A row's paired ratio: median, then its quartiles.
+fn speedup_fields(speedup: [f64; 3]) -> String {
+    let [q1, median, q3] = speedup;
+    format!("\"speedup\": {median:.2}, \"speedup_q1\": {q1:.2}, \"speedup_q3\": {q3:.2}")
 }
 
 fn print_json(scale: f64, items: usize, backends: &[Backend], rows: &[Row], apps: &[AppRow]) {
@@ -252,7 +279,7 @@ fn print_json(scale: f64, items: usize, backends: &[Backend], rows: &[Row], apps
         println!("      \"backend\": \"{}\",", r.backend);
         println!("      \"portable_secs\": {:.6},", r.portable_secs);
         println!("      \"native_secs\": {:.6},", r.native_secs);
-        println!("      \"speedup\": {:.2}", r.speedup);
+        println!("      {}", speedup_fields(r.speedup));
         println!("    }}{}", if i + 1 < rows.len() { "," } else { "" });
     }
     println!("  ],");
@@ -264,7 +291,7 @@ fn print_json(scale: f64, items: usize, backends: &[Backend], rows: &[Row], apps
         println!("      \"backend\": \"{}\",", r.backend);
         println!("      \"portable_secs\": {:.6},", r.portable_secs);
         println!("      \"native_secs\": {:.6},", r.native_secs);
-        println!("      \"speedup\": {:.2}", r.portable_secs / r.native_secs.max(1e-12));
+        println!("      {}", speedup_fields(r.speedup));
         println!("    }}{}", if i + 1 < apps.len() { "," } else { "" });
     }
     println!("  ]");

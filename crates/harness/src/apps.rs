@@ -836,7 +836,9 @@ pub struct StreamGraphApp;
 struct StreamGraphWorkload {
     vertices: u32,
     iters: u32,
-    /// Edge events in `(src, dst | DELETE_BIT?)` engine encoding.
+    /// Edge events as `invector_streamkit::edge_event` builds them:
+    /// `(src, dst | DELETE_BIT?)`, the `(idx, bits)` of the update records
+    /// the served tables take.
     events: Vec<(u32, u32)>,
 }
 
@@ -917,11 +919,11 @@ impl StreamGraphWorkload {
         values
     }
 
-    /// Served path: both graph tables on one core, edge ops streamed
-    /// through the `EdgeOps` verb in admission-sized chunks.
+    /// Served path: both graph tables on one core, the edge events streamed
+    /// as ordinary `Update` records in admission-sized chunks.
     fn run_served(&self, policy: &ExecPolicy) -> Result<Vec<f64>, String> {
         use invector_serve::{
-            EdgeOp, LocalClient, ServeClient, ServeConfig, ServerCore, SubmitOutcome, TableSpec,
+            LocalClient, ServeClient, ServeConfig, ServerCore, TableSpec, Update,
         };
         let config = {
             let mut config = ServeConfig::new(vec![
@@ -935,32 +937,15 @@ impl StreamGraphWorkload {
         };
         let core = ServerCore::new(config)?;
         let mut client = LocalClient::new(core);
+        let updates: Vec<Update> = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(seq, &(idx, bits))| Update { seq: seq as u64, idx, bits })
+            .collect();
         for table in [0u16, 1u16] {
-            let ops: Vec<EdgeOp> = self
-                .events
-                .iter()
-                .enumerate()
-                .map(|(seq, &(src, bits))| {
-                    let dst = bits & !invector_streamkit::DELETE_BIT;
-                    if bits & invector_streamkit::DELETE_BIT != 0 {
-                        EdgeOp::delete(seq as u64, src, dst)
-                    } else {
-                        EdgeOp::insert(seq as u64, src, dst)
-                    }
-                })
-                .collect();
-            for chunk in ops.chunks(SERVE_CHUNK) {
-                let mut rest = chunk;
-                while !rest.is_empty() {
-                    match client.edge_ops(table, rest)? {
-                        SubmitOutcome::Accepted { .. } => break,
-                        SubmitOutcome::Rejected { accepted, retry_after_ms, .. } => {
-                            rest = &rest[accepted as usize..];
-                            client.backoff(retry_after_ms);
-                        }
-                        SubmitOutcome::Failed(m) => return Err(m),
-                    }
-                }
+            for chunk in updates.chunks(SERVE_CHUNK) {
+                client.submit_all(table, chunk)?;
             }
         }
         client.flush()?;

@@ -105,20 +105,6 @@ impl Variant {
         })
     }
 
-    /// Parses a variant selection: a short name, or `all` for the full
-    /// paper matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Variant::parse`] message on unknown names.
-    pub fn parse_selection(s: &str) -> Result<Vec<Variant>, String> {
-        if s == "all" {
-            Ok(Variant::ALL.to_vec())
-        } else {
-            Variant::parse(s).map(|v| vec![v])
-        }
-    }
-
     /// `true` for the variants that record SIMD lane utilization (the
     /// conflict-masking strategy).
     pub fn records_utilization(self) -> bool {
@@ -276,8 +262,6 @@ mod tests {
         for v in Variant::ALL {
             assert_eq!(Variant::parse(v.short_name()), Ok(v));
         }
-        assert_eq!(Variant::parse_selection("all").unwrap(), Variant::ALL.to_vec());
-        assert_eq!(Variant::parse_selection("invec").unwrap(), vec![Variant::Invec]);
         let err = Variant::parse("warp").unwrap_err();
         assert!(err.contains("serial") && err.contains("invec"), "{err}");
     }

@@ -1,18 +1,19 @@
 //! Clients: in-process (sharing the [`ServerCore`]) and TCP.
 //!
 //! Both speak through the same [`ServeClient`] trait so harness smoke
-//! drivers and benchmarks can mix transports. `submit_all` implements the
-//! backpressure contract from the client side: on a `Reject`, honor the
-//! retry-after backoff and resubmit the refused suffix — nothing is lost,
-//! the stream just slows down.
+//! drivers and benchmarks can mix transports. `submit` is one admission
+//! attempt on either transport; `submit_all` is the one retry policy and
+//! implements the backpressure contract from the client side: on a
+//! `Reject`, honor the retry-after backoff and resubmit the refused suffix
+//! — nothing is lost, the stream just slows down.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame_into, read_slots, read_snapshot_head, skip, write_frame, EdgeOp, ProtoError, Reply,
-    Request, SnapshotHead, StatsSummary, Update, PROTOCOL_VERSION,
+    read_frame_into, read_slots, read_snapshot_head, skip, write_frame, ProtoError, Reply, Request,
+    SnapshotHead, StatsSummary, Update, PROTOCOL_VERSION,
 };
 use crate::server::{
     LogTailPage, PinnedState, ServerCore, Snapshot, SubmitOutcome, TopKPage, WindowSnapshot,
@@ -21,20 +22,15 @@ use crate::table::{TableData, TableSpec, ValueKind};
 
 /// Transport-independent client surface.
 pub trait ServeClient {
-    /// Submits one batch of updates for `table`.
+    /// Submits one batch of updates for `table`, of any kind (a graph
+    /// table's edge ops are [`invector_streamkit::edge_event`] records):
+    /// one admission attempt, no retry. A `Rejected` outcome names the
+    /// admitted prefix; [`submit_all`](Self::submit_all) retries the rest.
     ///
     /// # Errors
     ///
     /// Returns a message for transport failures or server-side errors.
     fn submit(&mut self, table: u16, updates: &[Update]) -> Result<SubmitOutcome, String>;
-
-    /// Submits one batch of edge insertions/deletions for a graph stream
-    /// table.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for transport failures or server-side errors.
-    fn edge_ops(&mut self, table: u16, ops: &[EdgeOp]) -> Result<SubmitOutcome, String>;
 
     /// Reads one bucket of a window stream table (`u64::MAX` for the
     /// current window aggregate).
@@ -84,7 +80,8 @@ pub trait ServeClient {
     fn backoff(&mut self, retry_after_ms: u32);
 
     /// Submits a batch, retrying rejected suffixes until everything is
-    /// admitted. Returns the number of reject round-trips taken.
+    /// admitted: the client's one retry policy. Returns the number of
+    /// reject round-trips taken.
     ///
     /// # Errors
     ///
@@ -142,10 +139,6 @@ impl ServeClient for LocalClient {
         Ok(self.core.submit(table, updates))
     }
 
-    fn edge_ops(&mut self, table: u16, ops: &[EdgeOp]) -> Result<SubmitOutcome, String> {
-        Ok(self.core.submit_edge_ops(table, ops))
-    }
-
     fn window_query(&mut self, table: u16, bucket: u64) -> Result<WindowSnapshot, String> {
         self.core.window_query(table, bucket)
     }
@@ -190,10 +183,6 @@ impl ServeClient for LocalClient {
     }
 }
 
-/// How many reject-with-retry-after rounds [`TcpClient::submit`] absorbs
-/// internally before surfacing the rejection to the caller.
-const MAX_SUBMIT_ATTEMPTS: u32 = 8;
-
 /// The error of a round trip whose reply never came.
 const CLOSED: &str = "server closed the connection";
 
@@ -206,13 +195,9 @@ fn receive_error(e: ProtoError) -> String {
 }
 
 /// TCP client: one connection, `Hello`-handshaken, synchronous
-/// request/reply.
-///
-/// `submit` honors the server's reject-with-retry-after contract itself:
-/// a rejected suffix is backed off and resubmitted up to
-/// `MAX_SUBMIT_ATTEMPTS` times before the caller ever sees a
-/// `Rejected` outcome, so transient backpressure never surfaces to every
-/// call site.
+/// request/reply. `submit` is one round trip; `submit_all` backs off and
+/// resubmits a rejected suffix, and [`backoffs`](Self::backoffs) counts
+/// every backoff it takes.
 ///
 /// Replies are read into one receive buffer the client keeps, except a
 /// `Snapshot` reply's slot image, which [`snapshot`](ServeClient::snapshot)
@@ -249,13 +234,17 @@ impl TcpClient {
             tables: Vec::new(),
             backoffs: 0,
         };
-        match client.round_trip(&Request::Hello { version: PROTOCOL_VERSION })? {
-            Reply::Hello { version, quantum, tables, .. } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(format!(
-                        "server speaks protocol {version}, not {PROTOCOL_VERSION}"
-                    ));
-                }
+        let reply = client.round_trip(&Request::Hello { version: PROTOCOL_VERSION });
+        // The server's version comes before the rest of its `Hello`, whose
+        // layout another protocol need not share.
+        if let [0x81, lo, hi, ..] = client.rbuf[..] {
+            let version = u16::from_le_bytes([lo, hi]);
+            if version != PROTOCOL_VERSION {
+                return Err(format!("server speaks protocol {version}, not {PROTOCOL_VERSION}"));
+            }
+        }
+        match reply? {
+            Reply::Hello { quantum, tables, .. } => {
                 client.quantum = quantum;
                 client.tables = tables;
                 Ok(client)
@@ -275,23 +264,9 @@ impl TcpClient {
         self.quantum
     }
 
-    /// Backoff rounds this client has absorbed across all submits.
+    /// Backoff rounds this client has taken across all submits.
     pub fn backoffs(&self) -> u64 {
         self.backoffs
-    }
-
-    /// One wire round trip of an update batch, no retry.
-    fn submit_once(&mut self, table: u16, updates: &[Update]) -> Result<SubmitOutcome, String> {
-        match self.round_trip(&Request::Update { table, updates: updates.to_vec() })? {
-            Reply::Ack { accepted, watermark } => {
-                Ok(SubmitOutcome::Accepted { accepted, watermark })
-            }
-            Reply::Reject { accepted, retry_after_ms, reason } => {
-                Ok(SubmitOutcome::Rejected { accepted, retry_after_ms, reason })
-            }
-            Reply::Error(m) => Ok(SubmitOutcome::Failed(m)),
-            other => Err(format!("unexpected submit reply {other:?}")),
-        }
     }
 
     fn send(&mut self, request: &Request) -> Result<(), String> {
@@ -431,38 +406,7 @@ impl TcpClient {
 
 impl ServeClient for TcpClient {
     fn submit(&mut self, table: u16, updates: &[Update]) -> Result<SubmitOutcome, String> {
-        let mut rest = updates;
-        let mut total = 0u32;
-        let mut attempts = 0u32;
-        loop {
-            match self.submit_once(table, rest)? {
-                SubmitOutcome::Accepted { accepted, watermark } => {
-                    return Ok(SubmitOutcome::Accepted { accepted: total + accepted, watermark });
-                }
-                SubmitOutcome::Rejected { accepted, retry_after_ms, reason } => {
-                    total += accepted;
-                    rest = &rest[accepted as usize..];
-                    attempts += 1;
-                    // A draining server never admits more; an exhausted
-                    // budget hands the remainder back to the caller.
-                    if reason == crate::protocol::RejectReason::Draining
-                        || attempts >= MAX_SUBMIT_ATTEMPTS
-                    {
-                        return Ok(SubmitOutcome::Rejected {
-                            accepted: total,
-                            retry_after_ms,
-                            reason,
-                        });
-                    }
-                    self.backoff(retry_after_ms);
-                }
-                SubmitOutcome::Failed(m) => return Ok(SubmitOutcome::Failed(m)),
-            }
-        }
-    }
-
-    fn edge_ops(&mut self, table: u16, ops: &[EdgeOp]) -> Result<SubmitOutcome, String> {
-        match self.round_trip(&Request::EdgeOps { table, ops: ops.to_vec() })? {
+        match self.round_trip(&Request::Update { table, updates: updates.to_vec() })? {
             Reply::Ack { accepted, watermark } => {
                 Ok(SubmitOutcome::Accepted { accepted, watermark })
             }
@@ -470,7 +414,7 @@ impl ServeClient for TcpClient {
                 Ok(SubmitOutcome::Rejected { accepted, retry_after_ms, reason })
             }
             Reply::Error(m) => Ok(SubmitOutcome::Failed(m)),
-            other => Err(format!("unexpected edge-ops reply {other:?}")),
+            other => Err(format!("unexpected submit reply {other:?}")),
         }
     }
 
@@ -534,7 +478,7 @@ impl ServeClient for TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
+    use crate::protocol::{read_frame, RejectReason};
     use crate::server::{ServeConfig, Server};
     use crate::table::OpKind;
 
@@ -590,39 +534,40 @@ mod tests {
     }
 
     #[test]
-    fn protocol_3_peers_are_refused_at_hello() {
-        // A protocol 3 client: the server answers its `Hello` with an error.
+    fn protocol_4_peers_are_refused_at_hello() {
+        // A protocol 4 client: the server answers its `Hello` with an error.
         let server = server();
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
         let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = std::io::BufWriter::new(stream);
-        write_frame(&mut writer, &Request::Hello { version: 3 }.encode()).expect("send");
+        write_frame(&mut writer, &Request::Hello { version: 4 }.encode()).expect("send");
         let body = read_frame(&mut reader).expect("read").expect("reply");
-        let refusal = Reply::Error(format!("protocol version 3 != {PROTOCOL_VERSION}"));
+        let refusal = Reply::Error(format!("protocol version 4 != {PROTOCOL_VERSION}"));
         assert_eq!(Reply::decode(&body).expect("decode"), refusal);
         server.shutdown();
         server.join();
 
-        // A protocol 3 server: the client refuses its `Hello`.
+        // A protocol 4 server: the client refuses its `Hello` by version,
+        // although the v4 layout (a `u16` between version and quantum, here
+        // 1, then no tables) does not decode as a v5 reply.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
-        let v3 = std::thread::spawn(move || {
+        let v4 = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
             read_frame(&mut &stream).expect("hello").expect("a hello frame");
-            let hello = Reply::Hello { version: 3, shards: 1, quantum: 16, tables: Vec::new() };
-            write_frame(&mut &stream, &hello.encode()).expect("send hello");
+            let hello = [0x81, 4, 0, 1, 0, 16, 0, 0, 0, 0, 0];
+            write_frame(&mut &stream, &hello).expect("send hello");
         });
-        let err = TcpClient::connect(addr).expect_err("a protocol 3 server");
-        assert_eq!(err, format!("server speaks protocol 3, not {PROTOCOL_VERSION}"));
-        v3.join().expect("protocol 3 server");
+        let err = TcpClient::connect(addr).expect_err("a protocol 4 server");
+        assert_eq!(err, format!("server speaks protocol 4, not {PROTOCOL_VERSION}"));
+        v4.join().expect("protocol 4 server");
     }
 
     #[test]
-    fn tcp_client_absorbs_rejections_with_bounded_backoff() {
-        // Tiny staging buffer: a batch larger than it must be rejected at
-        // least once, and the client must absorb the rejection
-        // internally (backing off and resubmitting the refused suffix)
-        // rather than surfacing it.
+    fn tcp_submit_is_one_attempt_and_submit_all_retries_through_backpressure() {
+        // An 8-slot staging buffer: a plain `submit` of 40 updates is one
+        // round trip, refused after the prefix that fits, and `submit_all`
+        // backs off and resubmits refused suffixes until every update lands.
         let mut config = ServeConfig::new(vec![TableSpec::i32("c", OpKind::Add, 16)]);
         config.queue_capacity = 8;
         config.quantum = 4;
@@ -630,21 +575,20 @@ mod tests {
         let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
 
         let updates: Vec<Update> = (0..40).map(|i| Update::i32(i, (i % 16) as u32, 1)).collect();
-        // submit (not submit_all): the internal retry loop alone must land
-        // the whole batch, because the epoch thread keeps draining the
-        // queue between backoffs.
-        let outcome = tcp.submit(0, &updates).expect("submit");
-        match outcome {
-            SubmitOutcome::Accepted { accepted, .. } => assert_eq!(accepted, 40),
-            // An exhausted budget is allowed by the contract, but the
-            // accepted count must reflect every admitted prefix.
-            SubmitOutcome::Rejected { accepted, .. } => {
-                assert!(accepted < 40);
-                tcp.submit_all(0, &updates[accepted as usize..]).expect("residual");
+        match tcp.submit(0, &updates).expect("submit") {
+            SubmitOutcome::Rejected { accepted, reason, .. } => {
+                assert_eq!(
+                    (accepted, reason),
+                    (8, RejectReason::QueueFull),
+                    "the prefix that fits"
+                );
             }
-            SubmitOutcome::Failed(m) => panic!("submit failed: {m}"),
+            other => panic!("a 40-update batch into an empty 8-slot queue: {other:?}"),
         }
-        assert!(tcp.backoffs() > 0, "a 40-update batch through an 8-slot queue must back off");
+        assert_eq!(tcp.backoffs(), 0, "submit makes one attempt and never backs off");
+        let retries = tcp.submit_all(0, &updates[8..]).expect("submit all");
+        assert!(retries > 0, "32 updates through an 8-slot queue must be rejected");
+        assert!(tcp.backoffs() > 0, "submit_all backs off before each retry");
 
         tcp.flush().expect("flush");
         let snap = tcp.snapshot(0).expect("snapshot");

@@ -72,7 +72,7 @@ pub use invector_core::tune::{EpochPolicy, PolicyTrace, TraceEntry, TuneConfig};
 pub use invector_replog::SyncPolicy;
 pub use invector_streamkit::{AggOp, StreamKind};
 pub use protocol::{
-    snapshot_checksum, EdgeOp, RejectReason, RequestView, StatsSummary, Update, UpdatesView,
+    snapshot_checksum, RejectReason, RequestView, StatsSummary, Update, UpdatesView,
     PROTOCOL_VERSION,
 };
 pub use reactor::{ReactorKind, Ring};

@@ -22,13 +22,11 @@
 //!   0x07 Metrics
 //!   0x08 SnapshotBegin
 //!   0x0A LogTail   checkpoint:u64 index:u64 max_bytes:u32
-//!   0x0B EdgeOps   table:u16 count:u32 count x (seq:u64 src:u32 dstflag:u32)
-//!                  (dstflag bit 31 set = delete, low 31 bits = dst vertex)
 //!   0x0C WindowQuery table:u16 bucket:u64
 //!   0x0D TopK      table:u16 k:u32
 //!
 //! replies
-//!   0x81 Hello     version:u16 shards:u16 quantum:u32 tables:u16
+//!   0x81 Hello     version:u16 quantum:u32 tables:u16
 //!                  tables x (kind:u8 op:u8 len:u32 stream name_len:u16 name:utf8)
 //!                  stream := 0x00                                  (flat)
 //!                          | 0x01 vertices:u32 iters:u32           (pagerank)
@@ -50,6 +48,12 @@
 //!   0xFF Error     msg_len:u16 msg:utf8
 //! ```
 //!
+//! `Update` is the one ingest verb, for every table kind. A graph stream
+//! table's edge insertion or deletion is an ordinary update record built by
+//! [`invector_streamkit::edge_event`]: `idx` is the source vertex and
+//! `bits` the destination, with bit 31 set for a deletion. Admission
+//! refuses the whole batch if any endpoint is outside the table's vertices.
+//!
 //! `SnapshotBegin` pins a consistent all-table state server-side and is
 //! answered by a `SnapshotMeta` frame, then one ordinary `Snapshot` frame
 //! per table, in table-id order; `LogTail` streams the admitted-batch log
@@ -70,8 +74,10 @@ use crate::table::{OpKind, TableSpec, ValueKind};
 /// log-tail verbs; version 3 added stream table kinds to the `Hello`
 /// table registry and the edge-op / window-query / top-k verbs; version 4
 /// answers `SnapshotBegin` with a `SnapshotMeta` frame and one `Snapshot`
-/// frame per table, and drops the chunk verb (opcodes 0x09 and 0x89).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// frame per table, and drops the chunk verb (opcodes 0x09 and 0x89);
+/// version 5 drops the edge-op verb (opcode 0x0B: edges travel as `Update`
+/// records) and the `Hello` reply's shard count.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on one frame body, protecting the decoder from hostile or
 /// corrupt length prefixes. Every frame but a `Snapshot` reply is held to
@@ -86,6 +92,10 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// The most slots a table may have: a `Snapshot` reply of more could not
 /// be length-prefixed (`19 + 4 * slots` must fit a `u32`).
 pub(crate) const MAX_SNAPSHOT_SLOTS: usize = (u32::MAX as usize - SNAPSHOT_HEADER_LEN) / 4;
+
+/// The most entries a `TopK` reply may carry: its body is 15 bytes of
+/// header and 8 a entry, and must fit [`MAX_FRAME_LEN`].
+pub(crate) const MAX_TOP_K: usize = (MAX_FRAME_LEN - 15) / 8;
 
 /// Checksum of a snapshot value stream: CRC-32 over the slot bit patterns
 /// in slot order, little-endian — the integrity check carried by
@@ -408,8 +418,8 @@ impl Update {
     }
 
     /// The update's wire record: `seq:u64 idx:u32 bits:u32`, little-endian.
-    /// The one per-record encoder, for batches that are not already a
-    /// `[Update]` in memory (edge ops) and for big-endian targets.
+    /// Only big-endian targets encode record by record.
+    #[cfg(not(target_endian = "little"))]
     fn wire_record(self) -> [u8; UPDATE_WIRE_LEN] {
         let mut record = [0u8; UPDATE_WIRE_LEN];
         record[..8].copy_from_slice(&self.seq.to_le_bytes());
@@ -447,54 +457,6 @@ impl Update {
         #[cfg(not(target_endian = "little"))]
         {
             Cow::Owned(updates.iter().flat_map(|u| u.wire_record()).collect())
-        }
-    }
-}
-
-/// One edge mutation for a graph stream table. On the wire an edge op is
-/// exactly an [`Update`] record (`idx` = source vertex, `bits` = destination
-/// with bit 31 flagging deletion), so edge streams share the update codec,
-/// the WAL batch layout and the replication path unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeOp {
-    /// Position in the table's logical stream.
-    pub seq: u64,
-    /// Source vertex.
-    pub src: u32,
-    /// Destination vertex (must be below 2^31; bit 31 is the delete flag).
-    pub dst: u32,
-    /// `true` to insert the edge, `false` to delete it.
-    pub insert: bool,
-}
-
-impl EdgeOp {
-    /// An edge insertion.
-    pub fn insert(seq: u64, src: u32, dst: u32) -> EdgeOp {
-        EdgeOp { seq, src, dst, insert: true }
-    }
-
-    /// An edge deletion.
-    pub fn delete(seq: u64, src: u32, dst: u32) -> EdgeOp {
-        EdgeOp { seq, src, dst, insert: false }
-    }
-
-    /// The op as the update record it travels (and is logged) as.
-    pub fn to_update(self) -> Update {
-        let (idx, bits) = invector_streamkit::edge_event(
-            self.src,
-            self.dst & !invector_streamkit::DELETE_BIT,
-            self.insert,
-        );
-        Update { seq: self.seq, idx, bits }
-    }
-
-    /// Decodes an update record back into an edge op.
-    pub fn from_update(u: Update) -> EdgeOp {
-        EdgeOp {
-            seq: u.seq,
-            src: u.idx,
-            dst: u.bits & !invector_streamkit::DELETE_BIT,
-            insert: u.bits & invector_streamkit::DELETE_BIT == 0,
         }
     }
 }
@@ -564,7 +526,8 @@ pub enum Request {
         /// Client protocol version.
         version: u16,
     },
-    /// A batch of updates for one table.
+    /// A batch of updates for one table, of any kind (a graph table's
+    /// edge ops are [`invector_streamkit::edge_event`] records).
     Update {
         /// Table id (position in the server's table list).
         table: u16,
@@ -601,13 +564,6 @@ pub enum Request {
         /// returned when available).
         max_bytes: u32,
     },
-    /// A batch of edge insertions/deletions for a graph stream table.
-    EdgeOps {
-        /// Table id (must be a graph stream table).
-        table: u16,
-        /// The edge ops, in the client's stream order.
-        ops: Vec<EdgeOp>,
-    },
     /// Read a window table's per-key aggregates: a live bucket id, the most
     /// recently retracted bucket, or `u64::MAX` for the current window.
     WindowQuery {
@@ -633,9 +589,6 @@ pub enum Reply {
     Hello {
         /// Server protocol version.
         version: u16,
-        /// The server's `ServeConfig::shards`: inert since admission
-        /// stages per table, kept so the v2 wire format stays unchanged.
-        shards: u16,
         /// Epoch batch quantum.
         quantum: u32,
         /// Registered tables, in id order.
@@ -998,14 +951,6 @@ pub enum RequestView<'a> {
         /// Soft payload budget for the reply.
         max_bytes: u32,
     },
-    /// A batch of edge ops for a graph stream table, still in wire form
-    /// (edge-op records share the update record layout).
-    EdgeOps {
-        /// Table id.
-        table: u16,
-        /// Borrowed edge-op batch.
-        ops: UpdatesView<'a>,
-    },
     /// Read one bucket of a window table.
     WindowQuery {
         /// Table id.
@@ -1043,7 +988,6 @@ impl<'a> RequestView<'a> {
             0x0A => {
                 RequestView::LogTail { checkpoint: c.u64()?, index: c.u64()?, max_bytes: c.u32()? }
             }
-            0x0B => RequestView::EdgeOps { table: c.u16()?, ops: c.updates()? },
             0x0C => RequestView::WindowQuery { table: c.u16()?, bucket: c.u64()? },
             0x0D => RequestView::TopK { table: c.u16()?, k: c.u32()? },
             op => return Err(ProtoError::Malformed(format!("unknown request opcode {op:#04x}"))),
@@ -1067,9 +1011,6 @@ impl<'a> RequestView<'a> {
             RequestView::SnapshotBegin => Request::SnapshotBegin,
             RequestView::LogTail { checkpoint, index, max_bytes } => {
                 Request::LogTail { checkpoint, index, max_bytes }
-            }
-            RequestView::EdgeOps { table, ops } => {
-                Request::EdgeOps { table, ops: ops.iter().map(EdgeOp::from_update).collect() }
             }
             RequestView::WindowQuery { table, bucket } => Request::WindowQuery { table, bucket },
             RequestView::TopK { table, k } => Request::TopK { table, k },
@@ -1107,15 +1048,6 @@ impl Request {
                 put_u64(&mut out, *checkpoint);
                 put_u64(&mut out, *index);
                 put_u32(&mut out, *max_bytes);
-            }
-            Request::EdgeOps { table, ops } => {
-                out.reserve(7 + UPDATE_WIRE_LEN * ops.len());
-                out.push(0x0B);
-                put_u16(&mut out, *table);
-                put_u32(&mut out, ops.len() as u32);
-                for op in ops {
-                    out.extend_from_slice(&op.to_update().wire_record());
-                }
             }
             Request::WindowQuery { table, bucket } => {
                 out.push(0x0C);
@@ -1215,10 +1147,9 @@ impl Reply {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Reply::Hello { version, shards, quantum, tables } => {
+            Reply::Hello { version, quantum, tables } => {
                 out.push(0x81);
                 put_u16(&mut out, *version);
-                put_u16(&mut out, *shards);
                 put_u32(&mut out, *quantum);
                 put_u16(&mut out, tables.len() as u16);
                 for t in tables {
@@ -1307,11 +1238,11 @@ impl Reply {
                 }
             }
             Reply::Error(msg) => {
+                // Cut at a char boundary, so a long text still decodes.
+                let text = &msg[..msg.floor_char_boundary(u16::MAX as usize)];
                 out.push(0xFF);
-                let bytes = msg.as_bytes();
-                let n = bytes.len().min(u16::MAX as usize);
-                put_u16(&mut out, n as u16);
-                out.extend_from_slice(&bytes[..n]);
+                put_u16(&mut out, text.len() as u16);
+                out.extend_from_slice(text.as_bytes());
             }
         }
         out
@@ -1328,14 +1259,13 @@ impl Reply {
         let reply = match c.u8()? {
             0x81 => {
                 let version = c.u16()?;
-                let shards = c.u16()?;
                 let quantum = c.u32()?;
                 let count = c.u16()? as usize;
                 let mut tables = Vec::with_capacity(count);
                 for _ in 0..count {
                     tables.push(decode_table_spec(&mut c)?);
                 }
-                Reply::Hello { version, shards, quantum, tables }
+                Reply::Hello { version, quantum, tables }
             }
             0x82 => Reply::Ack { accepted: c.u32()?, watermark: c.u64()? },
             0x83 => Reply::Reject {
@@ -1552,11 +1482,6 @@ mod tests {
         round_trip_request(Request::Metrics);
         round_trip_request(Request::SnapshotBegin);
         round_trip_request(Request::LogTail { checkpoint: 7, index: 1 << 40, max_bytes: 65536 });
-        round_trip_request(Request::EdgeOps {
-            table: 4,
-            ops: vec![EdgeOp::insert(0, 3, 7), EdgeOp::delete(1, 7, 3), EdgeOp::insert(2, 0, 0)],
-        });
-        round_trip_request(Request::EdgeOps { table: 0, ops: vec![] });
         round_trip_request(Request::WindowQuery { table: 2, bucket: u64::MAX });
         round_trip_request(Request::TopK { table: 1, k: 10 });
     }
@@ -1565,7 +1490,6 @@ mod tests {
     fn replies_round_trip() {
         round_trip_reply(Reply::Hello {
             version: 1,
-            shards: 8,
             quantum: 4096,
             tables: vec![
                 TableSpec::f32("ranks", OpKind::Add, 64),
@@ -1651,6 +1575,19 @@ mod tests {
             entries: vec![(4, u32::MAX), (0, 17), (11, 0)],
         });
         round_trip_reply(Reply::TopK { table: 0, watermark: 0, entries: vec![] });
+    }
+
+    #[test]
+    fn error_text_is_cut_at_a_char_boundary() {
+        // Two-byte chars: a cut at 65,535 bytes would end inside one.
+        let long = "\u{e9}".repeat(40_000);
+        let Reply::Error(cut) = Reply::decode(&Reply::Error(long.clone()).encode()).expect("UTF-8")
+        else {
+            panic!("an Error reply");
+        };
+        assert_eq!(cut.len(), 65_534);
+        assert!(long.starts_with(&cut));
+        round_trip_reply(Reply::Error("\u{e9}".repeat(100)));
     }
 
     #[test]

@@ -1210,7 +1210,6 @@ fn respond(
             *greeted = true;
             Reply::Hello {
                 version: PROTOCOL_VERSION,
-                shards: core.config().shards as u16,
                 quantum: core.config().quantum as u32,
                 tables: core.config().tables.clone(),
             }
@@ -1225,14 +1224,6 @@ fn respond(
         }
         (true, RequestView::Hello { .. }) => Reply::Error("already said hello".into()),
         (true, RequestView::Update { table, updates }) => match core.submit_view(table, &updates) {
-            SubmitOutcome::Accepted { accepted, watermark } => Reply::Ack { accepted, watermark },
-            SubmitOutcome::Rejected { accepted, retry_after_ms, reason } => {
-                Reply::Reject { accepted, retry_after_ms, reason }
-            }
-            SubmitOutcome::Failed(m) => Reply::Error(m),
-        },
-        (true, RequestView::EdgeOps { table, ops }) => match core.submit_edge_ops_view(table, &ops)
-        {
             SubmitOutcome::Accepted { accepted, watermark } => Reply::Ack { accepted, watermark },
             SubmitOutcome::Rejected { accepted, retry_after_ms, reason } => {
                 Reply::Reject { accepted, retry_after_ms, reason }

@@ -26,12 +26,12 @@ use invector_core::tune::{Controller, EpochPolicy, MetricFrame, PolicyTrace, Tra
 use invector_core::{Backend, BackendChoice, TuneConfig};
 use invector_obs::Registry;
 use invector_simd::count;
-use invector_streamkit::{StreamKind, ValueRepr};
+use invector_streamkit::{StreamKind, ValueRepr, DELETE_BIT};
 
 use crate::epoch::{Admitted, EpochReport, ServeStats, Staging};
 use crate::protocol::{
-    write_snapshot_reply, EdgeOp, RejectReason, StatsSummary, Update, UpdatesView,
-    MAX_SNAPSHOT_SLOTS,
+    write_snapshot_reply, RejectReason, StatsSummary, Update, UpdatesView, MAX_SNAPSHOT_SLOTS,
+    MAX_TOP_K,
 };
 use crate::reactor::{self, ReactorKind};
 use crate::table::{TableData, TableSpec, TableState, ValueKind};
@@ -46,9 +46,8 @@ pub struct ServeConfig {
     /// The resident tables, addressed by position.
     pub tables: Vec<TableSpec>,
     /// Inert: admission stages each table's batches in one buffer, so
-    /// nothing is sharded. Kept only because the protocol's `Hello` reply
-    /// still carries a shard count and the `perfbench` ingest ledger
-    /// replay reads it.
+    /// nothing is sharded. Kept only because the `perfbench` ingest ledger
+    /// replay reads it, its one reader.
     pub shards: usize,
     /// Epoch batch quantum: micro-batches are exactly this many updates.
     /// A smaller final batch runs only on an explicit flush or the
@@ -154,6 +153,15 @@ impl ServeConfig {
         if let Some(t) = self.tables.iter().find(|t| t.len == 0) {
             return Err(format!("table '{}' has zero slots", t.name));
         }
+        // The `Hello` reply prefixes each table name with a `u16` length.
+        if let Some((i, t)) =
+            self.tables.iter().enumerate().find(|(_, t)| t.name.len() > u16::MAX as usize)
+        {
+            return Err(format!(
+                "table {i} has a name of {} bytes; a Hello reply carries names of at most 65535",
+                t.name.len()
+            ));
+        }
         // A `Snapshot` reply is length-prefixed by a `u32`. The bound also
         // keeps every key an `i32`, as the kernel's key columns need.
         if let Some(t) = self.tables.iter().find(|t| t.len > MAX_SNAPSHOT_SLOTS) {
@@ -247,8 +255,9 @@ pub enum SubmitOutcome {
         /// Why admission stopped.
         reason: RejectReason,
     },
-    /// Client error (unknown table, index out of range); nothing admitted
-    /// beyond `accepted` and the batch must not be retried as-is.
+    /// Client error (unknown table, index or edge endpoint out of range);
+    /// nothing admitted beyond `accepted` and the batch must not be retried
+    /// as-is.
     Failed(String),
 }
 
@@ -614,6 +623,10 @@ impl ServerCore {
     /// columns; the batch never exists as a `Vec<Update>`. Every submit
     /// entry point ends here.
     ///
+    /// A graph table's records are edges ([`invector_streamkit::edge_event`]):
+    /// before the staging lock, every record's endpoints are checked against
+    /// the table's vertices, and one out of range fails the whole batch.
+    ///
     /// The drain flag, the reorder window and the staging room are all read
     /// under the table's staging lock; under it, one pass over the records
     /// splits them into the staging columns and judges the batch (the
@@ -635,6 +648,13 @@ impl ServerCore {
         }
         let spec = &self.config.tables[t];
         let total = updates.len();
+        if let StreamKind::GraphPageRank { vertices, .. } | StreamKind::GraphWcc { vertices } =
+            spec.stream
+        {
+            if let Err(refusal) = self.check_edges(spec, vertices, updates) {
+                return refusal;
+            }
+        }
         let mut staged = self.staging[t].lock().expect("staging lock");
         if self.draining.load(Ordering::Acquire) {
             drop(staged);
@@ -1026,64 +1046,24 @@ impl ServerCore {
             .map_err(|e| format!("write snapshot of table {table}: {e}"))
     }
 
-    /// Admits a batch of edge ops for a graph stream table (the `EdgeOps`
-    /// verb). Endpoints are validated against the table's vertex range up
-    /// front, then the batch goes through the ordinary all-or-prefix
-    /// record admission — on the wire, in the WAL and in replication an
-    /// edge op *is* an update record. The ops are converted into an owned
-    /// record batch first (one allocation per call); the reactor's
-    /// [`submit_edge_ops_view`](Self::submit_edge_ops_view) admits the
-    /// frame's records without one.
-    pub fn submit_edge_ops(&self, table: u16, ops: &[EdgeOp]) -> SubmitOutcome {
-        if let Err(refusal) = self.check_edges(table, ops.len(), ops.iter().copied()) {
-            return refusal;
-        }
-        let updates: Vec<Update> = ops.iter().map(|op| op.to_update()).collect();
-        self.submit(table, &updates)
-    }
-
-    /// Admits a borrowed wire-format edge-op batch — the reactor's
-    /// zero-copy path for the `EdgeOps` verb.
-    pub fn submit_edge_ops_view(&self, table: u16, ops: &UpdatesView<'_>) -> SubmitOutcome {
-        if let Err(refusal) =
-            self.check_edges(table, ops.len(), ops.iter().map(EdgeOp::from_update))
-        {
-            return refusal;
-        }
-        self.submit_view(table, ops)
-    }
-
-    /// Fails an edge batch for a table that is not a graph stream table, or
-    /// with an endpoint outside its vertex range.
+    /// Fails a graph table's batch, whole, if any record has an endpoint
+    /// outside the table's vertices: the source (`idx`) or the destination
+    /// (`bits` without [`DELETE_BIT`]).
     fn check_edges(
         &self,
-        table: u16,
-        total: usize,
-        mut ops: impl Iterator<Item = EdgeOp>,
+        spec: &TableSpec,
+        vertices: u32,
+        updates: &UpdatesView<'_>,
     ) -> Result<(), SubmitOutcome> {
-        let Some(spec) = self.config.tables.get(table as usize) else {
-            return Err(SubmitOutcome::Failed(format!(
-                "unknown table {table} ({} registered)",
-                self.tables.len()
-            )));
-        };
-        let vertices = match spec.stream {
-            StreamKind::GraphPageRank { vertices, .. } | StreamKind::GraphWcc { vertices } => {
-                vertices
-            }
-            _ => {
-                return Err(SubmitOutcome::Failed(format!(
-                    "table '{}' is not a graph stream table",
-                    spec.name
-                )))
-            }
-        };
-        match ops.find(|op| op.src >= vertices || op.dst >= vertices) {
-            Some(op) => {
-                self.stats.record_rejects(total as u64);
+        let out_of_range = |u: &Update| u.idx >= vertices || (u.bits & !DELETE_BIT) >= vertices;
+        match updates.iter().find(out_of_range) {
+            Some(u) => {
+                self.stats.record_rejects(updates.len() as u64);
                 Err(SubmitOutcome::Failed(format!(
                     "edge ({}, {}) out of range for table '{}' of {vertices} vertices",
-                    op.src, op.dst, spec.name
+                    u.idx,
+                    u.bits & !DELETE_BIT,
+                    spec.name
                 )))
             }
             None => Ok(()),
@@ -1130,7 +1110,8 @@ impl ServerCore {
     ///
     /// # Errors
     ///
-    /// Fails on unknown tables and `k` outside `[1, region]`.
+    /// Fails on unknown tables, `k` outside `[1, region]` and `k` over the
+    /// entries one `TopK` reply frame can carry.
     pub fn top_k(&self, table: u16, k: u32) -> Result<TopKPage, String> {
         let state = self
             .tables
@@ -1138,11 +1119,10 @@ impl ServerCore {
             .ok_or_else(|| format!("unknown table {table}"))?
             .lock()
             .expect("table lock");
-        let bits = state.data().to_bits();
         let (region, repr) = match state.engine() {
             Some(engine) => engine.value_region(),
             None => (
-                bits.len(),
+                state.data().len(),
                 match state.spec().kind {
                     ValueKind::F32 => ValueRepr::F32Bits,
                     ValueKind::I32 => ValueRepr::I32,
@@ -1155,6 +1135,12 @@ impl ServerCore {
                 state.spec().name
             ));
         }
+        if k as usize > MAX_TOP_K {
+            return Err(format!(
+                "top-k of {k} exceeds the {MAX_TOP_K} entries one TopK reply frame can carry"
+            ));
+        }
+        let bits = state.data().to_bits();
         let mut entries: Vec<(u32, u32)> =
             bits[..region].iter().enumerate().map(|(i, &b)| (i as u32, b)).collect();
         entries.sort_by(|a, b| {
@@ -1569,6 +1555,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Reply, PROTOCOL_VERSION};
     use crate::table::OpKind;
 
     fn config() -> ServeConfig {
@@ -1646,6 +1633,23 @@ mod tests {
         // Without a WAL nothing is logged, so nothing bounds the slice.
         c.wal = None;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn table_names_a_hello_reply_cannot_frame_are_refused() {
+        // The `Hello` reply prefixes each name with a `u16` length.
+        let mut c = config();
+        c.tables[1].name = "n".repeat(65_536);
+        assert_eq!(
+            c.validate(),
+            Err("table 1 has a name of 65536 bytes; a Hello reply carries names of at most 65535"
+                .into())
+        );
+        c.tables[1].name = "\u{e9}".repeat(32_767) + "n";
+        assert_eq!(c.tables[1].name.len(), 65_535);
+        assert_eq!(c.validate(), Ok(()), "the longest name a Hello reply carries");
+        let hello = Reply::Hello { version: PROTOCOL_VERSION, quantum: 8, tables: c.tables };
+        assert_eq!(Reply::decode(&hello.encode()).expect("decode"), hello);
     }
 
     #[test]

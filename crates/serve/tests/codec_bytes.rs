@@ -1,6 +1,7 @@
 //! Byte-exact pins for the serving byte formats: the 16-byte update record
-//! (`Update` and `EdgeOps` requests, WAL batches), the WAL seal, the
-//! follower bootstrap's `SnapshotMeta` reply, and the slot image
+//! (`Update` requests, graph edges among them, and WAL batches), the WAL
+//! seal, the `Hello` reply, the follower bootstrap's `SnapshotMeta` reply,
+//! and the slot image
 //! (`count:u32 count x bits:u32`) carried by the `Snapshot` and `Window`
 //! replies and by checkpoint table records.
 //!
@@ -20,8 +21,7 @@ use std::path::PathBuf;
 
 use invector_core::exec::ExecPolicy;
 use invector_serve::protocol::{
-    read_frame, write_frame, EdgeOp, ProtoError, Reply, Request, RequestView, Update,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, ProtoError, Reply, Request, RequestView, Update, PROTOCOL_VERSION,
 };
 use invector_serve::table::TableState;
 use invector_serve::wal::{checkpoint_table_len, decode_checkpoint_table, encode_checkpoint_table};
@@ -79,14 +79,37 @@ const EDGE_RECORDS: &str = "
     0100000000000000 00000000 09000080";
 
 #[test]
-fn edge_ops_request_matches_hand_written_bytes() {
-    let req = Request::EdgeOps {
-        table: 2,
-        ops: vec![EdgeOp::insert(u64::MAX, 3, 0x7fff_ffff), EdgeOp::delete(1, 0, 9)],
+fn edge_update_request_matches_hand_written_bytes() {
+    let edge = |seq, src, dst, insert| {
+        let (idx, bits) = invector_streamkit::edge_event(src, dst, insert);
+        Update { seq, idx, bits }
     };
-    let expect = hex(&format!("0b 0200 02000000 {EDGE_RECORDS}"));
+    let req = Request::Update {
+        table: 2,
+        updates: vec![edge(u64::MAX, 3, 0x7fff_ffff, true), edge(1, 0, 9, false)],
+    };
+    let expect = hex(&format!("02 0200 02000000 {EDGE_RECORDS}"));
     assert_eq!(req.encode(), expect);
     assert_eq!(Request::decode(&expect).expect("decode"), req);
+    // Opcode 0x0B is unknown: no edge-op verb in protocol 5.
+    assert!(Request::decode(&hex(&format!("0b 0200 02000000 {EDGE_RECORDS}"))).is_err());
+}
+
+#[test]
+fn the_v5_hello_reply_matches_hand_written_bytes() {
+    assert_eq!(PROTOCOL_VERSION, 5);
+    let hello = Reply::Hello {
+        version: 5,
+        quantum: 0x0102_0304,
+        tables: vec![TableSpec::i32("ab", OpKind::Max, 3), TableSpec::wcc("g", 2)],
+    };
+    // version, quantum and the table count, with no shard count; then each
+    // table: kind, op, len, stream (with its parameters), name.
+    let expect = hex("81 0500 04030201 0200
+        01 02 03000000 00 0200 6162
+        01 01 03000000 02 02000000 0100 67");
+    assert_eq!(hello.encode(), expect);
+    assert_eq!(Reply::decode(&expect).expect("decode"), hello);
 }
 
 #[test]

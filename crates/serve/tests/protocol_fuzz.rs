@@ -11,8 +11,7 @@ use std::net::TcpStream;
 use proptest::prelude::*;
 
 use invector_serve::protocol::{
-    read_frame, write_frame, EdgeOp, Reply, Request, RequestView, StatsSummary, Update,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, Reply, Request, RequestView, StatsSummary, Update, PROTOCOL_VERSION,
 };
 use invector_serve::{
     OpKind, RejectReason, Ring, ServeConfig, Server, StreamKind, TableSpec, ValueKind,
@@ -29,7 +28,7 @@ fn arb_update() -> impl Strategy<Value = Update> {
 /// Every request variant, dispatched off a tag byte (the vendored proptest
 /// shim has no `prop_oneof`).
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0u8..12, any::<u16>(), any::<u32>(), any::<u64>(), prop::collection::vec(arb_update(), 0..40))
+    (0u8..11, any::<u16>(), any::<u32>(), any::<u64>(), prop::collection::vec(arb_update(), 0..40))
         .prop_map(|(tag, word, dword, qword, updates)| match tag {
             0 => Request::Hello { version: word },
             1 => Request::Update { table: word, updates },
@@ -39,12 +38,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
             5 => Request::Shutdown,
             6 => Request::Metrics,
             7 => Request::SnapshotBegin,
-            8 => Request::EdgeOps {
-                table: word,
-                ops: updates.into_iter().map(EdgeOp::from_update).collect(),
-            },
-            9 => Request::WindowQuery { table: word, bucket: qword },
-            10 => Request::TopK { table: word, k: dword },
+            8 => Request::WindowQuery { table: word, bucket: qword },
+            9 => Request::TopK { table: word, k: dword },
             _ => Request::LogTail {
                 checkpoint: qword,
                 index: qword.rotate_left(17),
@@ -94,7 +89,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         .prop_map(|(tag, word, accepted, watermark, values, tables, text)| {
             let text: String = text.into_iter().map(|c| c as char).collect();
             match tag {
-                0 => Reply::Hello { version: word, shards: word, quantum: accepted, tables },
+                0 => Reply::Hello { version: word, quantum: accepted, tables },
                 1 => Reply::Ack { accepted, watermark },
                 2 => Reply::Reject {
                     accepted,
@@ -198,7 +193,8 @@ proptest! {
         tag in any::<u8>(),
         payload in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        let known_request = (0x01..=0x0D).contains(&tag) && tag != 0x09;
+        // 0x09 (the chunk verb) went in protocol 4, 0x0B (edge ops) in 5.
+        let known_request = (0x01..=0x0D).contains(&tag) && tag != 0x09 && tag != 0x0B;
         let known_reply = ((0x81..=0x8C).contains(&tag) && tag != 0x89) || tag == 0xFF;
         let mut body = vec![tag];
         body.extend_from_slice(&payload);
@@ -415,13 +411,55 @@ fn tcp_server_answers_garbage_frames_with_an_error_reply() {
     let _ = writer.flush();
 }
 
+/// A `TopK` reply of `15 + 8k` bytes must fit one frame. A request for more
+/// entries than that is refused before anything is sorted, with the same
+/// error in process and over TCP, and the connection keeps serving: the
+/// refusal is one `Error` frame, not a reply the client cannot read.
+#[test]
+fn top_k_beyond_one_reply_frame_is_refused_and_the_connection_keeps_serving() {
+    use invector_serve::protocol::MAX_FRAME_LEN;
+    use invector_serve::{LocalClient, ServeClient, TcpClient};
+
+    let slots = (MAX_FRAME_LEN - 15) / 8 + 1;
+    let config = ServeConfig::new(vec![
+        TableSpec::i32("wide", OpKind::Max, slots),
+        TableSpec::i32("small", OpKind::Add, 16),
+    ]);
+    let server = Server::bind(config, "127.0.0.1:0").expect("bind loopback");
+    let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
+
+    let err = tcp.top_k(0, slots as u32).expect_err("a reply over the frame cap");
+    assert_eq!(
+        err,
+        format!(
+            "top-k of {slots} exceeds the {} entries one TopK reply frame can carry",
+            slots - 1
+        )
+    );
+    let mut local = LocalClient::new(server.core());
+    assert_eq!(local.top_k(0, slots as u32).expect_err("refused in process too"), err);
+
+    tcp.submit_all(1, &[Update::i32(0, 5, 7), Update::i32(1, 2, 9)]).expect("submit");
+    tcp.flush().expect("flush");
+    let page = tcp.top_k(1, 2).expect("the same connection still serves");
+    assert_eq!(page.entries, vec![(2, 9), (5, 7)]);
+    tcp.shutdown().expect("shutdown");
+    server.join();
+}
+
 /// Hostile stream-verb parameters — wrong table kinds, unknown window
 /// buckets, out-of-range top-k, out-of-range edge endpoints — all come
 /// back as clean `Error` replies over the wire, and the connection stays
 /// usable afterwards.
 #[test]
 fn stream_verbs_refuse_hostile_parameters_without_panicking() {
-    use invector_serve::{ServeClient, TcpClient};
+    use invector_serve::{ServeClient, SubmitOutcome, TcpClient};
+    use invector_streamkit::edge_event;
+
+    let edge = |src, dst| {
+        let (idx, bits) = edge_event(src, dst, true);
+        [Update { seq: 0, idx, bits }]
+    };
 
     let config = ServeConfig::new(vec![
         TableSpec::i32("flat", OpKind::Add, 16),
@@ -431,12 +469,10 @@ fn stream_verbs_refuse_hostile_parameters_without_panicking() {
     let server = Server::bind(config, "127.0.0.1:0").expect("bind loopback");
     let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
 
-    // Edge ops against a non-graph table and against out-of-range vertices.
-    let op = EdgeOp::insert(0, 2, 3);
-    assert!(matches!(tcp.edge_ops(0, &[op]).unwrap(), invector_serve::SubmitOutcome::Failed(_)));
-    let wild = EdgeOp::insert(0, 2, 99);
-    assert!(matches!(tcp.edge_ops(1, &[wild]).unwrap(), invector_serve::SubmitOutcome::Failed(_)));
-    assert!(matches!(tcp.edge_ops(999, &[op]).unwrap(), invector_serve::SubmitOutcome::Failed(_)));
+    // Edges with out-of-range vertices, and edges for an unknown table.
+    assert!(matches!(tcp.submit(1, &edge(2, 99)).unwrap(), SubmitOutcome::Failed(_)));
+    assert!(matches!(tcp.submit(1, &edge(99, 2)).unwrap(), SubmitOutcome::Failed(_)));
+    assert!(matches!(tcp.submit(999, &edge(2, 3)).unwrap(), SubmitOutcome::Failed(_)));
 
     // Window queries against non-window tables and unknown bucket ids.
     assert!(tcp.window_query(0, 0).is_err(), "flat table has no windows");
@@ -452,8 +488,8 @@ fn stream_verbs_refuse_hostile_parameters_without_panicking() {
     assert_eq!(tcp.top_k(2, 4).expect("in-range top-k").entries.len(), 4);
 
     // The same connection still serves honest traffic.
-    let outcome = tcp.edge_ops(1, &[EdgeOp::insert(0, 2, 3)]).expect("edge ops");
-    assert!(matches!(outcome, invector_serve::SubmitOutcome::Accepted { .. }));
+    let outcome = tcp.submit(1, &edge(2, 3)).expect("edge update");
+    assert!(matches!(outcome, SubmitOutcome::Accepted { .. }));
     tcp.flush().expect("flush");
     tcp.shutdown().expect("shutdown");
     server.join();

@@ -212,7 +212,7 @@ fn scripted(replies: Vec<Vec<u8>>) -> (SocketAddr, JoinHandle<()>) {
         assert!(matches!(Request::decode(&hello), Ok(Request::Hello { .. })));
         let tables =
             vec![TableSpec::i32("t", OpKind::Add, SLOTS), TableSpec::f32("u", OpKind::Max, SLOTS)];
-        let hello = Reply::Hello { version: PROTOCOL_VERSION, shards: 1, quantum: 64, tables };
+        let hello = Reply::Hello { version: PROTOCOL_VERSION, quantum: 64, tables };
         write_frame(&mut writer, &hello.encode()).expect("send hello");
         for reply in replies {
             read_frame(&mut reader).expect("request").expect("a request frame");

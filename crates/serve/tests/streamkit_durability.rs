@@ -47,9 +47,9 @@ fn tables() -> Vec<TableSpec> {
     ]
 }
 
-/// Per-table update streams: edge churn for the graph tables (events travel
-/// as the update records `EdgeOps` would log), data + watermark events for
-/// the windows.
+/// Per-table update streams: edge churn for the graph tables (update
+/// records built by `edge_event`, as every graph client sends them), data +
+/// watermark events for the windows.
 fn generate_streams(rng: &mut SmallRng, len: usize) -> Vec<Vec<Update>> {
     let mut streams = vec![Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     let mut watermark = 0u32;
